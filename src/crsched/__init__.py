@@ -8,100 +8,18 @@ by nonnegative accumulators (one per delay bound, one for interference)
 that the index policy trades off against backlog each slot.
 """
 
-from .channels import (
-    ChannelBank,
-    ChannelModel,
-    ChannelSample,
-    DeterministicGain,
-    RayleighGain,
-)
-from .config import ConfigError, ExperimentSpec, lambda_grid, load_spec, parse_scheduler
-from .engine import (
-    DiagnosticsUnavailableError,
-    DriftSummary,
-    MetricsLedger,
-    PsiConsistencyError,
-    RunResult,
-    SimConfig,
-    Simulation,
-    SuConfig,
-    drift_diagnostics,
-    run_until_converged,
-)
-from .queueing import (
-    Bernoulli,
-    DepartureBatch,
-    InfeasibleLoadError,
-    SuQueue,
-    TruncatedPoisson,
-)
-from .schedulers import (
-    MAXWEIGHT,
-    PHI_ACTUAL,
-    PHI_LITERAL,
-    PROPOSED,
-    PROPOSED_NONIDLING,
-    ScheduleDecision,
-    SchedulerKind,
-    compute_phi,
-    decide_max_weight,
-    decide_proposed,
-    transmission_rate,
-)
-from .sweep import SweepRow, emit_figures, read_rows, run_sweep, write_rows
-from .virtual_queues import (
-    DelayVirtualQueue,
-    InterferenceVirtualQueue,
-    StabilityProbe,
-    stability_metric,
-)
+from .config import load_spec, parse_scheduler
+from .engine import RunResult
+from .sweep import point_config, run_point, run_sweep, write_rows
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bernoulli",
-    "ChannelBank",
-    "ChannelModel",
-    "ChannelSample",
-    "ConfigError",
-    "DelayVirtualQueue",
-    "DepartureBatch",
-    "DeterministicGain",
-    "DiagnosticsUnavailableError",
-    "DriftSummary",
-    "ExperimentSpec",
-    "InfeasibleLoadError",
-    "InterferenceVirtualQueue",
-    "MAXWEIGHT",
-    "MetricsLedger",
-    "PHI_ACTUAL",
-    "PHI_LITERAL",
-    "PROPOSED",
-    "PROPOSED_NONIDLING",
-    "PsiConsistencyError",
-    "RayleighGain",
     "RunResult",
-    "ScheduleDecision",
-    "SchedulerKind",
-    "SimConfig",
-    "Simulation",
-    "StabilityProbe",
-    "SuConfig",
-    "SuQueue",
-    "SweepRow",
-    "TruncatedPoisson",
-    "compute_phi",
-    "decide_max_weight",
-    "decide_proposed",
-    "drift_diagnostics",
-    "emit_figures",
-    "lambda_grid",
     "load_spec",
     "parse_scheduler",
-    "read_rows",
+    "point_config",
+    "run_point",
     "run_sweep",
-    "run_until_converged",
-    "stability_metric",
-    "transmission_rate",
     "write_rows",
 ]

@@ -9,10 +9,11 @@ envelope) is exponentially distributed with the configured mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .streams import ROLE_DIRECT, ROLE_INTERFERENCE, substream
+from .streams import ROLE_DIRECT, ROLE_INTERFERENCE, BufferedDraws, substream
 
 # Default truncation point for fading gains, as a multiple of the mean.
 # P(exceed) = exp(-25), so the truncation is statistically invisible but
@@ -31,16 +32,7 @@ class DeterministicGain:
         if self.cap is None:
             object.__setattr__(self, "cap", float(self.value))
         if not 0.0 <= self.value <= self.cap:
-            raise ValueError(
-                f"deterministic gain {self.value!r} outside [0, {self.cap!r}]"
-            )
-
-    @property
-    def mean(self) -> float:
-        return self.value
-
-    def sample(self, rng: np.random.Generator) -> float:
-        return self.value
+            raise ValueError(f"deterministic gain {self.value!r} outside [0, {self.cap!r}]")
 
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.value)
@@ -61,9 +53,6 @@ class RayleighGain:
         if self.cap <= 0.0:
             raise ValueError(f"rayleigh cap must be positive, got {self.cap!r}")
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return min(float(rng.exponential(self.mean)), self.cap)
-
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.minimum(rng.exponential(self.mean, n), self.cap)
 
@@ -71,40 +60,12 @@ class RayleighGain:
 ChannelModel = DeterministicGain | RayleighGain
 
 
-@dataclass(frozen=True)
-class ChannelSample:
-    """One slot's gains for every user: direct[i] and interference[i]."""
-
-    direct: tuple[float, ...]
-    interference: tuple[float, ...]
-
-
-class _GainSource:
-    """Scalar gain feed for one (user, link) pair, refilled in blocks."""
-
-    __slots__ = ("model", "rng", "block", "_buf", "_idx")
-
-    def __init__(self, model: ChannelModel, rng: np.random.Generator, block: int):
-        self.model = model
-        self.rng = rng
-        self.block = block
-        self._buf = model.sample_block(rng, block).tolist()
-        self._idx = 0
-
-    def next(self) -> float:
-        i = self._idx
-        if i == self.block:
-            self._buf = self.model.sample_block(self.rng, self.block).tolist()
-            i = 0
-        self._idx = i + 1
-        return self._buf[i]
-
-
 class ChannelBank:
-    """Owns the per-user channel substreams and draws one slot at a time.
+    """Per-user gain feeds, one block-buffered substream per (user, link).
 
-    Each (user, link type) pair gets its own substream, so a user's gain
-    sequence depends only on the seed and its own index.
+    ``direct[i]`` and ``interference[i]`` serve user i's gains one slot at
+    a time, so a user's gain sequence depends only on the seed and its own
+    index.
     """
 
     def __init__(
@@ -112,24 +73,15 @@ class ChannelBank:
         direct: tuple[ChannelModel, ...],
         interference: tuple[ChannelModel, ...],
         seed: int,
-        block: int = 4096,
     ):
         if not direct or len(direct) != len(interference):
             raise ValueError("need one direct and one interference model per user")
-        self.n_sus = len(direct)
-        self.direct_models = tuple(direct)
-        self.interference_models = tuple(interference)
-        self._direct_sources = tuple(
-            _GainSource(m, substream(seed, i, ROLE_DIRECT), block)
-            for i, m in enumerate(self.direct_models)
-        )
-        self._interference_sources = tuple(
-            _GainSource(m, substream(seed, i, ROLE_INTERFERENCE), block)
-            for i, m in enumerate(self.interference_models)
-        )
 
-    def sample_slot(self) -> ChannelSample:
-        return ChannelSample(
-            direct=tuple(s.next() for s in self._direct_sources),
-            interference=tuple(s.next() for s in self._interference_sources),
-        )
+        def feeds(models, role):
+            return tuple(
+                BufferedDraws(partial(m.sample_block, substream(seed, i, role)))
+                for i, m in enumerate(models)
+            )
+
+        self.direct = feeds(direct, ROLE_DIRECT)
+        self.interference = feeds(interference, ROLE_INTERFERENCE)

@@ -40,17 +40,8 @@ from decimal import Decimal, InvalidOperation
 from pathlib import Path
 
 from .channels import ChannelModel, DeterministicGain, RayleighGain
-from .engine import SimConfig, SuConfig
+from .engine import PHI_ACTUAL, PHI_LITERAL, SCHEDULER_NAMES, SchedulerKind, SimConfig, SuConfig
 from .queueing import ArrivalProcess, Bernoulli, TruncatedPoisson
-from .schedulers import (
-    MAXWEIGHT,
-    PHI_ACTUAL,
-    PHI_LITERAL,
-    PROPOSED,
-    PROPOSED_NONIDLING,
-    SCHEDULER_NAMES,
-    SchedulerKind,
-)
 
 
 class ConfigError(ValueError):

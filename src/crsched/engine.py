@@ -1,56 +1,79 @@
-"""Slot-by-slot simulation driver.
+"""Slot-by-slot simulation driver and its decision rules.
 
-Every slot executes the same fixed sequence:
+At most one backlogged user transmits per slot. The index policy serves the
+smallest index phi (its idling variant idles when even that is positive);
+max-weight serves the largest Q/g and never idles under backlog.
 
-1. each user's arrivals are appended to its queue (new packets may depart
-   in the same slot)
-2. the slot's channel gains are drawn
-3. the scheduler picks at most one backlogged user
+Each slot is one pass over the users followed by at most one departure:
+
+1. the user's arrivals join its queue (and may depart in the same slot)
+2. its direct and interference gains are drawn, backlogged or not
+3. if backlogged, its metric is scored: the index phi, or Q/g for max-weight
 4. the chosen user's head packets depart, n = min(Q, floor(rate))
-5. the chosen user's delay accumulator absorbs the departed waiting times
-6. the interference accumulator absorbs the slot's interference (0 on idle)
+5. its delay accumulator Y_i absorbs the departures' excess over d_i
+6. the interference accumulator X absorbs the slot's gain (0 on idle) - I_avg
 7. metrics are accumulated
 
-A run stops once the average accumulator level per queue per slot falls
-below epsilon (converged), or at max_slots (not converged). A backlog that
-outgrows its safety cap aborts the run with an infeasible-load diagnostic.
+Y_i and X (the "virtual queues") grow when a slot violates its constraint
+and drain, down to 0, when it has room to spare; if their time-averaged
+level vanishes, the long-run average constraints hold. A run stops once that
+level per queue per slot falls below epsilon (converged) or at max_slots.
+A backlog that outgrows its safety cap aborts the run as infeasible-load.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import NamedTuple, Sequence
 
-from .channels import ChannelBank, ChannelModel, ChannelSample
-from .queueing import (
-    DEFAULT_BUFFER_CAP,
-    ArrivalProcess,
-    InfeasibleLoadError,
-    SuQueue,
-)
-from .schedulers import (
-    MAXWEIGHT,
-    PHI_ACTUAL,
-    SchedulerKind,
-    ScheduleDecision,
-    decide_max_weight,
-    decide_proposed,
-    transmission_rate,
-)
-from .streams import ROLE_ARRIVALS, BufferedUniforms, substream
-from .virtual_queues import (
-    DelayVirtualQueue,
-    InterferenceVirtualQueue,
-    stability_metric,
-)
+from .channels import ChannelBank, ChannelModel
+from .queueing import DEFAULT_BUFFER_CAP, ArrivalProcess, InfeasibleLoadError, SuQueue
+from .streams import ROLE_ARRIVALS, BufferedDraws, substream
+
+PHI_ACTUAL = "actual"  # closing term counts the packets actually transmittable
+PHI_LITERAL = "literal"  # closing term uses the raw real-valued rate
+
+PROPOSED = "proposed"
+PROPOSED_NONIDLING = "proposed-nonidling"
+MAXWEIGHT = "maxweight"
+SCHEDULER_NAMES = (PROPOSED, PROPOSED_NONIDLING, MAXWEIGHT)
 
 
-class DiagnosticsUnavailableError(RuntimeError):
-    """Drift diagnostics were requested from a run that did not record them."""
+@dataclass(frozen=True)
+class SchedulerKind:
+    """A decision rule plus, for the index policy, its phi flavor."""
+
+    kind: str
+    phi_mode: str = PHI_ACTUAL
+
+    def __post_init__(self):
+        if self.kind not in SCHEDULER_NAMES:
+            raise ValueError(f"unknown scheduler {self.kind!r}; expected one of {SCHEDULER_NAMES}")
+        if self.phi_mode not in (PHI_ACTUAL, PHI_LITERAL):
+            raise ValueError(f"unknown phi mode {self.phi_mode!r}")
+
+    @property
+    def idling(self) -> bool:
+        return self.kind == PROPOSED
 
 
-class PsiConsistencyError(RuntimeError):
-    """A slot decision disagreed with the brute-force objective minimizer."""
+def transmission_rate(gamma: float, scheduled: bool = True) -> float:
+    """Packets deliverable in one slot at direct power gain gamma; an
+    unscheduled user transmits nothing, whatever its gain."""
+    if not scheduled:
+        return 0.0
+    return math.log2(1.0 + gamma)
+
+
+def phi_value(q: int, y: float, d: float, x: float, g: float, w_sum: float, r: float) -> float:
+    """Decision index of one backlogged user: phi = X g + Y sum(W) - (Y d + Q) r.
+
+    w_sum is the waiting-time sum of the head packets that would depart and
+    r is either their count (actual mode) or the raw rate (literal mode).
+    """
+    return x * g + y * w_sum - (y * d + q) * r
 
 
 @dataclass(frozen=True)
@@ -62,9 +85,9 @@ class SuConfig:
     direct: ChannelModel
     interference: ChannelModel
 
-    @property
-    def rate(self) -> float:
-        return self.arrivals.rate
+    def __post_init__(self):
+        if self.delay_bound <= 0.0:
+            raise ValueError(f"delay bound must be positive, got {self.delay_bound!r}")
 
 
 @dataclass(frozen=True)
@@ -79,14 +102,13 @@ class SimConfig:
     check_interval: int = 10_000
     seed: int = 0
     buffer_cap: int = DEFAULT_BUFFER_CAP
-    record_series: bool = True
-    series_stride: int = 100
     trace: bool = False
-    debug_check_psi: bool = False
 
     def __post_init__(self):
         if not self.sus:
             raise ValueError("need at least one user")
+        if self.i_avg <= 0.0:
+            raise ValueError(f"interference budget must be positive, got {self.i_avg!r}")
         # epsilon = 0 is allowed here: the threshold is then unreachable and
         # the run always executes max_slots slots.
         if self.epsilon < 0.0:
@@ -95,30 +117,16 @@ class SimConfig:
             raise ValueError("check interval must be positive")
         if self.max_slots < self.check_interval:
             raise ValueError("max_slots must be at least the check interval")
-        if self.series_stride < 1:
-            raise ValueError("series stride must be positive")
-        if self.debug_check_psi:
-            if self.scheduler.kind == MAXWEIGHT:
-                raise ValueError("objective consistency check applies to the index policy only")
-            if self.scheduler.phi_mode != PHI_ACTUAL:
-                raise ValueError("objective consistency check requires actual phi mode")
-
-    @property
-    def n_sus(self) -> int:
-        return len(self.sus)
 
 
-class SuState:
-    """One user's live state inside a run."""
+class SuState(NamedTuple):
+    """One user's FIFO, arrival-uniform and gain feeds, and delay bound."""
 
-    __slots__ = ("cfg", "index", "queue", "delay_vq", "arrival_source")
-
-    def __init__(self, cfg: SuConfig, index: int, seed: int, buffer_cap: int):
-        self.cfg = cfg
-        self.index = index
-        self.queue = SuQueue(cfg.arrivals, buffer_cap)
-        self.delay_vq = DelayVirtualQueue(cfg.delay_bound)
-        self.arrival_source = BufferedUniforms(substream(seed, index, ROLE_ARRIVALS))
+    queue: SuQueue
+    uniforms: BufferedDraws
+    direct: BufferedDraws
+    interference: BufferedDraws
+    delay_bound: float
 
 
 @dataclass(frozen=True)
@@ -133,36 +141,31 @@ class SlotTrace:
     q: tuple[int, ...]
     y: tuple[float, ...]
     x: float
+    direct: tuple[float, ...]
+    interference: tuple[float, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class MetricsLedger:
-    """Per-run accumulators. Series entries are decimated post-slot states."""
+    """Per-run accumulators, and the slot trace if the config asks for it.
 
-    diagnostics: bool = False
-    slots: int = 0
+    drift_sum adds up the one-slot changes of L = (X^2 + sum_i Y_i^2 + Q_i^2)/2,
+    whose last value is lyapunov_prev. c_y_emp[i], the empirical Y-term of
+    the drift constant, is the largest d_i^2 n^2 + (sum W)^2 of user i.
+    """
+
     interference_sum: float = 0.0
-    series_slots: list[int] = field(default_factory=list)
-    series_q: list[tuple[int, ...]] = field(default_factory=list)
-    series_y: list[tuple[float, ...]] = field(default_factory=list)
-    series_x: list[float] = field(default_factory=list)
     drift_sum: float = 0.0
     lyapunov_prev: float = 0.0
     c_y_emp: list[float] = field(default_factory=list)
-    psi_checks: int = 0
     trace: list[SlotTrace] = field(default_factory=list)
-    terminal_x: float | None = None
-    terminal_y: tuple[float, ...] | None = None
-    terminal_q: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
 class DriftSummary:
-    """Empirical drift bound check for one recorded run.
-
-    c_total bounds the mean one-slot quadratic drift; jensen_bound is the
-    implied cap sqrt(C/T) on every terminal backlog divided by the horizon.
-    """
+    """Empirical drift bound check for one run: c_total bounds the mean
+    one-slot quadratic drift; jensen_bound is the implied cap sqrt(C/T) on
+    every terminal backlog divided by the horizon."""
 
     c_x: float
     c_q: tuple[float, ...]
@@ -187,172 +190,141 @@ class RunResult:
     note: str = ""
 
 
-def drift_diagnostics(ledger: MetricsLedger, config: SimConfig) -> DriftSummary:
-    """Empirical drift statistics against the per-run deterministic bound."""
-    if not ledger.diagnostics or ledger.terminal_q is None:
-        raise DiagnosticsUnavailableError("diagnostics unavailable: run recorded no series")
-    g_max = max(su.interference.cap for su in config.sus)
-    c_x = g_max * g_max + config.i_avg * config.i_avg
-    c_q = []
-    for su in config.sus:
-        a_max = float(su.arrivals.a_max)
-        r_max = transmission_rate(su.direct.cap)
-        c_q.append(a_max * a_max + r_max * r_max)
-    c_total = c_x + sum(c_q) + sum(ledger.c_y_emp)
-    t = ledger.slots
-    return DriftSummary(
-        c_x=c_x,
-        c_q=tuple(c_q),
-        c_y_emp=tuple(ledger.c_y_emp),
-        c_total=c_total,
-        mean_drift=ledger.drift_sum / t,
-        q_over_t=tuple(q / t for q in ledger.terminal_q),
-        jensen_bound=math.sqrt(c_total / t),
-    )
+def stability_metric(x: float, ys: Sequence[float], slots: int) -> float:
+    """Average terminal accumulator level per queue per slot. Small values
+    mean every accumulator grew sublinearly: the delay and interference
+    constraints hold in long-run average."""
+    if slots <= 0:
+        raise ValueError("stability metric needs at least one elapsed slot")
+    return (x + sum(ys)) / ((len(ys) + 1) * slots)
 
 
 class Simulation:
-    """Mutable run state; drive with run_slot() or run_until_converged()."""
+    """Mutable run state, with X as x and Y_i as y[i]; drive with
+    run_slot() or run_until_converged()."""
 
     def __init__(self, config: SimConfig):
         self.config = config
         seed = config.seed
+        bank = ChannelBank(tuple(su.direct for su in config.sus),
+                           tuple(su.interference for su in config.sus), seed)
         self.sus = tuple(
-            SuState(cfg, i, seed, config.buffer_cap) for i, cfg in enumerate(config.sus)
+            SuState(
+                SuQueue(su.arrivals, config.buffer_cap),
+                BufferedDraws(substream(seed, i, ROLE_ARRIVALS).random),
+                bank.direct[i],
+                bank.interference[i],
+                su.delay_bound,
+            )
+            for i, su in enumerate(config.sus)
         )
-        self.bank = ChannelBank(
-            tuple(su.direct for su in config.sus),
-            tuple(su.interference for su in config.sus),
-            seed,
-        )
-        self.x_vq = InterferenceVirtualQueue(config.i_avg)
-        self.ledger = MetricsLedger(
-            diagnostics=config.record_series,
-            c_y_emp=[0.0] * config.n_sus,
-        )
+        n = len(config.sus)
+        self.x = 0.0
+        self.y = [0.0] * n
+        self.ledger = MetricsLedger(c_y_emp=[0.0] * n)
         self.slot = 0
+        self._queues = tuple(su.queue for su in self.sus)
+        # This slot's draws, overwritten in place every slot.
+        self._arrivals = [0] * n
+        self._direct = [0.0] * n
+        self._interference = [0.0] * n
         sched = config.scheduler
-        self._kind = sched.kind
+        self._maxweight = sched.kind == MAXWEIGHT
         self._idling = sched.idling
-        self._phi_mode = sched.phi_mode
-        self._record = config.record_series
-        self._stride = config.series_stride
-        self._trace = config.trace
-        self._debug_psi = config.debug_check_psi
+        self._literal = sched.phi_mode == PHI_LITERAL
 
-    def run_slot(self) -> ScheduleDecision:
+    def run_slot(self) -> int | None:
+        """Advance one slot; return the scheduled user, None on idle."""
         slot = self.slot
-        sus = self.sus
-        if self._trace:
-            arrivals = tuple(su.queue.draw_arrivals(slot, su.arrival_source) for su in sus)
-        else:
-            for su in sus:
-                su.queue.draw_arrivals(slot, su.arrival_source)
-        sample = self.bank.sample_slot()
-        if self._kind == MAXWEIGHT:
-            decision = decide_max_weight(sus, sample, slot)
-        else:
-            decision = decide_proposed(
-                sus, self.x_vq, sample, slot, idling=self._idling, mode=self._phi_mode
-            )
-        if self._debug_psi:
-            self._check_psi(decision, sample, slot)
-        if decision.su is None:
-            gain = 0.0
-        else:
-            chosen = sus[decision.su]
-            chosen.queue.commit_departures(decision.batch)
-            chosen.delay_vq.update(decision.batch)
-            gain = sample.interference[decision.su]
-        self.x_vq.update(gain)
-        led = self.ledger
-        led.slots = slot + 1
-        led.interference_sum += gain
-        if self._record:
-            self._accumulate(decision, slot)
-        if self._trace:
-            led.trace.append(
-                SlotTrace(
-                    slot=slot,
-                    arrivals=arrivals,
-                    su=decision.su,
-                    gain=gain,
-                    waiting_times=decision.batch.waiting_times if decision.batch else (),
-                    q=tuple(su.queue.backlog for su in sus),
-                    y=tuple(su.delay_vq.y for su in sus),
-                    x=self.x_vq.x,
-                )
-            )
-        self.slot = slot + 1
-        return decision
+        x = self.x
+        y = self.y
+        arrivals = self._arrivals
+        direct = self._direct
+        interference = self._interference
+        maxweight = self._maxweight
+        literal = self._literal
+        # Ties keep the lowest index: only a strictly better value replaces it.
+        best = None
+        best_v = -math.inf if maxweight else math.inf
+        best_n = 0
+        for i, (queue, uniforms, direct_feed, interference_feed, d) in enumerate(self.sus):
+            arrivals[i] = queue.draw_arrivals(slot, uniforms)
+            g_d = direct[i] = direct_feed.random()
+            g = interference[i] = interference_feed.random()
+            fifo = queue.fifo
+            q = len(fifo)
+            if not q:
+                continue
+            if maxweight:
+                # An interference-free link has infinite weight.
+                v = math.inf if g <= 0.0 else q / g
+                if v > best_v:
+                    best, best_v = i, v
+                continue
+            rate = math.log2(1.0 + g_d)
+            n = min(q, int(rate))
+            w_sum = 0.0
+            for a in islice(fifo, n):
+                w_sum += slot - a + 1
+            v = phi_value(q, y[i], d, x, g, w_sum, rate if literal else float(n))
+            if v < best_v:
+                best, best_v, best_n = i, v, n
+        if self._idling and best_v > 0.0:
+            best = None
 
-    def _accumulate(self, decision: ScheduleDecision, slot: int) -> None:
         led = self.ledger
-        x = self.x_vq.x
+        gain = 0.0
+        waits = ()
+        if best is not None:
+            gain = interference[best]
+            queue = self._queues[best]
+            if maxweight:
+                best_n = min(len(queue.fifo), int(math.log2(1.0 + direct[best])))
+            # A 0-packet slot still holds the channel and charges its gain.
+            if best_n:
+                waits = queue.depart(best_n, slot)
+                d = self.sus[best].delay_bound
+                w_sum = 0.0
+                excess = 0.0
+                for w in waits:
+                    w_sum += w
+                    excess += w - d
+                y_new = y[best] + excess
+                y[best] = y_new if y_new > 0.0 else 0.0
+                cand = d * d * best_n * best_n + w_sum * w_sum
+                if cand > led.c_y_emp[best]:
+                    led.c_y_emp[best] = cand
+        x = x + gain - self.config.i_avg
+        x = x if x > 0.0 else 0.0
+        self.x = x
+
+        led.interference_sum += gain
         l_new = 0.5 * x * x
-        for su in self.sus:
-            y = su.delay_vq.y
-            q = su.queue.backlog
-            l_new += 0.5 * (y * y + q * q)
+        for y_i, queue in zip(y, self._queues):
+            q = len(queue.fifo)
+            l_new += 0.5 * (y_i * y_i + q * q)
         led.drift_sum += l_new - led.lyapunov_prev
         led.lyapunov_prev = l_new
-        if decision.su is not None and decision.batch.count:
-            batch = decision.batch
-            d = self.sus[decision.su].cfg.delay_bound
-            w_sum = 0.0
-            for w in batch.waiting_times:
-                w_sum += w
-            cand = d * d * batch.count * batch.count + w_sum * w_sum
-            if cand > led.c_y_emp[decision.su]:
-                led.c_y_emp[decision.su] = cand
-        if slot % self._stride == 0:
-            led.series_slots.append(slot)
-            led.series_q.append(tuple(su.queue.backlog for su in self.sus))
-            led.series_y.append(tuple(su.delay_vq.y for su in self.sus))
-            led.series_x.append(x)
-
-    def _check_psi(self, decision: ScheduleDecision, sample: ChannelSample, slot: int) -> None:
-        # Independent route: enumerate the one-slot objective over
-        # {idle} u {schedule one backlogged user} and insist the decision
-        # attained the minimum. Idle scores 0; ties prefer scheduling, then
-        # the lowest index.
-        x = self.x_vq.x
-        best_su = None
-        best_psi = 0.0 if self._idling else math.inf
-        for i, su in enumerate(self.sus):
-            q = su.queue.backlog
-            if q == 0:
-                continue
-            n = min(q, int(math.log2(1.0 + sample.direct[i])))
-            batch = su.queue.peek_departures(n, slot)
-            y = su.delay_vq.y
-            d = su.delay_vq.bound
-            excess = 0.0
-            for w in batch.waiting_times:
-                excess += w - d
-            psi = x * sample.interference[i] + y * excess - q * n
-            if (best_su is None and psi <= best_psi) or psi < best_psi:
-                best_su, best_psi = i, psi
-        if best_su != decision.su:
-            raise PsiConsistencyError(
-                f"slot {slot}: scheduled {decision.su} but objective minimizer is {best_su}"
-            )
-        self.ledger.psi_checks += 1
+        if self.config.trace:
+            led.trace.append(SlotTrace(
+                slot, tuple(arrivals), best, gain, tuple(waits),
+                tuple(len(queue.fifo) for queue in self._queues), tuple(y), x,
+                tuple(direct), tuple(interference),
+            ))
+        self.slot = slot + 1
+        return best
 
     def stability_metric(self) -> float:
         if self.slot == 0:
             return math.inf
-        return stability_metric(
-            self.x_vq.x, tuple(su.delay_vq.y for su in self.sus), self.slot
-        )
+        return stability_metric(self.x, self.y, self.slot)
 
     def run_until_converged(self) -> RunResult:
         cfg = self.config
-        check = cfg.check_interval
         try:
             while self.slot < cfg.max_slots:
                 self.run_slot()
-                if self.slot % check == 0:
+                if self.slot % cfg.check_interval == 0:
                     metric = self.stability_metric()
                     if metric < cfg.epsilon:
                         return self._finalize(True, metric)
@@ -363,24 +335,33 @@ class Simulation:
             )
             raise
 
+    def _drift_summary(self, terminal_q: tuple[int, ...]) -> DriftSummary:
+        """Empirical drift statistics against the per-run deterministic bound."""
+        config = self.config
+        led = self.ledger
+        g_max = max(su.interference.cap for su in config.sus)
+        c_x = g_max * g_max + config.i_avg * config.i_avg
+        c_q = []
+        for su in config.sus:
+            a_max = float(su.arrivals.a_max)
+            r_max = transmission_rate(su.direct.cap)
+            c_q.append(a_max * a_max + r_max * r_max)
+        c_total = c_x + sum(c_q) + sum(led.c_y_emp)
+        t = self.slot
+        return DriftSummary(
+            c_x, tuple(c_q), tuple(led.c_y_emp), c_total, led.drift_sum / t,
+            tuple(q / t for q in terminal_q), math.sqrt(c_total / t),
+        )
+
     def _finalize(self, converged: bool, metric: float, note: str = "") -> RunResult:
         led = self.ledger
-        led.terminal_x = self.x_vq.x
-        led.terminal_y = tuple(su.delay_vq.y for su in self.sus)
-        led.terminal_q = tuple(su.queue.backlog for su in self.sus)
-        slots = led.slots
-        drift = drift_diagnostics(led, self.config) if (led.diagnostics and slots) else None
+        slots = self.slot
+        terminal_q = tuple(len(queue.fifo) for queue in self._queues)
         return RunResult(
-            converged=converged,
-            stability_metric=metric,
-            avg_delays=tuple(su.queue.average_delay() for su in self.sus),
-            interference_avg=led.interference_sum / slots if slots else 0.0,
-            slots=slots,
-            terminal_x=led.terminal_x,
-            terminal_y=led.terminal_y,
-            terminal_q=led.terminal_q,
-            drift=drift,
-            note=note,
+            converged, metric, tuple(queue.average_delay() for queue in self._queues),
+            led.interference_sum / slots if slots else 0.0, slots,
+            self.x, tuple(self.y), terminal_q,
+            self._drift_summary(terminal_q) if slots else None, note,
         )
 
 

@@ -11,41 +11,16 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate
 
 DEFAULT_BUFFER_CAP = 10_000_000
 
 
 class InfeasibleLoadError(RuntimeError):
-    """A queue outgrew its safety cap: the offered load cannot be served."""
+    """A queue outgrew its safety cap: the offered load cannot be served.
+    The aborted run attaches its metrics so far as partial_result."""
 
-    def __init__(self, message: str, partial_result=None):
-        super().__init__(message)
-        self.partial_result = partial_result
-
-
-@dataclass(slots=True)
-class PacketRecord:
-    arrival_slot: int
-    departure_slot: int | None = None
-    waiting_slots: int | None = None
-
-
-@dataclass(frozen=True)
-class DepartureBatch:
-    """Head-of-line packets that leave (or would leave) in one slot.
-
-    waiting_times[j] is the j-th departing packet's W, computed against
-    ``slot`` as the departure slot.
-    """
-
-    slot: int
-    count: int
-    waiting_times: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.count != len(self.waiting_times):
-            raise ValueError("batch count does not match its waiting times")
+    partial_result = None
 
 
 @dataclass(frozen=True)
@@ -75,12 +50,7 @@ def _truncated_poisson_cdf(rate: float, cap: int) -> tuple[float, ...]:
     # not a clamp of the unbounded one, so no mass piles up at the cap.
     weights = [math.exp(-rate) * rate**k / math.factorial(k) for k in range(cap + 1)]
     total = sum(weights)
-    cdf = []
-    acc = 0.0
-    for w in weights:
-        acc += w / total
-        cdf.append(acc)
-    return tuple(cdf)
+    return tuple(accumulate(w / total for w in weights))
 
 
 @dataclass(frozen=True)
@@ -94,9 +64,7 @@ class TruncatedPoisson:
         if self.cap < 1:
             raise ValueError(f"poisson cap must be at least 1, got {self.cap!r}")
         if not 0.0 <= self.rate <= self.cap:
-            raise ValueError(
-                f"poisson rate must be in [0, cap={self.cap}], got {self.rate!r}"
-            )
+            raise ValueError(f"poisson rate must be in [0, cap={self.cap}], got {self.rate!r}")
 
     @property
     def a_max(self) -> int:
@@ -117,23 +85,20 @@ ArrivalProcess = Bernoulli | TruncatedPoisson
 
 
 class SuQueue:
-    """One user's FIFO buffer plus cumulative arrival/departure stats."""
+    """One user's FIFO buffer plus cumulative arrival/departure stats.
 
-    __slots__ = (
-        "arrivals",
-        "buffer_cap",
-        "fifo",
-        "cumulative_arrivals",
-        "cumulative_departures",
-        "departed_waiting_sum",
-    )
+    The FIFO holds each queued packet's arrival slot, oldest first.
+    """
+
+    __slots__ = ("arrivals", "buffer_cap", "fifo", "cumulative_arrivals",
+                 "cumulative_departures", "departed_waiting_sum")
 
     def __init__(self, arrivals: ArrivalProcess, buffer_cap: int = DEFAULT_BUFFER_CAP):
         if buffer_cap < 1:
             raise ValueError("buffer cap must be positive")
         self.arrivals = arrivals
         self.buffer_cap = buffer_cap
-        self.fifo: deque[PacketRecord] = deque()
+        self.fifo: deque[int] = deque()
         self.cumulative_arrivals = 0
         self.cumulative_departures = 0
         self.departed_waiting_sum = 0
@@ -144,42 +109,24 @@ class SuQueue:
 
     def draw_arrivals(self, slot: int, source) -> int:
         """Append this slot's arrivals; new packets are eligible to depart
-        in the same slot."""
+        in the same slot. ``source`` supplies uniforms through .random()."""
         n = self.arrivals.draw(source)
         fifo = self.fifo
         for _ in range(n):
-            fifo.append(PacketRecord(slot))
+            fifo.append(slot)
         self.cumulative_arrivals += n
         if len(fifo) > self.buffer_cap:
-            raise InfeasibleLoadError(
-                f"backlog exceeded safety cap {self.buffer_cap} at slot {slot}"
-            )
+            raise InfeasibleLoadError(f"backlog exceeded safety cap {self.buffer_cap} at slot {slot}")
         return n
 
-    def peek_departures(self, n_max: int, slot: int) -> DepartureBatch:
-        """Prospective departure of up to n_max head packets at ``slot``,
-        without mutating the queue."""
-        fifo = self.fifo
-        k = min(len(fifo), n_max)
-        if k <= 0:
-            return DepartureBatch(slot, 0, ())
-        return DepartureBatch(
-            slot, k, tuple(slot - rec.arrival_slot + 1 for rec in islice(fifo, k))
-        )
-
-    def commit_departures(self, batch: DepartureBatch) -> None:
-        """Remove the batch's packets and record their waiting times."""
-        fifo = self.fifo
-        if batch.count > len(fifo):
-            raise ValueError("stale departure batch: count exceeds backlog")
-        if batch.count and batch.waiting_times[0] != batch.slot - fifo[0].arrival_slot + 1:
-            raise ValueError("stale departure batch: head waiting time mismatch")
-        for w in batch.waiting_times:
-            rec = fifo.popleft()
-            rec.departure_slot = batch.slot
-            rec.waiting_slots = w
-            self.departed_waiting_sum += w
-        self.cumulative_departures += batch.count
+    def depart(self, n: int, slot: int) -> list[int]:
+        """Remove the n head packets at ``slot`` and return their waiting
+        times, oldest packet first."""
+        pop = self.fifo.popleft
+        waits = [slot - pop() + 1 for _ in range(n)]
+        self.cumulative_departures += n
+        self.departed_waiting_sum += sum(waits)
+        return waits
 
     def average_delay(self) -> float | None:
         """Mean waiting time over departed packets; None if none departed."""

@@ -10,6 +10,8 @@ never perturbs it.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 ROLE_DIRECT = 0
@@ -25,28 +27,30 @@ def substream(seed: int, su_index: int, role: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-class BufferedUniforms:
-    """Block-buffered uniform [0, 1) draws from one generator.
+class BufferedDraws:
+    """Scalar draws served from blocks of a batched numpy draw ``fill(n)``,
+    such as ``gen.random`` or a gain model's bound ``sample_block``.
 
-    numpy fills a batched request from the same underlying bit stream as
-    repeated scalar calls, so buffering is a pure speed layer: the value
-    sequence is identical to calling ``gen.random()`` once per draw.
+    numpy fills a batched request from the same bit stream as repeated
+    scalar calls, so the value sequence equals one scalar draw per call.
     """
 
-    __slots__ = ("_gen", "_block", "_buf", "_idx")
+    __slots__ = ("_fill", "_block", "_buf", "_idx")
 
-    def __init__(self, gen: np.random.Generator, block: int = 4096):
+    def __init__(self, fill: Callable[[int], np.ndarray], block: int = 4096):
         if block < 1:
             raise ValueError("block size must be positive")
-        self._gen = gen
+        self._fill = fill
         self._block = block
-        self._buf = gen.random(block).tolist()
+        self._buf = fill(block).tolist()
         self._idx = 0
 
     def random(self) -> float:
+        """The next draw; named like ``Generator.random``, which arrival
+        processes call on their uniform source."""
         i = self._idx
         if i == self._block:
-            self._buf = self._gen.random(self._block).tolist()
+            self._buf = self._fill(self._block).tolist()
             i = 0
         self._idx = i + 1
         return self._buf[i]

@@ -1,15 +1,15 @@
 import sys
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from crsched.channels import DeterministicGain, RayleighGain
-from crsched.engine import SimConfig, SuConfig
+from crsched.engine import PHI_ACTUAL, SchedulerKind, SimConfig, Simulation, SuConfig
 from crsched.queueing import Bernoulli
-from crsched.schedulers import SchedulerKind
 
 
 def shipped_config(name: str) -> str:
@@ -38,6 +38,46 @@ def two_user_config(lam: float, scheduler: str, i_avg: float = 2.0, seed: int = 
         seed=seed,
         **kw,
     )
+
+
+class Staged(NamedTuple):
+    """One user's preset state for staged_sim: the arrival slots of its
+    queued packets (oldest first), Y, its delay bound and constant gains."""
+
+    fifo: tuple[int, ...] = ()
+    y: float = 0.0
+    d: float = 1.5
+    direct: float = 1.0
+    interference: float = 0.4
+
+
+def staged_sim(kind: str, *users: Staged, x: float = 0.0, slot: int = 0,
+               phi_mode: str = PHI_ACTUAL, i_avg: float = 2.0) -> Simulation:
+    """A traced Simulation paused at ``slot`` with the given X and users.
+
+    Nothing arrives and every gain is constant, so the next run_slot()
+    decides on exactly the preset state.
+    """
+    sim = Simulation(SimConfig(
+        sus=tuple(
+            SuConfig(
+                arrivals=Bernoulli(0.0),
+                delay_bound=u.d,
+                direct=DeterministicGain(u.direct),
+                interference=DeterministicGain(u.interference),
+            )
+            for u in users
+        ),
+        i_avg=i_avg,
+        scheduler=SchedulerKind(kind, phi_mode),
+        trace=True,
+    ))
+    sim.slot = slot
+    sim.x = x
+    for i, u in enumerate(users):
+        sim.y[i] = u.y
+        sim.sus[i].queue.fifo.extend(u.fifo)
+    return sim
 
 
 @pytest.fixture

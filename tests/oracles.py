@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 
 
 class ScriptedSource:
@@ -69,6 +70,85 @@ def resim_trajectories(trace, delay_bounds, i_avg):
     return out
 
 
+def first_decision_mismatch(config, trace) -> str | None:
+    """Replay a traced run and check every logged decision by brute force.
+
+    The replay keeps its own FIFOs (rebuilt from the logged arrival counts),
+    backlogs Q, delay accumulators Y and interference accumulator X, and
+    takes only the gains from the trace. Each slot it scores every option
+    and picks the best:
+
+    * index policies: each backlogged user scores its index
+      phi = X g + Y sum(W) - (Y d + Q) r, with r the departing packet count
+      (actual mode) or the raw rate log2(1 + gamma) (literal mode); the
+      idling variant adds idle at score 0. The minimum wins, scheduling
+      beats idle on a tie, then the lowest index. In actual mode phi must
+      also agree with the one-slot objective
+      psi = X g + Y sum(W - d) - Q n, its expanded form.
+    * max-weight: the largest Q/g wins (g = 0 is infinite weight), lowest
+      index on ties; it idles only when nobody is backlogged.
+
+    It then checks the logged choice, gain, departures and post-slot state.
+    Returns a description of the first mismatching slot, or None.
+    """
+    kind = config.scheduler.kind
+    literal = config.scheduler.phi_mode == "literal"
+    bounds = [su.delay_bound for su in config.sus]
+    fifos = [deque() for _ in bounds]
+    y = [0.0] * len(bounds)
+    x = 0.0
+    for t in trace:
+        for i, count in enumerate(t.arrivals):
+            fifos[i].extend([t.slot] * count)
+        scores = {}
+        departing = {}
+        for i, fifo in enumerate(fifos):
+            q = len(fifo)
+            if q == 0:
+                continue
+            rate = math.log2(1.0 + t.direct[i])
+            n = min(q, math.floor(rate))
+            waits = tuple(t.slot - a + 1 for a in list(fifo)[:n])
+            departing[i] = waits
+            g = t.interference[i]
+            if kind == "maxweight":
+                scores[i] = math.inf if g == 0.0 else q / g
+                continue
+            d = bounds[i]
+            phi = x * g + y[i] * float(sum(waits)) - (y[i] * d + q) * (rate if literal else float(n))
+            if not literal:
+                psi = x * g + y[i] * sum(w - d for w in waits) - q * n
+                scale = abs(x * g) + y[i] * sum(waits) + (y[i] * d + q) * n
+                if abs(psi - phi) > 1e-9 * (1.0 + scale):
+                    return f"slot {t.slot}: user {i} phi {phi} != psi {psi}"
+            scores[i] = phi
+        if kind == "maxweight":
+            su = min(scores, key=lambda i: (-scores[i], i), default=None)
+        else:
+            su = min(scores, key=lambda i: (scores[i], i), default=None)
+            if su is not None and kind == "proposed" and scores[su] > 0.0:
+                su = None
+        waits = departing[su] if su is not None else ()
+        gain = t.interference[su] if su is not None else 0.0
+        if (t.su, t.waiting_times, t.gain) != (su, waits, gain):
+            return (
+                f"slot {t.slot}: logged user {t.su} sending {t.waiting_times} at gain "
+                f"{t.gain}, expected user {su} sending {waits} at gain {gain}"
+            )
+        if su is not None:
+            for _ in waits:
+                fifos[su].popleft()
+            excess = 0.0
+            for w in waits:
+                excess += w - bounds[su]
+            y[su] = max(y[su] + excess, 0.0)
+        x = max(x + gain - config.i_avg, 0.0)
+        state = (tuple(len(f) for f in fifos), tuple(y), x)
+        if (t.q, t.y, t.x) != state:
+            return f"slot {t.slot}: logged state {(t.q, t.y, t.x)} != replayed {state}"
+    return None
+
+
 def truncated_poisson_stats(rate: float, cap: int) -> tuple[float, float]:
     """Mean and variance of Poisson(rate) conditioned on {0..cap}, by
     direct summation."""
@@ -82,9 +162,8 @@ def truncated_poisson_stats(rate: float, cap: int) -> tuple[float, float]:
 def random_small_sim_config(case_seed: int):
     """A randomized small instance for trajectory-equivalence checks."""
     from crsched.channels import DeterministicGain, RayleighGain
-    from crsched.engine import SimConfig, SuConfig
+    from crsched.engine import SchedulerKind, SimConfig, SuConfig
     from crsched.queueing import Bernoulli, TruncatedPoisson
-    from crsched.schedulers import SchedulerKind
 
     rng = random.Random(case_seed)
     n = rng.randint(1, 3)

@@ -15,9 +15,8 @@ import pytest
 from crsched import cli
 from crsched.channels import RayleighGain
 from crsched.config import load_spec
-from crsched.engine import Simulation
+from crsched.engine import SchedulerKind, Simulation
 from crsched.queueing import Bernoulli, TruncatedPoisson
-from crsched.schedulers import SchedulerKind
 from crsched.sweep import (
     MANIFEST_FILENAME,
     PLOT_STUB_FILENAME,
@@ -32,7 +31,12 @@ from crsched.sweep import (
 )
 
 from conftest import shipped_config
-from oracles import random_small_sim_config, resim_trajectories, truncated_poisson_stats
+from oracles import (
+    first_decision_mismatch,
+    random_small_sim_config,
+    resim_trajectories,
+    truncated_poisson_stats,
+)
 
 
 def report(criterion: int, ok: bool, detail: str) -> bool:
@@ -192,13 +196,14 @@ def test_criterion_5_trajectories_match_independent_resimulation():
 def test_criterion_6_decisions_minimize_the_slot_objective(table1_spec, binding_spec):
     slots = 20_000
     checked = {}
+    mismatches = []
     for label, spec, kind in (
         ("idling-tight-budget", binding_spec, SchedulerKind("proposed")),
         ("non-idling-baseline", table1_spec, SchedulerKind("proposed-nonidling")),
     ):
         config = replace(
             point_config(spec, kind, 0.4, 1),
-            debug_check_psi=True,
+            trace=True,
             max_slots=slots,
             check_interval=slots,
             epsilon=0.0,
@@ -206,11 +211,14 @@ def test_criterion_6_decisions_minimize_the_slot_objective(table1_spec, binding_
         sim = Simulation(config)
         for _ in range(slots):
             sim.run_slot()
-        checked[label] = sim.ledger.psi_checks
-    ok = all(n >= 10_000 for n in checked.values())
+        mismatch = first_decision_mismatch(config, sim.ledger.trace)
+        if mismatch is not None:
+            mismatches.append(f"{label} {mismatch}")
+        checked[label] = len(sim.ledger.trace)
+    ok = not mismatches and all(n == slots for n in checked.values())
     detail = "every decision matched the brute-force minimizer: " + ", ".join(
         f"{label} {n} slots" for label, n in checked.items()
-    )
+    ) + (f"; first mismatches: {mismatches}" if mismatches else "")
     assert report(6, ok, detail), detail
 
 

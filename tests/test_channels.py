@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,21 +8,28 @@ from hypothesis import given, strategies as st
 from crsched.channels import (
     RAYLEIGH_CAP_FACTOR,
     ChannelBank,
-    ChannelSample,
     DeterministicGain,
     RayleighGain,
 )
-from crsched.streams import substream
+from crsched.streams import BufferedDraws
 
 
 def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
 
 
+def slot_gains(bank):
+    """One slot's (direct, interference) gain tuples from a bank."""
+    return (
+        tuple(feed.random() for feed in bank.direct),
+        tuple(feed.random() for feed in bank.interference),
+    )
+
+
 class TestDeterministicGain:
     def test_passes_value_through_exactly(self):
-        assert DeterministicGain(1.0).sample(rng()) == 1.0
-        assert DeterministicGain(0.0).sample(rng()) == 0.0
+        assert DeterministicGain(1.0).sample_block(rng(), 3).tolist() == [1.0] * 3
+        assert DeterministicGain(0.0).sample_block(rng(), 3).tolist() == [0.0] * 3
 
     def test_cap_defaults_to_value(self):
         assert DeterministicGain(2.5).cap == 2.5
@@ -58,10 +66,13 @@ class TestRayleighGain:
         assert abs(float(draws.mean()) - mean) <= tol
 
     def test_scalar_and_block_draws_agree(self):
+        # Buffered block draws replay the scalar numpy sequence, across
+        # several refills.
         model = RayleighGain(0.4)
-        a = rng(9)
-        b = rng(9)
-        assert [model.sample(a) for _ in range(50)] == model.sample_block(b, 50).tolist()
+        buffered = BufferedDraws(partial(model.sample_block, rng(9)), block=16)
+        scalar = rng(9)
+        for _ in range(50):
+            assert buffered.random() == min(float(scalar.exponential(0.4)), model.cap)
 
     @given(
         mean=st.floats(min_value=0.01, max_value=50.0),
@@ -79,7 +90,7 @@ class TestChannelBank:
     def test_deterministic_passthrough_slot(self):
         models = (DeterministicGain(1.0), DeterministicGain(1.0))
         bank = ChannelBank(models, models, seed=0)
-        assert bank.sample_slot() == ChannelSample((1.0, 1.0), (1.0, 1.0))
+        assert slot_gains(bank) == ((1.0, 1.0), (1.0, 1.0))
 
     def test_same_seed_gives_identical_sequences(self):
         def draws():
@@ -88,7 +99,7 @@ class TestChannelBank:
                 (RayleighGain(0.4), RayleighGain(0.2)),
                 seed=42,
             )
-            return [bank.sample_slot() for _ in range(50)]
+            return [slot_gains(bank) for _ in range(50)]
 
         assert draws() == draws()
 
@@ -100,9 +111,9 @@ class TestChannelBank:
                 tuple(RayleighGain(0.5) for _ in range(n)),
                 seed=11,
             )
-            samples = [bank.sample_slot() for _ in range(30)]
+            samples = [slot_gains(bank) for _ in range(30)]
             return {
-                i: [(s.direct[i], s.interference[i]) for s in samples]
+                i: [(direct[i], interference[i]) for direct, interference in samples]
                 for i in range(n)
             }
 
@@ -120,10 +131,10 @@ class TestChannelBank:
             seed=3,
         )
         sums = [0.0, 0.0]
+        feeds = bank.interference
         for _ in range(n):
-            s = bank.sample_slot()
-            sums[0] += s.interference[0]
-            sums[1] += s.interference[1]
+            sums[0] += feeds[0].random()
+            sums[1] += feeds[1].random()
         for got, want in zip((sums[0] / n, sums[1] / n), (0.4, 0.2)):
             assert abs(got - want) <= 3 * want / math.sqrt(n)
 

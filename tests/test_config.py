@@ -10,8 +10,8 @@ from crsched.config import (
     load_spec,
     parse_scheduler,
 )
+from crsched.engine import PHI_LITERAL, SchedulerKind
 from crsched.queueing import Bernoulli, TruncatedPoisson
-from crsched.schedulers import PHI_LITERAL, SchedulerKind
 
 from conftest import shipped_config
 
@@ -65,7 +65,7 @@ class TestShippedConfigs:
     def test_baseline_round_trips(self):
         spec = load_spec(shipped_config("table1.cfg"))
         base = spec.base
-        assert base.n_sus == 2
+        assert len(base.sus) == 2
         assert base.i_avg == 2.0
         assert base.epsilon == 0.01
         assert base.max_slots == 1_000_000

@@ -1,23 +1,23 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from crsched.channels import DeterministicGain
 from crsched.engine import (
-    DiagnosticsUnavailableError,
-    MetricsLedger,
+    PHI_LITERAL,
+    SchedulerKind,
     Simulation,
     SimConfig,
     SuConfig,
-    drift_diagnostics,
     run_until_converged,
+    stability_metric,
 )
-from crsched.queueing import Bernoulli, InfeasibleLoadError
-from crsched.schedulers import PHI_LITERAL, SchedulerKind
-from crsched.virtual_queues import stability_metric
+from crsched.queueing import Bernoulli, InfeasibleLoadError, TruncatedPoisson
+from crsched.streams import ROLE_DIRECT, ROLE_INTERFERENCE, substream
 
-from conftest import two_user_config, two_user_sus
-from oracles import resim_trajectories
+from conftest import two_user_config
+from oracles import first_decision_mismatch, random_small_sim_config, resim_trajectories
 
 
 def single_user_config(**kw) -> SimConfig:
@@ -113,10 +113,9 @@ def test_saturated_unit_rate_steady_state():
 def test_empty_system_slot_drains_interference_accumulator():
     cfg = two_user_config(0.0, "proposed", i_avg=2.0, trace=True)
     sim = Simulation(cfg)
-    sim.x_vq.x = 5.0
-    decision = sim.run_slot()
-    assert decision.idle
-    assert sim.x_vq.x == 3.0
+    sim.x = 5.0
+    assert sim.run_slot() is None
+    assert sim.x == 3.0
     assert sim.sus[0].queue.average_delay() is None
     assert sim.ledger.trace[0].arrivals == (0, 0)
 
@@ -290,26 +289,103 @@ class TestDriftDiagnostics:
                               epsilon=0.0)
         sim = run_slots(cfg, 2_000)
         led = sim.ledger
-        terminal_level = 0.5 * sim.x_vq.x ** 2 + 0.5 * sum(
-            su.delay_vq.y ** 2 + su.queue.backlog ** 2 for su in sim.sus
+        terminal_level = 0.5 * sim.x ** 2 + 0.5 * sum(
+            y ** 2 + su.queue.backlog ** 2 for y, su in zip(sim.y, sim.sus)
         )
         assert led.drift_sum == pytest.approx(terminal_level, rel=1e-9)
 
     def test_unrecorded_run_has_no_diagnostics(self):
-        cfg = two_user_config(0.0, "proposed", record_series=False)
-        result = run_until_converged(cfg)
-        assert result.drift is None
-        with pytest.raises(DiagnosticsUnavailableError, match="diagnostics unavailable"):
-            drift_diagnostics(MetricsLedger(), cfg)
+        # A run that aborts before completing a slot has no drift to
+        # average. With seed 1 the first draw (u = 0.88) brings three
+        # packets into a one-packet buffer at slot 0.
+        cfg = single_user_config(
+            sus=(
+                SuConfig(
+                    arrivals=TruncatedPoisson(3.0, 3),
+                    delay_bound=1.0,
+                    direct=DeterministicGain(1.0),
+                    interference=DeterministicGain(0.1),
+                ),
+            ),
+            buffer_cap=1,
+            seed=1,
+            trace=False,
+        )
+        with pytest.raises(InfeasibleLoadError) as exc:
+            run_until_converged(cfg)
+        partial = exc.value.partial_result
+        assert partial.slots == 0
+        assert partial.terminal_q == (3,)
+        assert partial.drift is None
 
 
 @pytest.mark.parametrize("kind", ["proposed", "proposed-nonidling"])
 def test_objective_consistency_check_passes(kind):
     cfg = two_user_config(0.3, kind, seed=9,
                           max_slots=2_000, check_interval=2_000,
-                          epsilon=0.0, debug_check_psi=True)
+                          epsilon=0.0, trace=True)
     sim = run_slots(cfg, 2_000)
-    assert sim.ledger.psi_checks == 2_000
+    assert len(sim.ledger.trace) == 2_000
+    assert first_decision_mismatch(cfg, sim.ledger.trace) is None
+
+
+def test_decisions_match_brute_force_oracle_on_random_instances():
+    for case_seed in range(100):
+        config, slots = random_small_sim_config(case_seed)
+        sim = run_slots(config, slots)
+        mismatch = first_decision_mismatch(config, sim.ledger.trace)
+        assert mismatch is None, f"case {case_seed}: {mismatch}"
+
+
+def test_oracle_flags_a_tampered_decision():
+    # The brute-force replay is not vacuous: handing one slot to the other
+    # user in the log is reported at that slot.
+    cfg = two_user_config(0.3, "proposed", seed=9,
+                          max_slots=500, check_interval=500,
+                          epsilon=0.0, trace=True)
+    trace = run_slots(cfg, 500).ledger.trace
+    k = next(k for k, t in enumerate(trace) if t.su is not None and k > 100)
+    tampered = list(trace)
+    tampered[k] = replace(trace[k], su=1 - trace[k].su)
+    assert first_decision_mismatch(cfg, trace) is None
+    assert first_decision_mismatch(cfg, tampered).startswith(f"slot {k}:")
+
+
+def test_every_user_draws_both_gains_every_slot():
+    # Each link's gains come from its own (seed, user, link) substream, one
+    # draw per slot whether or not the user is backlogged, so the trace
+    # replays each stream from its start.
+    slots = 300
+    cfg = two_user_config(0.05, "proposed", seed=4,
+                          max_slots=slots, check_interval=slots,
+                          epsilon=0.0, trace=True)
+    trace = run_slots(cfg, slots).ledger.trace
+    assert any(t.q[0] == 0 for t in trace)
+    for i, su in enumerate(cfg.sus):
+        for role, model, logged in (
+            (ROLE_DIRECT, su.direct, [t.direct[i] for t in trace]),
+            (ROLE_INTERFERENCE, su.interference, [t.interference[i] for t in trace]),
+        ):
+            assert logged == model.sample_block(substream(4, i, role), slots).tolist()
+
+
+def test_drift_delay_term_re_derives_from_trace():
+    # c_y_emp[i] is the largest d_i^2 n^2 + (sum W)^2 over user i's
+    # departing batches.
+    cfg = two_user_config(0.3, "proposed-nonidling", seed=2,
+                          max_slots=2_000, check_interval=2_000,
+                          epsilon=0.0, trace=True)
+    sim = Simulation(cfg)
+    result = sim.run_until_converged()
+    want = [0.0, 0.0]
+    for t in sim.ledger.trace:
+        if t.waiting_times:
+            d = cfg.sus[t.su].delay_bound
+            n = len(t.waiting_times)
+            w = float(sum(t.waiting_times))
+            want[t.su] = max(want[t.su], d * d * n * n + w * w)
+    assert all(c > 0.0 for c in want)
+    assert result.drift.c_y_emp == tuple(want)
 
 
 class TestConfigValidation:
@@ -324,16 +400,3 @@ class TestConfigValidation:
     def test_no_users_rejected(self):
         with pytest.raises(ValueError, match="at least one user"):
             SimConfig(sus=(), i_avg=2.0, scheduler=SchedulerKind("proposed"))
-
-    def test_psi_check_requires_index_policy(self):
-        with pytest.raises(ValueError, match="index policy"):
-            two_user_config(0.1, "maxweight", debug_check_psi=True)
-
-    def test_psi_check_requires_actual_mode(self):
-        with pytest.raises(ValueError, match="actual"):
-            SimConfig(
-                sus=two_user_sus(0.1),
-                i_avg=2.0,
-                scheduler=SchedulerKind("proposed", PHI_LITERAL),
-                debug_check_psi=True,
-            )

@@ -3,21 +3,17 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crsched.queueing import (
-    Bernoulli,
-    DepartureBatch,
-    InfeasibleLoadError,
-    SuQueue,
-    TruncatedPoisson,
-)
-from crsched.streams import ROLE_ARRIVALS, BufferedUniforms, substream
+from crsched.engine import PROPOSED_NONIDLING
+from crsched.queueing import Bernoulli, InfeasibleLoadError, SuQueue, TruncatedPoisson
+from crsched.streams import ROLE_ARRIVALS, BufferedDraws, substream
 
+from conftest import Staged, staged_sim
 from oracles import ScriptedSource, resim_queue_levels, truncated_poisson_stats
 
 
 class TestBernoulli:
     def test_zero_rate_never_arrives(self):
-        src = BufferedUniforms(substream(0, 0, ROLE_ARRIVALS))
+        src = BufferedDraws(substream(0, 0, ROLE_ARRIVALS).random)
         assert all(Bernoulli(0.0).draw(src) == 0 for _ in range(100))
 
     def test_rate_outside_unit_interval_rejected(self):
@@ -27,13 +23,13 @@ class TestBernoulli:
             Bernoulli(-0.1)
 
     def test_rate_one_always_arrives(self):
-        src = BufferedUniforms(substream(0, 0, ROLE_ARRIVALS))
+        src = BufferedDraws(substream(0, 0, ROLE_ARRIVALS).random)
         assert all(Bernoulli(1.0).draw(src) == 1 for _ in range(100))
 
     def test_empirical_mean(self):
         # Binomial oracle: std error of the mean is sqrt(p(1-p)/n).
         p, n = 0.3, 10**6
-        src = BufferedUniforms(substream(17, 0, ROLE_ARRIVALS))
+        src = BufferedDraws(substream(17, 0, ROLE_ARRIVALS).random)
         proc = Bernoulli(p)
         total = sum(proc.draw(src) for _ in range(n))
         assert abs(total / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
@@ -43,7 +39,7 @@ class TestTruncatedPoisson:
     def test_cap_respected_and_mean_matches_renormalized_pmf(self):
         rate, cap, n = 0.3, 4, 10**6
         proc = TruncatedPoisson(rate, cap)
-        src = BufferedUniforms(substream(23, 0, ROLE_ARRIVALS))
+        src = BufferedDraws(substream(23, 0, ROLE_ARRIVALS).random)
         draws = [proc.draw(src) for _ in range(n)]
         assert max(draws) <= cap
         mean, var = truncated_poisson_stats(rate, cap)
@@ -59,7 +55,7 @@ class TestTruncatedPoisson:
         assert TruncatedPoisson(0.1, 4).with_rate(0.3) == TruncatedPoisson(0.3, 4)
 
 
-def make_queue(arrival_slots, now=None):
+def make_queue(arrival_slots):
     """Queue holding packets that arrived at the given slots."""
     q = SuQueue(Bernoulli(1.0))
     src = ScriptedSource([0.0])
@@ -70,64 +66,60 @@ def make_queue(arrival_slots, now=None):
 
 class TestPeekDepartures:
     def test_empty_queue(self):
-        batch = make_queue([]).peek_departures(3, slot=0)
-        assert batch.count == 0 and batch.waiting_times == ()
+        q = make_queue([])
+        assert q.depart(0, slot=0) == []
+        assert q.backlog == 0 and q.cumulative_departures == 0
 
     def test_waiting_time_counts_transmission_slot(self):
-        batch = make_queue([3]).peek_departures(1, slot=5)
-        assert batch.waiting_times == (3,)
+        assert make_queue([3]).depart(1, slot=5) == [3]
 
     def test_fifo_order_and_truncation(self):
-        batch = make_queue([1, 2, 4]).peek_departures(2, slot=5)
-        assert batch.count == 2
-        assert batch.waiting_times == (5, 4)
+        q = make_queue([1, 2, 4])
+        assert q.depart(2, slot=5) == [5, 4]
+        assert list(q.fifo) == [4]
 
     def test_peek_does_not_mutate(self):
-        q = make_queue([1, 2])
-        q.peek_departures(2, slot=3)
-        assert q.backlog == 2
-        assert q.cumulative_departures == 0
+        # User 0's index reads its two head packets (phi = 5 - 4 = 1) but
+        # user 1 wins (phi = 0.1 - 1): user 0's queue is left untouched.
+        sim = staged_sim(
+            PROPOSED_NONIDLING,
+            Staged(fifo=(1, 2), direct=3.0, interference=5.0),
+            Staged(fifo=(3,), interference=0.1),
+            x=1.0, slot=3,
+        )
+        assert sim.run_slot() == 1
+        assert list(sim.sus[0].queue.fifo) == [1, 2]
+        assert sim.sus[0].queue.cumulative_departures == 0
 
 
 class TestCommitDepartures:
     def test_removes_head_packets(self):
         q = make_queue([0, 0, 0, 0, 0])
-        q.commit_departures(q.peek_departures(3, slot=0))
+        q.depart(3, slot=0)
         assert q.backlog == 2
         assert q.cumulative_departures == 3
 
     def test_zero_count_is_a_noop(self):
         q = make_queue([0])
-        q.commit_departures(q.peek_departures(0, slot=4))
+        assert q.depart(0, slot=4) == []
         assert q.backlog == 1
-        assert q.fifo[0].departure_slot is None
+        assert q.cumulative_departures == 0 and q.departed_waiting_sum == 0
 
     def test_departures_then_arrival_within_one_slot(self):
         q = make_queue([0, 0])
-        q.commit_departures(q.peek_departures(2, slot=1))
+        q.depart(2, slot=1)
         q.draw_arrivals(1, ScriptedSource([0.0]))
         assert q.backlog == 1
 
-    def test_stale_count_rejected(self):
-        q = make_queue([0, 1])
-        batch = DepartureBatch(slot=2, count=3, waiting_times=(3, 2, 1))
-        with pytest.raises(ValueError, match="stale"):
-            q.commit_departures(batch)
-
-    def test_stale_slot_rejected(self):
-        q = make_queue([0])
-        batch = q.peek_departures(1, slot=2)
-        q2 = make_queue([1])
-        with pytest.raises(ValueError, match="stale"):
-            q2.commit_departures(batch)
-
     def test_batch_count_must_match_waiting_times(self):
-        with pytest.raises(ValueError):
-            DepartureBatch(slot=0, count=2, waiting_times=(1,))
+        for n in range(4):
+            q = make_queue([0, 1, 2])
+            assert len(q.depart(n, slot=2)) == n
+            assert q.cumulative_departures == n
 
     def test_departure_stamps_satisfy_waiting_law(self):
         q = make_queue([2, 5])
-        q.commit_departures(q.peek_departures(2, slot=7))
+        assert q.depart(2, slot=7) == [7 - 2 + 1, 7 - 5 + 1]
         assert q.departed_waiting_sum == (7 - 2 + 1) + (7 - 5 + 1)
 
 
@@ -135,14 +127,14 @@ class TestAverageDelay:
     def test_mean_over_departed(self):
         q = make_queue([0, 1, 2])
         # serve one per slot starting at slot 0: W = 1, 2-1+1... drive exactly
-        q.commit_departures(q.peek_departures(1, slot=0))   # W=1
-        q.commit_departures(q.peek_departures(1, slot=2))   # W=2
-        q.commit_departures(q.peek_departures(1, slot=4))   # W=3
+        q.depart(1, slot=0)   # W=1
+        q.depart(1, slot=2)   # W=2
+        q.depart(1, slot=4)   # W=3
         assert q.average_delay() == 2.0
 
     def test_single_same_slot_departure(self):
         q = make_queue([6])
-        q.commit_departures(q.peek_departures(1, slot=6))
+        q.depart(1, slot=6)
         assert q.average_delay() == 1.0
 
     def test_undefined_before_first_departure(self):
@@ -153,12 +145,12 @@ class TestAverageDelay:
         # packet served in the same slot, the backlog never exceeds one and
         # every waiting time is exactly 1.
         q = SuQueue(Bernoulli(0.2))
-        src = BufferedUniforms(substream(99, 0, ROLE_ARRIVALS))
+        src = BufferedDraws(substream(99, 0, ROLE_ARRIVALS).random)
         oracle_departures = 0
         for slot in range(10**4):
             n = q.draw_arrivals(slot, src)
             oracle_departures += n
-            q.commit_departures(q.peek_departures(1, slot))
+            q.depart(min(1, q.backlog), slot)
             assert q.backlog == 0
         assert q.cumulative_departures == oracle_departures
         if oracle_departures:
@@ -184,7 +176,7 @@ class TestQueueProperties:
         levels = []
         for slot, serve in enumerate(serves):
             counts.append(q.draw_arrivals(slot, src))
-            q.commit_departures(q.peek_departures(serve, slot))
+            q.depart(min(serve, q.backlog), slot)
             levels.append(q.backlog)
             assert q.cumulative_arrivals == q.backlog + q.cumulative_departures
         assert counts == [1 if a else 0 for a in arrivals]
@@ -199,12 +191,10 @@ class TestQueueProperties:
         departed = []
         for slot, serve in enumerate(serves):
             q.draw_arrivals(slot, src)
-            head_arrivals = [rec.arrival_slot for rec in list(q.fifo)[:serve]]
-            batch = q.peek_departures(serve, slot)
-            q.commit_departures(batch)
-            departed.extend(
-                (a, slot, w) for a, w in zip(head_arrivals, batch.waiting_times)
-            )
+            head_arrivals = list(q.fifo)[:serve]
+            waits = q.depart(min(serve, q.backlog), slot)
+            assert len(waits) == len(head_arrivals)
+            departed.extend((a, slot, w) for a, w in zip(head_arrivals, waits))
         arrival_order = [a for a, _, _ in departed]
         assert arrival_order == sorted(arrival_order)
         for arrival, departure, w in departed:

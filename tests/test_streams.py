@@ -5,7 +5,7 @@ from crsched.streams import (
     ROLE_ARRIVALS,
     ROLE_DIRECT,
     ROLE_INTERFERENCE,
-    BufferedUniforms,
+    BufferedDraws,
     substream,
 )
 
@@ -39,7 +39,7 @@ def test_negative_identifiers_rejected():
 def test_buffered_uniforms_match_scalar_draws():
     # The buffer is a speed layer only: it must reproduce the exact value
     # sequence of repeated scalar calls on an identically seeded generator.
-    buffered = BufferedUniforms(substream(7, 0, ROLE_ARRIVALS), block=16)
+    buffered = BufferedDraws(substream(7, 0, ROLE_ARRIVALS).random, block=16)
     scalar = substream(7, 0, ROLE_ARRIVALS)
     for _ in range(100):  # crosses several refills
         assert buffered.random() == scalar.random()
@@ -47,4 +47,4 @@ def test_buffered_uniforms_match_scalar_draws():
 
 def test_buffered_uniforms_block_validation():
     with pytest.raises(ValueError):
-        BufferedUniforms(substream(7, 0, 0), block=0)
+        BufferedDraws(substream(7, 0, 0).random, block=0)

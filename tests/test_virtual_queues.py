@@ -1,45 +1,61 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from crsched.engine import Simulation
-from crsched.queueing import DepartureBatch
-from crsched.virtual_queues import (
-    DelayVirtualQueue,
-    InterferenceVirtualQueue,
-    StabilityProbe,
+from crsched.channels import DeterministicGain
+from crsched.engine import (
+    MAXWEIGHT,
+    SchedulerKind,
+    SimConfig,
+    Simulation,
+    SuConfig,
     stability_metric,
 )
+from crsched.queueing import Bernoulli
 
-from conftest import two_user_config
+from conftest import Staged, staged_sim, two_user_config
 
 
-def batch(waiting_times, slot=0):
-    return DepartureBatch(slot=slot, count=len(waiting_times), waiting_times=tuple(waiting_times))
+def delay_level_after(y, d, waits):
+    """Y after one slot in which packets with these waiting times (oldest
+    first) depart. One more packet, arrived this slot, stays behind, so an
+    empty ``waits`` is a scheduled slot that sends nothing."""
+    slot = max(waits, default=1)
+    fifo = tuple(slot - w + 1 for w in waits) + (slot,)
+    # Rate log2(1 + 2^n - 1) = n exactly.
+    sim = staged_sim(MAXWEIGHT, Staged(fifo=fifo, y=y, d=d, direct=2.0 ** len(waits) - 1.0),
+                     slot=slot)
+    assert sim.run_slot() == 0
+    assert sim.ledger.trace[-1].waiting_times == tuple(waits)
+    return sim.y[0]
+
+
+def interference_level_after(x, gain, budget):
+    """X after one slot that schedules a user with this interference gain,
+    or idles when ``gain`` is None."""
+    users = (Staged(),) if gain is None else (Staged(fifo=(0,), direct=0.0, interference=gain),)
+    sim = staged_sim(MAXWEIGHT, *users, x=x, slot=1, i_avg=budget)
+    sim.run_slot()
+    return sim.x
 
 
 class TestDelayVirtualQueue:
     def test_starts_at_zero_and_requires_positive_bound(self):
-        assert DelayVirtualQueue(1.5).y == 0.0
+        assert Simulation(two_user_config(0.1, "proposed")).y == [0.0, 0.0]
         with pytest.raises(ValueError, match="delay bound must be positive"):
-            DelayVirtualQueue(0.0)
+            SuConfig(Bernoulli(0.1), 0.0, DeterministicGain(1.0), DeterministicGain(1.0))
 
     def test_accumulates_excess_over_bound(self):
-        vq = DelayVirtualQueue(1.5)
-        vq.y = 2.0
-        vq.update(batch([3, 1]))
-        assert vq.y == 3.0
+        assert delay_level_after(2.0, 1.5, [3, 1]) == 3.0
 
     def test_clamped_at_zero(self):
-        vq = DelayVirtualQueue(5.0)
-        vq.y = 0.5
-        vq.update(batch([1]))
-        assert vq.y == 0.0
+        assert delay_level_after(0.5, 5.0, [1]) == 0.0
 
     def test_no_departures_leaves_level_unchanged(self):
-        vq = DelayVirtualQueue(1.0)
-        vq.y = 7.0
-        vq.update(batch([]))
-        assert vq.y == 7.0
+        assert delay_level_after(7.0, 1.0, []) == 7.0
+        # An idle slot leaves it too.
+        sim = staged_sim(MAXWEIGHT, Staged(y=7.0))
+        assert sim.run_slot() is None
+        assert sim.y == [7.0]
 
     @given(
         levels=st.floats(min_value=0.0, max_value=100.0),
@@ -47,34 +63,27 @@ class TestDelayVirtualQueue:
         waits=st.lists(st.integers(min_value=1, max_value=50), max_size=6),
     )
     def test_never_negative(self, levels, bound, waits):
-        vq = DelayVirtualQueue(bound)
-        vq.y = levels
-        vq.update(batch(waits))
-        assert vq.y >= 0.0
+        assert delay_level_after(levels, bound, sorted(waits, reverse=True)) >= 0.0
 
 
 class TestInterferenceVirtualQueue:
     def test_starts_at_zero_and_requires_positive_budget(self):
-        assert InterferenceVirtualQueue(2.0).x == 0.0
+        assert Simulation(two_user_config(0.1, "proposed")).x == 0.0
         with pytest.raises(ValueError, match="interference budget must be positive"):
-            InterferenceVirtualQueue(0.0)
+            SimConfig(
+                sus=two_user_config(0.1, "proposed").sus,
+                i_avg=0.0,
+                scheduler=SchedulerKind("proposed"),
+            )
 
     def test_accumulates_gain_minus_budget(self):
-        vq = InterferenceVirtualQueue(2.0)
-        vq.x = 1.9
-        vq.update(0.4)
-        assert vq.x == pytest.approx(0.3)
+        assert interference_level_after(1.9, 0.4, 2.0) == pytest.approx(0.3)
 
     def test_idle_slot_drains_budget(self):
-        vq = InterferenceVirtualQueue(2.0)
-        vq.x = 5.0
-        vq.update(0.0)
-        assert vq.x == 3.0
+        assert interference_level_after(5.0, None, 2.0) == 3.0
 
     def test_clamped_at_zero(self):
-        vq = InterferenceVirtualQueue(2.0)
-        vq.update(0.3)
-        assert vq.x == 0.0
+        assert interference_level_after(0.0, 0.3, 2.0) == 0.0
 
     @given(
         start=st.floats(min_value=0.0, max_value=50.0),
@@ -82,10 +91,7 @@ class TestInterferenceVirtualQueue:
         budget=st.floats(min_value=0.01, max_value=10.0),
     )
     def test_never_negative(self, start, gain, budget):
-        vq = InterferenceVirtualQueue(budget)
-        vq.x = start
-        vq.update(gain)
-        assert vq.x >= 0.0
+        assert interference_level_after(start, gain, budget) >= 0.0
 
 
 class TestStabilityMetric:
@@ -107,18 +113,6 @@ class TestStabilityMetric:
             stability_metric(1.0, (0.0,), 0)
 
 
-class TestStabilityProbe:
-    def test_capture_normalizes_by_horizon(self):
-        probe = StabilityProbe.capture(50.0, (30.0, 10.0), 10**4)
-        assert probe.terminal_over_t == (0.005, 0.003, 0.001)
-        # Summation order differs from stability_metric, so only approx.
-        assert probe.metric == pytest.approx(stability_metric(50.0, (30.0, 10.0), 10**4))
-
-    def test_requires_positive_horizon(self):
-        with pytest.raises(ValueError):
-            StabilityProbe.capture(1.0, (1.0,), 0)
-
-
 def test_interference_pressure_grows_with_load():
     # Under a tight budget (0.1) and a policy that transmits whenever
     # backlogged, the accumulator's normalized level must rise with load:
@@ -131,6 +125,6 @@ def test_interference_pressure_grows_with_load():
         )
         for _ in range(20_000):
             sim.run_slot()
-        return sim.x_vq.x / sim.slot
+        return sim.x / sim.slot
 
     assert x_over_t(0.02) < x_over_t(0.4)
