@@ -9,11 +9,8 @@ envelope) is exponentially distributed with the configured mean.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
-
-from .streams import ROLE_DIRECT, ROLE_INTERFERENCE, BufferedDraws, substream
 
 # Default truncation point for fading gains, as a multiple of the mean.
 # P(exceed) = exp(-25), so the truncation is statistically invisible but
@@ -58,30 +55,3 @@ class RayleighGain:
 
 
 ChannelModel = DeterministicGain | RayleighGain
-
-
-class ChannelBank:
-    """Per-user gain feeds, one block-buffered substream per (user, link).
-
-    ``direct[i]`` and ``interference[i]`` serve user i's gains one slot at
-    a time, so a user's gain sequence depends only on the seed and its own
-    index.
-    """
-
-    def __init__(
-        self,
-        direct: tuple[ChannelModel, ...],
-        interference: tuple[ChannelModel, ...],
-        seed: int,
-    ):
-        if not direct or len(direct) != len(interference):
-            raise ValueError("need one direct and one interference model per user")
-
-        def feeds(models, role):
-            return tuple(
-                BufferedDraws(partial(m.sample_block, substream(seed, i, role)))
-                for i, m in enumerate(models)
-            )
-
-        self.direct = feeds(direct, ROLE_DIRECT)
-        self.interference = feeds(interference, ROLE_INTERFERENCE)

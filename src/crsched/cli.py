@@ -3,6 +3,9 @@
 crsched run --config table1.cfg [--schedulers a,b] [--lambda-min ... ]
 crsched figures --rows results/rows.csv --out results
 
+Each OVERRIDES flag of ``run`` replaces a config key through ``load_spec``,
+under the file's own rules; an error in its value names the flag.
+
 Output directory precedence: --out flag, then the CRSCHED_OUT environment
 variable, then the config's output_dir, then ./results.
 """
@@ -12,10 +15,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, ExperimentSpec, lambda_grid, load_spec, parse_scheduler
+from .config import ConfigError, ExperimentSpec, load_spec
 from .sweep import (
     ROWS_FILENAME,
     emit_figures,
@@ -28,9 +30,17 @@ from .sweep import (
 
 OUT_ENV_VAR = "CRSCHED_OUT"
 
-
-class CliError(ValueError):
-    pass
+# (section, key) of a config value -> the run flag that overrides it
+OVERRIDES = {
+    ("sweep", "schedulers"): "--schedulers",
+    ("sweep", "lambda_min"): "--lambda-min",
+    ("sweep", "lambda_max"): "--lambda-max",
+    ("sweep", "lambda_step"): "--lambda-step",
+    ("sweep", "seeds"): "--seed",
+    ("system", "max_slots"): "--max-slots",
+    ("system", "epsilon"): "--epsilon",
+    ("system", "phi_mode"): "--phi-mode",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -40,16 +50,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="execute a lambda sweep and emit CSV outputs")
+    run = sub.add_parser("run", help="execute a lambda sweep and emit CSV outputs",
+                         epilog="The three --lambda-* flags go together.")
     run.add_argument("--config", required=True, help="experiment config file")
-    run.add_argument("--schedulers", help="comma-separated subset, e.g. proposed,maxweight")
-    run.add_argument("--lambda-min", help="override sweep grid (use with max and step)")
-    run.add_argument("--lambda-max")
-    run.add_argument("--lambda-step")
-    run.add_argument("--seed", help="comma-separated seed list override")
-    run.add_argument("--max-slots", type=int)
-    run.add_argument("--epsilon", type=float)
-    run.add_argument("--phi-mode", choices=["actual", "literal"])
+    for (section, key), flag in OVERRIDES.items():
+        run.add_argument(flag, dest=flag, metavar=key.upper(), help=f"overrides [{section}] {key}")
     run.add_argument("--out", help="output directory")
     run.add_argument("--jobs", type=int, help="parallel runs (default: CPU count)")
 
@@ -59,52 +64,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(spec: ExperimentSpec, args) -> ExperimentSpec:
-    base = spec.base
-    grid_flags = (args.lambda_min, args.lambda_max, args.lambda_step)
-    if any(v is not None for v in grid_flags):
-        if any(v is None for v in grid_flags):
-            raise CliError("--lambda-min, --lambda-max and --lambda-step go together")
-        grid = lambda_grid(*grid_flags)
-        a_max = min(su.arrivals.a_max for su in base.sus)
-        if not grid or grid[-1] > a_max:
-            raise CliError(f"lambda grid must be nonempty and within [0, {a_max}]")
-        spec = replace(spec, lambda_grid=grid)
-
-    phi_mode = args.phi_mode or spec.schedulers[0].phi_mode
-    if args.schedulers is not None:
-        kinds = [parse_scheduler(t) for t in args.schedulers.split(",") if t.strip()]
-        if not kinds:
-            raise CliError("empty --schedulers list")
-        spec = replace(spec, schedulers=tuple(kinds))
-    if args.phi_mode or args.schedulers is not None:
-        spec = replace(
-            spec,
-            schedulers=tuple(replace(k, phi_mode=phi_mode) for k in spec.schedulers),
-        )
-
-    if args.seed is not None:
-        seeds = tuple(int(t) for t in args.seed.split(",") if t.strip())
-        if not seeds:
-            raise CliError("empty --seed list")
-        if len(set(seeds)) != len(seeds):
-            raise CliError("seeds must be distinct")
-        spec = replace(spec, seeds=seeds, base=replace(spec.base, seed=seeds[0]))
-
-    base = spec.base
-    if args.epsilon is not None:
-        if args.epsilon <= 0:
-            raise CliError("--epsilon must be positive")
-        base = replace(base, epsilon=args.epsilon)
-    if args.max_slots is not None:
-        if args.max_slots < base.check_interval:
-            raise CliError(
-                f"--max-slots must be at least the check interval ({base.check_interval})"
-            )
-        base = replace(base, max_slots=args.max_slots)
-    if base is not spec.base:
-        spec = replace(spec, base=base)
-    return spec
+def _load_spec(args) -> ExperimentSpec:
+    """The config with the given flags applied as overrides."""
+    flags = vars(args)
+    grid_given = [flags[flag] is not None for flag in ("--lambda-min", "--lambda-max", "--lambda-step")]
+    if any(grid_given) and not all(grid_given):
+        raise ValueError("--lambda-min, --lambda-max and --lambda-step go together")
+    overrides = {key: flags[flag] for key, flag in OVERRIDES.items() if flags[flag] is not None}
+    try:
+        return load_spec(args.config, overrides)
+    except ConfigError as err:
+        if err.override is None:
+            raise
+        raise ValueError(f"{OVERRIDES[err.override]}: {err.message}") from None
 
 
 def _resolve_out(flag: str | None, spec_dir: str | None) -> Path:
@@ -112,7 +84,7 @@ def _resolve_out(flag: str | None, spec_dir: str | None) -> Path:
 
 
 def _cmd_run(args) -> int:
-    spec = _apply_overrides(load_spec(args.config), args)
+    spec = _load_spec(args)
     out = _resolve_out(args.out, spec.output_dir)
 
     def progress(point, result, total):
@@ -163,7 +135,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         return _cmd_figures(args)
-    except (CliError, ConfigError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

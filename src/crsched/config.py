@@ -1,11 +1,12 @@
 """Experiment configuration files.
 
-INI-style schema (see also the shipped configs under ``crsched/configs``):
+INI-style schema (see also the shipped configs under ``crsched/configs``;
+the trailing notes below are annotations, as a comment needs its own line):
 
     [system]
     n_sus = 2                 # number of users; one [suK] section each
     i_avg = 2.0               # per-slot interference budget (> 0)
-    epsilon = 0.01            # convergence threshold (> 0)
+    epsilon = 0.01            # convergence threshold (>= 0; 0 runs max_slots)
     max_slots = 1000000       # hard horizon per run
     check_interval = 10000    # slots between convergence checks
     phi_mode = actual         # actual | literal (index policy only)
@@ -26,18 +27,24 @@ INI-style schema (see also the shipped configs under ``crsched/configs``):
     seeds = 1                 # comma-separated, distinct
     output_dir = results      # optional
 
-Values are validated with the config file's own line numbers in error
-messages. The lambda grid is generated in decimal, so grid points are the
-cleanest binary floats for their decimal spellings (0.06, not 0.060000...5).
+Each value is read once, from ``load_spec``'s ``overrides`` (``crsched run``
+passes its flags there) or else from the file, under the same rules; an
+error names the key's file line or the override. Keys and sections that are
+never read are rejected. The lambda grid is generated in decimal, so grid
+points are the cleanest binary floats for their decimal spellings (0.06, not
+0.060000...5).
 """
 
 from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 from dataclasses import dataclass, replace
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
+from functools import partial
 from pathlib import Path
+from typing import Mapping
 
 from .channels import ChannelModel, DeterministicGain, RayleighGain
 from .engine import PHI_ACTUAL, PHI_LITERAL, SCHEDULER_NAMES, SchedulerKind, SimConfig, SuConfig
@@ -45,13 +52,17 @@ from .queueing import ArrivalProcess, Bernoulli, TruncatedPoisson
 
 
 class ConfigError(ValueError):
-    """A config file failed validation; message carries file:line context."""
+    """A run setting failed validation. The text starts with where the value
+    came from: ``path:line``, or ``override`` for an entry of ``overrides``,
+    whose (section, key) is then ``err.override``."""
 
-    def __init__(self, path, line: int | None, message: str):
-        where = f"{path}:{line}: " if line else f"{path}: "
-        super().__init__(where + message)
+    def __init__(self, path, line: int | None, message: str, override=None):
+        where = "override" if override else (f"{path}:{line}" if line else str(path))
+        super().__init__(f"{where}: {message}")
         self.path = path
         self.line = line
+        self.message = message
+        self.override = override
 
 
 @dataclass(frozen=True)
@@ -67,7 +78,7 @@ class ExperimentSpec:
     source_sha256: str
 
 
-def _line_index(text: str) -> dict[tuple[str, str], int]:
+def _line_index(text: str) -> dict[tuple[str, str | None], int]:
     """Map (section, key) and (section, None) to 1-based line numbers."""
     index: dict[tuple[str, str | None], int] = {}
     section = None
@@ -76,7 +87,7 @@ def _line_index(text: str) -> dict[tuple[str, str], int]:
         if not line or line.startswith(("#", ";")):
             continue
         if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
+            section = line[1:-1].strip()
             index[(section, None)] = lineno
         elif "=" in line and section is not None:
             key = line.split("=", 1)[0].strip().lower()
@@ -85,89 +96,137 @@ def _line_index(text: str) -> dict[tuple[str, str], int]:
 
 
 class _Loader:
-    def __init__(self, path):
+    """Reads each setting from the overrides or the file, and records what
+    it read, so that anything else in either can be rejected."""
+
+    def __init__(self, path, overrides: Mapping[tuple[str, str], str]):
         self.path = Path(path)
+        self.overrides = dict(overrides)
+        self.read: set[tuple[str, str | None]] = set()
         try:
-            self.text = self.path.read_text()
+            text = self.path.read_text()
         except OSError as err:
             raise ConfigError(path, None, f"cannot read config: {err}") from err
-        self.lines = _line_index(self.text)
+        self.lines = _line_index(text)
         self.parser = configparser.ConfigParser(interpolation=None)
         try:
-            self.parser.read_string(self.text)
+            self.parser.read_string(text)
         except configparser.Error as err:
             lineno = getattr(err, "lineno", None)
             raise ConfigError(path, lineno, f"malformed config: {err.message}") from err
 
     def fail(self, section: str, key: str | None, message: str):
+        text = f"[{section}] {key}: {message}" if key else f"[{section}]: {message}"
+        if (section, key) in self.overrides:
+            raise ConfigError(self.path, None, text, override=(section, key))
         line = self.lines.get((section, key)) or self.lines.get((section, None))
-        raise ConfigError(self.path, line, f"[{section}] {key or ''}: {message}".replace("  ", " "))
+        raise ConfigError(self.path, line, text)
 
-    def get(self, section: str, key: str, default: str | None = None) -> str:
-        if not self.parser.has_section(section):
-            raise ConfigError(self.path, None, f"missing required section [{section}]")
-        if not self.parser.has_option(section, key):
-            if default is not None:
-                return default
+    def value(self, section: str, key: str, convert=str, default: str | None = None):
+        """The key's raw value, an override before the file's, passed through
+        convert; a ValueError from convert fails at the key."""
+        self.read.update({(section, None), (section, key)})
+        raw = self.overrides.get((section, key))
+        if raw is None:
+            if not self.parser.has_section(section):
+                raise ConfigError(self.path, None, f"missing required section [{section}]")
+            raw = self.parser.get(section, key, fallback=default)
+        if raw is None:
             self.fail(section, key, "missing required key")
-        return self.parser.get(section, key).strip()
-
-    def get_typed(self, section, key, convert, kind, default=None):
-        raw = self.get(section, key, default)
         try:
-            return convert(raw)
-        except (ValueError, InvalidOperation):
-            self.fail(section, key, f"expected {kind}, got {raw!r}")
+            return convert(raw.strip())
+        except ValueError as err:
+            self.fail(section, key, str(err))
+
+    def reject_unread(self):
+        sections = self.parser.sections()
+        if self.parser.defaults():
+            self.fail(self.parser.default_section, None, "unknown section")
+        keys = [(section, None) for section in sections]
+        keys += [(section, key) for section in sections for key in self.parser.options(section)]
+        for section, key in keys + list(self.overrides):
+            if (section, key) not in self.read:
+                self.fail(section, key, "unknown key" if key else "unknown section")
 
 
-def _parse_channel(loader: _Loader, section: str, key: str, value: str) -> ChannelModel:
+def _number(raw, convert=float, kind="a number"):
+    """raw converted to a finite value, with one message for anything else."""
+    try:
+        value = convert(raw)
+        if math.isfinite(value):
+            return value
+    except (ArithmeticError, ValueError):
+        pass
+    raise ValueError(f"expected {kind}, got {raw!r}")
+
+
+_integer = partial(_number, convert=int, kind="an integer")
+_decimal = partial(_number, convert=lambda raw: Decimal(str(raw)))
+
+
+def _grid_start(raw) -> Decimal:
+    lo = _decimal(raw)
+    if lo < 0:
+        raise ValueError("lambda grid must be nonnegative")
+    return lo
+
+
+def _grid_step(raw) -> Decimal:
+    step = _decimal(raw)
+    if step <= 0:
+        raise ValueError("lambda step must be positive")
+    return step
+
+
+def lambda_grid(lo: str | Decimal, hi: str | Decimal, step: str | Decimal) -> tuple[float, ...]:
+    """Inclusive arithmetic grid computed in decimal for clean float values."""
+    step, lo, hi = _grid_step(step), _grid_start(lo), _decimal(hi)
+    if hi < lo:
+        raise ValueError("lambda grid is empty: max below min")
+    grid = []
+    v = lo
+    while v <= hi:
+        grid.append(float(v))
+        v += step
+    return tuple(grid)
+
+
+_CHANNELS = {"deterministic": (DeterministicGain, "value"), "rayleigh": (RayleighGain, "mean")}
+
+
+def _parse_channel(value: str) -> ChannelModel:
     tokens = value.split()
     if not tokens:
-        loader.fail(section, key, "empty channel spec")
+        raise ValueError("empty channel spec")
     kind, *args = tokens
-    kwargs: dict[str, float] = {}
+    params: dict[str, float] = {}
     for arg in args:
         name, sep, num = arg.partition("=")
         if not sep:
-            loader.fail(section, key, f"channel parameter {arg!r} is not name=value")
-        try:
-            kwargs[name] = float(num)
-        except ValueError:
-            loader.fail(section, key, f"channel parameter {arg!r} is not numeric")
-    try:
-        if kind == "deterministic":
-            if "value" not in kwargs:
-                loader.fail(section, key, "deterministic channel needs value=")
-            return DeterministicGain(kwargs.pop("value"), kwargs.pop("cap", None))
-        if kind == "rayleigh":
-            if "mean" not in kwargs:
-                loader.fail(section, key, "rayleigh channel needs mean=")
-            return RayleighGain(kwargs.pop("mean"), kwargs.pop("cap", None))
-    except ConfigError:
-        raise
-    except ValueError as err:
-        loader.fail(section, key, str(err))
-    loader.fail(section, key, f"unknown channel kind {kind!r} (expected deterministic or rayleigh)")
+            raise ValueError(f"channel parameter {arg!r} is not name=value")
+        params[name] = _number(num)
+    if kind not in _CHANNELS:
+        raise ValueError(f"unknown channel kind {kind!r} (expected deterministic or rayleigh)")
+    model, required = _CHANNELS[kind]
+    if required not in params:
+        raise ValueError(f"{kind} channel needs {required}=")
+    unknown = sorted(set(params) - {required, "cap"})
+    if unknown:
+        raise ValueError(f"unknown {kind} channel parameter {unknown[0]!r}")
+    return model(params[required], params.get("cap"))
 
 
-def _parse_arrivals(loader: _Loader, section: str, value: str, rate: float) -> ArrivalProcess:
-    tokens = value.split()
-    kind = tokens[0] if tokens else ""
-    try:
-        if kind == "bernoulli":
-            if len(tokens) > 1:
-                loader.fail(section, "arrivals", "bernoulli takes no parameters")
-            return Bernoulli(rate)
-        if kind == "poisson":
-            params = dict(t.partition("=")[::2] for t in tokens[1:])
-            if set(params) != {"cap"}:
-                loader.fail(section, "arrivals", "poisson needs exactly cap=K")
-            return TruncatedPoisson(rate, int(params["cap"]))
-    except ConfigError:
-        raise
-    except ValueError as err:
-        loader.fail(section, "arrivals", str(err))
-    loader.fail(section, "arrivals", f"unknown arrival process {kind!r} (expected bernoulli or poisson)")
+def _parse_arrivals(value: str, rate: float) -> ArrivalProcess:
+    kind, *params = value.split() or [""]
+    if kind == "bernoulli":
+        if params:
+            raise ValueError("bernoulli takes no parameters")
+        return Bernoulli(rate)
+    if kind == "poisson":
+        if len(params) != 1 or not params[0].startswith("cap="):
+            raise ValueError("poisson needs exactly cap=K")
+        return TruncatedPoisson(rate, _integer(params[0][len("cap="):]))
+    raise ValueError(f"unknown arrival process {kind!r} (expected bernoulli or poisson)")
 
 
 def parse_scheduler(name: str) -> SchedulerKind:
@@ -180,110 +239,74 @@ def parse_scheduler(name: str) -> SchedulerKind:
     return SchedulerKind(canon)
 
 
-def lambda_grid(lo: str | Decimal, hi: str | Decimal, step: str | Decimal) -> tuple[float, ...]:
-    """Inclusive arithmetic grid computed in decimal for clean float values."""
-    lo, hi, step = Decimal(str(lo)), Decimal(str(hi)), Decimal(str(step))
-    if step <= 0:
-        raise ValueError("lambda step must be positive")
-    if lo < 0:
-        raise ValueError("lambda grid must be nonnegative")
-    if hi < lo:
-        raise ValueError("lambda grid is empty: max below min")
-    grid = []
-    v = lo
-    while v <= hi:
-        grid.append(float(v))
-        v += step
-    return tuple(grid)
+def _parse_seeds(value: str) -> tuple[int, ...]:
+    seeds = tuple(_integer(token.strip()) for token in value.split(",") if token.strip())
+    if not seeds:
+        raise ValueError("need at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError("seeds must be distinct")
+    return seeds
 
 
-def config_sha256(path) -> str:
+def file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def load_spec(path) -> ExperimentSpec:
-    """Parse and fully validate an experiment config file."""
-    loader = _Loader(path)
-    n_sus = loader.get_typed("system", "n_sus", int, "an integer")
+def load_spec(path, overrides: Mapping[tuple[str, str], str] | None = None) -> ExperimentSpec:
+    """Parse and fully validate an experiment config file. ``overrides`` maps
+    (section, key) to a raw value, spelled as in the file, that replaces the
+    file's value for that key under the same rules."""
+    loader = _Loader(path, overrides or {})
+    n_sus = loader.value("system", "n_sus", _integer)
     if n_sus < 1:
         loader.fail("system", "n_sus", "need at least one user")
-    i_avg = loader.get_typed("system", "i_avg", float, "a number")
+    i_avg = loader.value("system", "i_avg", _number)
     if i_avg <= 0:
         loader.fail("system", "i_avg", "interference budget must be positive")
-    epsilon = loader.get_typed("system", "epsilon", float, "a number", default="0.01")
-    if epsilon <= 0:
-        loader.fail("system", "epsilon", "epsilon must be positive")
-    max_slots = loader.get_typed("system", "max_slots", int, "an integer", default="1000000")
-    check_interval = loader.get_typed("system", "check_interval", int, "an integer", default="10000")
+    epsilon = loader.value("system", "epsilon", _number, default="0.01")
+    if epsilon < 0:
+        loader.fail("system", "epsilon", "epsilon must be nonnegative")
+    max_slots = loader.value("system", "max_slots", _integer, default="1000000")
+    check_interval = loader.value("system", "check_interval", _integer, default="10000")
     if check_interval < 1:
         loader.fail("system", "check_interval", "check interval must be positive")
     if max_slots < check_interval:
         loader.fail("system", "max_slots", "max_slots must be at least check_interval")
-    phi_mode = loader.get("system", "phi_mode", default=PHI_ACTUAL).lower()
+    phi_mode = loader.value("system", "phi_mode", str.lower, default=PHI_ACTUAL)
     if phi_mode not in (PHI_ACTUAL, PHI_LITERAL):
         loader.fail("system", "phi_mode", f"expected actual or literal, got {phi_mode!r}")
-    buffer_cap = loader.get_typed("system", "buffer_cap", int, "an integer", default="10000000")
+    buffer_cap = loader.value("system", "buffer_cap", _integer, default="10000000")
     if buffer_cap < 1:
         loader.fail("system", "buffer_cap", "buffer cap must be positive")
 
     sus = []
     for k in range(1, n_sus + 1):
         section = f"su{k}"
-        if not loader.parser.has_section(section):
-            raise ConfigError(loader.path, None, f"missing required section [{section}] (n_sus = {n_sus})")
-        d = loader.get_typed(section, "d", float, "a number")
+        d = loader.value(section, "d", _number)
         if d <= 0:
             loader.fail(section, "d", "delay bound must be positive")
-        rate = loader.get_typed(section, "lambda", float, "a number", default="0.0")
-        arrivals = _parse_arrivals(loader, section, loader.get(section, "arrivals", default="bernoulli"), rate)
-        direct = _parse_channel(loader, section, "direct", loader.get(section, "direct"))
-        interference = _parse_channel(loader, section, "interference", loader.get(section, "interference"))
-        sus.append(SuConfig(arrivals=arrivals, delay_bound=d, direct=direct, interference=interference))
-    extra = [
-        s for s in loader.parser.sections()
-        if s.startswith("su") and s[2:].isdigit() and int(s[2:]) > n_sus
-    ]
-    if extra:
-        loader.fail(extra[0], None, f"user section beyond n_sus = {n_sus}")
-
-    try:
-        grid = lambda_grid(
-            loader.get("sweep", "lambda_min"),
-            loader.get("sweep", "lambda_max"),
-            loader.get("sweep", "lambda_step"),
+        rate = loader.value(section, "lambda", _number, default="0.0")
+        arrivals = loader.value(
+            section, "arrivals", lambda value: _parse_arrivals(value, rate), default="bernoulli"
         )
-    except ConfigError:
-        raise
-    except ValueError as err:
-        loader.fail("sweep", "lambda_min", str(err))
+        direct = loader.value(section, "direct", _parse_channel)
+        interference = loader.value(section, "interference", _parse_channel)
+        sus.append(SuConfig(arrivals=arrivals, delay_bound=d, direct=direct, interference=interference))
+    for section in loader.parser.sections():
+        if section.startswith("su") and section[2:].isdigit() and int(section[2:]) > n_sus:
+            loader.fail(section, None, f"user section beyond n_sus = {n_sus}")
+
+    lo = loader.value("sweep", "lambda_min", _grid_start)
+    step = loader.value("sweep", "lambda_step", _grid_step)
+    grid = loader.value("sweep", "lambda_max", lambda hi: lambda_grid(lo, hi, step))
     a_max = min(su.arrivals.a_max for su in sus)
     if grid[-1] > a_max:
         loader.fail("sweep", "lambda_max", f"grid exceeds the smallest arrival cap {a_max}")
-
-    schedulers = []
-    for name in loader.get("sweep", "schedulers").split(","):
-        try:
-            kind = parse_scheduler(name)
-        except ValueError as err:
-            loader.fail("sweep", "schedulers", str(err))
-        schedulers.append(replace(kind, phi_mode=phi_mode))
-    if not schedulers:
-        loader.fail("sweep", "schedulers", "need at least one scheduler")
-
-    seeds = []
-    for token in loader.get("sweep", "seeds").split(","):
-        token = token.strip()
-        if token:
-            try:
-                seeds.append(int(token))
-            except ValueError:
-                loader.fail("sweep", "seeds", f"seed {token!r} is not an integer")
-    if not seeds:
-        loader.fail("sweep", "seeds", "need at least one seed")
-    if len(set(seeds)) != len(seeds):
-        loader.fail("sweep", "seeds", "seeds must be distinct")
-
-    output_dir = loader.get("sweep", "output_dir", default="") or None
+    kinds = loader.value("sweep", "schedulers", lambda value: [parse_scheduler(n) for n in value.split(",")])
+    schedulers = tuple(replace(kind, phi_mode=phi_mode) for kind in kinds)
+    seeds = loader.value("sweep", "seeds", _parse_seeds)
+    output_dir = loader.value("sweep", "output_dir", default="") or None
+    loader.reject_unread()
 
     base = SimConfig(
         sus=tuple(sus),
@@ -298,9 +321,9 @@ def load_spec(path) -> ExperimentSpec:
     return ExperimentSpec(
         base=base,
         lambda_grid=grid,
-        schedulers=tuple(schedulers),
-        seeds=tuple(seeds),
+        schedulers=schedulers,
+        seeds=seeds,
         output_dir=output_dir,
         source_path=str(loader.path),
-        source_sha256=config_sha256(loader.path),
+        source_sha256=file_sha256(loader.path),
     )

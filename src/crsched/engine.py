@@ -25,12 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 from typing import NamedTuple, Sequence
 
-from .channels import ChannelBank, ChannelModel
+from .channels import ChannelModel
 from .queueing import DEFAULT_BUFFER_CAP, ArrivalProcess, InfeasibleLoadError, SuQueue
-from .streams import ROLE_ARRIVALS, BufferedDraws, substream
+from .streams import ROLE_ARRIVALS, ROLE_DIRECT, ROLE_INTERFERENCE, BufferedDraws, substream
 
 PHI_ACTUAL = "actual"  # closing term counts the packets actually transmittable
 PHI_LITERAL = "literal"  # closing term uses the raw real-valued rate
@@ -59,11 +60,8 @@ class SchedulerKind:
         return self.kind == PROPOSED
 
 
-def transmission_rate(gamma: float, scheduled: bool = True) -> float:
-    """Packets deliverable in one slot at direct power gain gamma; an
-    unscheduled user transmits nothing, whatever its gain."""
-    if not scheduled:
-        return 0.0
+def transmission_rate(gamma: float) -> float:
+    """Packets deliverable in one slot at direct power gain gamma."""
     return math.log2(1.0 + gamma)
 
 
@@ -206,14 +204,16 @@ class Simulation:
     def __init__(self, config: SimConfig):
         self.config = config
         seed = config.seed
-        bank = ChannelBank(tuple(su.direct for su in config.sus),
-                           tuple(su.interference for su in config.sus), seed)
+        # One block-buffered substream per (user, role): a user's draws
+        # depend only on the seed and its own index.
         self.sus = tuple(
             SuState(
                 SuQueue(su.arrivals, config.buffer_cap),
                 BufferedDraws(substream(seed, i, ROLE_ARRIVALS).random),
-                bank.direct[i],
-                bank.interference[i],
+                BufferedDraws(partial(su.direct.sample_block, substream(seed, i, ROLE_DIRECT))),
+                BufferedDraws(
+                    partial(su.interference.sample_block, substream(seed, i, ROLE_INTERFERENCE))
+                ),
                 su.delay_bound,
             )
             for i, su in enumerate(config.sus)

@@ -15,14 +15,13 @@ Empty delay cells mean no packet departed (average undefined, not zero).
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .config import ExperimentSpec
+from .config import ExperimentSpec, file_sha256  # file_sha256: digests of rows.csv and configs
 from .engine import RunResult, SimConfig, run_until_converged
 from .queueing import InfeasibleLoadError
 
@@ -300,7 +299,3 @@ def emit_figures(
     }
     (out / MANIFEST_FILENAME).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest
-
-
-def file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

@@ -16,6 +16,21 @@ def shipped_config(name: str) -> str:
     return str(resources.files("crsched") / "configs" / name)
 
 
+def set_key(text: str, section: str, key: str, value: str) -> str:
+    """Config text with ``key = value`` in [section], replacing the key's
+    line there or, if it has none, added under the section header."""
+    lines = text.splitlines()
+    start = lines.index(f"[{section}]")
+    end = next((i for i in range(start + 1, len(lines)) if lines[i].startswith("[")), len(lines))
+    for i in range(start + 1, end):
+        if lines[i].split("=")[0].strip() == key:
+            lines[i] = f"{key} = {value}"
+            break
+    else:
+        lines.insert(start + 1, f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
 def two_user_sus(lam: float, g_means=(0.4, 0.2), bounds=(1.5, 5.0)):
     """The baseline pair: unit deterministic direct links, faded
     interference links."""

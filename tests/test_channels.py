@@ -5,12 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from crsched.channels import (
-    RAYLEIGH_CAP_FACTOR,
-    ChannelBank,
-    DeterministicGain,
-    RayleighGain,
-)
+from crsched.channels import RAYLEIGH_CAP_FACTOR, DeterministicGain, RayleighGain
+from crsched.engine import SchedulerKind, SimConfig, Simulation, SuConfig
+from crsched.queueing import Bernoulli
 from crsched.streams import BufferedDraws
 
 
@@ -18,11 +15,25 @@ def rng(seed=0):
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def slot_gains(bank):
-    """One slot's (direct, interference) gain tuples from a bank."""
+def gain_feeds(direct, interference, seed):
+    """The per-user gain feeds a Simulation builds for these channel models."""
+    sim = Simulation(SimConfig(
+        sus=tuple(
+            SuConfig(arrivals=Bernoulli(0.0), delay_bound=1.0, direct=g_d, interference=g)
+            for g_d, g in zip(direct, interference)
+        ),
+        i_avg=1.0,
+        scheduler=SchedulerKind("proposed"),
+        seed=seed,
+    ))
+    return sim.sus
+
+
+def slot_gains(sus):
+    """One slot's (direct, interference) gain tuples from the users' feeds."""
     return (
-        tuple(feed.random() for feed in bank.direct),
-        tuple(feed.random() for feed in bank.interference),
+        tuple(su.direct.random() for su in sus),
+        tuple(su.interference.random() for su in sus),
     )
 
 
@@ -87,31 +98,32 @@ class TestRayleighGain:
 
 
 class TestChannelBank:
+    """The per-user direct and interference feeds of a Simulation."""
+
     def test_deterministic_passthrough_slot(self):
         models = (DeterministicGain(1.0), DeterministicGain(1.0))
-        bank = ChannelBank(models, models, seed=0)
-        assert slot_gains(bank) == ((1.0, 1.0), (1.0, 1.0))
+        assert slot_gains(gain_feeds(models, models, seed=0)) == ((1.0, 1.0), (1.0, 1.0))
 
     def test_same_seed_gives_identical_sequences(self):
         def draws():
-            bank = ChannelBank(
+            sus = gain_feeds(
                 (DeterministicGain(1.0), RayleighGain(0.3)),
                 (RayleighGain(0.4), RayleighGain(0.2)),
                 seed=42,
             )
-            return [slot_gains(bank) for _ in range(50)]
+            return [slot_gains(sus) for _ in range(50)]
 
         assert draws() == draws()
 
     def test_per_user_sequence_invariant_to_population(self):
         # User i's gains must not move when more users are simulated.
         def seqs(n):
-            bank = ChannelBank(
+            sus = gain_feeds(
                 tuple(RayleighGain(0.3) for _ in range(n)),
                 tuple(RayleighGain(0.5) for _ in range(n)),
                 seed=11,
             )
-            samples = [slot_gains(bank) for _ in range(30)]
+            samples = [slot_gains(sus) for _ in range(30)]
             return {
                 i: [(direct[i], interference[i]) for direct, interference in samples]
                 for i in range(n)
@@ -125,13 +137,13 @@ class TestChannelBank:
         # Table-style pair of faded interference links; standard error of
         # each mean over 10^6 slots is mean/10^3 (exponential: std = mean).
         n = 10**6
-        bank = ChannelBank(
+        sus = gain_feeds(
             (DeterministicGain(1.0), DeterministicGain(1.0)),
             (RayleighGain(0.4), RayleighGain(0.2)),
             seed=3,
         )
         sums = [0.0, 0.0]
-        feeds = bank.interference
+        feeds = [su.interference for su in sus]
         for _ in range(n):
             sums[0] += feeds[0].random()
             sums[1] += feeds[1].random()
@@ -139,7 +151,7 @@ class TestChannelBank:
             assert abs(got - want) <= 3 * want / math.sqrt(n)
 
     def test_mismatched_model_lists_rejected(self):
-        with pytest.raises(ValueError):
-            ChannelBank((DeterministicGain(1.0),), (), seed=0)
-        with pytest.raises(ValueError):
-            ChannelBank((), (), seed=0)
+        # Each SuConfig carries both of its models, so the two lists cannot
+        # differ in length; an empty population is still refused.
+        with pytest.raises(ValueError, match="need at least one user"):
+            SimConfig(sus=(), i_avg=1.0, scheduler=SchedulerKind("proposed"))

@@ -1,19 +1,15 @@
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
 
 from crsched.channels import DeterministicGain, RayleighGain
-from crsched.config import (
-    ConfigError,
-    config_sha256,
-    lambda_grid,
-    load_spec,
-    parse_scheduler,
-)
-from crsched.engine import PHI_LITERAL, SchedulerKind
+from crsched.config import ConfigError, lambda_grid, load_spec, parse_scheduler
+from crsched.engine import PHI_LITERAL, SchedulerKind, SimConfig
 from crsched.queueing import Bernoulli, TruncatedPoisson
+from crsched.sweep import file_sha256
 
-from conftest import shipped_config
+from conftest import set_key, shipped_config, two_user_sus
 
 
 BASE = """\
@@ -82,7 +78,7 @@ class TestShippedConfigs:
         assert len(spec.lambda_grid) == 20
         assert spec.schedulers == (SchedulerKind("proposed"), SchedulerKind("maxweight"))
         assert spec.seeds == (1,)
-        assert spec.source_sha256 == config_sha256(shipped_config("table1.cfg"))
+        assert spec.source_sha256 == file_sha256(shipped_config("table1.cfg"))
 
     def test_binding_budget_variant(self):
         spec = load_spec(shipped_config("binding.cfg"))
@@ -219,8 +215,8 @@ class TestLoadSpecValidation:
             load_spec(path)
 
     def test_nonpositive_epsilon(self, tmp_path):
-        path = write_cfg(tmp_path, patched("epsilon", "0"))
-        with pytest.raises(ConfigError, match="epsilon must be positive"):
+        path = write_cfg(tmp_path, patched("epsilon", "-0.5"))
+        with pytest.raises(ConfigError, match="epsilon must be nonnegative"):
             load_spec(path)
 
     def test_cap_below_check_interval(self, tmp_path):
@@ -242,3 +238,118 @@ class TestLoadSpecValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
             load_spec(tmp_path / "absent.cfg")
+
+
+# One value for every key the command line can override.
+OVERRIDES = {
+    ("sweep", "schedulers"): "maxweight, proposed-nonidling",
+    ("sweep", "lambda_min"): "0.05",
+    ("sweep", "lambda_max"): "0.25",
+    ("sweep", "lambda_step"): "0.05",
+    ("sweep", "seeds"): "4, 2",
+    ("system", "max_slots"): "3000",
+    ("system", "epsilon"): "0",
+    ("system", "phi_mode"): "literal",
+}
+
+
+def without_source(spec):
+    return replace(spec, source_path="", source_sha256="")
+
+
+class TestOverrides:
+    def test_overrides_equal_an_edited_file(self, tmp_path):
+        edited = BASE
+        for (section, key), value in OVERRIDES.items():
+            edited = set_key(edited, section, key, value)
+        by_override = load_spec(write_cfg(tmp_path, BASE), OVERRIDES)
+        by_file = load_spec(write_cfg(tmp_path, edited, name="edited.cfg"))
+        assert without_source(by_override) == without_source(by_file)
+        assert by_override.lambda_grid == (0.05, 0.1, 0.15, 0.2, 0.25)
+        assert by_override.seeds == (4, 2)
+        assert all(k.phi_mode == PHI_LITERAL for k in by_override.schedulers)
+        assert by_override.source_sha256 == file_sha256(tmp_path / "exp.cfg")
+
+    def test_override_error_names_the_override_not_a_line(self, tmp_path):
+        path = write_cfg(tmp_path, BASE)
+        with pytest.raises(ConfigError) as exc:
+            load_spec(path, {("system", "max_slots"): "10"})
+        assert exc.value.override == ("system", "max_slots")
+        assert exc.value.line is None
+        assert str(exc.value) == (
+            "override: [system] max_slots: max_slots must be at least check_interval"
+        )
+
+    def test_file_error_has_no_override(self, tmp_path):
+        with pytest.raises(ConfigError) as exc:
+            load_spec(write_cfg(tmp_path, patched("seeds", "1, x")))
+        assert exc.value.override is None
+        assert exc.value.line == 25
+        assert exc.value.message == "[sweep] seeds: expected an integer, got 'x'"
+
+    def test_override_of_an_unknown_key_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"\[system\] epslion: unknown key") as exc:
+            load_spec(write_cfg(tmp_path, BASE), {("system", "epslion"): "0.5"})
+        assert exc.value.override == ("system", "epslion")
+
+
+class TestUnknownNamesRejected:
+    def test_misspelled_key(self, tmp_path):
+        text = BASE.replace("epsilon = 0.01", "epslion = 0.5")
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigError, match=r"\[system\] epslion: unknown key") as exc:
+            load_spec(path)
+        assert exc.value.line == 4
+        assert str(exc.value).startswith(f"{path}:4: ")
+
+    def test_unknown_section(self, tmp_path):
+        path = write_cfg(tmp_path, BASE + "\n[bogus]\nx = 1\n")
+        with pytest.raises(ConfigError, match=r"\[bogus\]: unknown section") as exc:
+            load_spec(path)
+        assert exc.value.line == 27
+
+    def test_default_section_rejected(self, tmp_path):
+        path = write_cfg(tmp_path, "[DEFAULT]\nepsilon = 0.5\n\n" + BASE)
+        with pytest.raises(ConfigError, match=r"\[DEFAULT\]: unknown section") as exc:
+            load_spec(path)
+        assert exc.value.line == 1
+
+    def test_unknown_channel_parameter(self, tmp_path):
+        path = write_cfg(tmp_path, patched("interference", "rayleigh mean=0.4 man=2"))
+        with pytest.raises(ConfigError, match="unknown rayleigh channel parameter 'man'") as exc:
+            load_spec(path)
+        assert exc.value.line == 12
+
+    @pytest.mark.parametrize("key, value", [
+        ("lambda_max", "inf"), ("lambda_step", "NaN"), ("i_avg", "inf"), ("epsilon", "nan"),
+    ])
+    def test_non_finite_numbers_rejected(self, tmp_path, key, value):
+        path = write_cfg(tmp_path, patched(key, value))
+        with pytest.raises(ConfigError, match=f"{key}: expected a number, got '{value}'"):
+            load_spec(path)
+
+
+class TestEpsilonRule:
+    """epsilon = 0 (run every config to max_slots) is valid everywhere;
+    a negative epsilon is refused everywhere."""
+
+    def test_zero_accepted_in_the_file(self, tmp_path):
+        assert load_spec(write_cfg(tmp_path, patched("epsilon", "0"))).base.epsilon == 0.0
+
+    def test_zero_accepted_as_override(self, tmp_path):
+        spec = load_spec(write_cfg(tmp_path, BASE), {("system", "epsilon"): "0"})
+        assert spec.base.epsilon == 0.0
+
+    def test_zero_accepted_by_simconfig(self):
+        cfg = SimConfig(sus=two_user_sus(0.1), i_avg=1.0, scheduler=SchedulerKind("proposed"),
+                        epsilon=0.0)
+        assert cfg.epsilon == 0.0
+
+    def test_negative_rejected_as_override(self, tmp_path):
+        with pytest.raises(ConfigError, match="epsilon must be nonnegative"):
+            load_spec(write_cfg(tmp_path, BASE), {("system", "epsilon"): "-0.5"})
+
+    def test_negative_rejected_by_simconfig(self):
+        with pytest.raises(ValueError, match="epsilon must be nonnegative"):
+            SimConfig(sus=two_user_sus(0.1), i_avg=1.0, scheduler=SchedulerKind("proposed"),
+                      epsilon=-0.5)

@@ -63,9 +63,6 @@ class TestTransmissionRate:
     def test_gain_three_carries_two_packets(self):
         assert transmission_rate(3.0) == 2.0
 
-    def test_unscheduled_carries_nothing(self):
-        assert transmission_rate(5.0, scheduled=False) == 0.0
-
     def test_fractional_rate(self):
         assert transmission_rate(0.5) == pytest.approx(math.log2(1.5))
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from crsched import cli
-from crsched.config import config_sha256, load_spec
+from crsched.config import ConfigError, load_spec
 from crsched.sweep import (
     FIGURES,
     MANIFEST_FILENAME,
@@ -19,6 +19,8 @@ from crsched.sweep import (
     sweep_results,
     write_rows,
 )
+
+from conftest import set_key
 
 TINY = """\
 [system]
@@ -248,7 +250,7 @@ class TestCli:
     def test_manifest_hashes_tie_outputs_to_inputs(self, cli_run):
         cfg, out, _ = cli_run
         manifest = json.loads((out / MANIFEST_FILENAME).read_text())
-        assert manifest["config_sha256"] == config_sha256(cfg)
+        assert manifest["config_sha256"] == file_sha256(cfg)
         assert manifest["rows_sha256"] == file_sha256(out / ROWS_FILENAME)
 
     def test_progress_lines_cover_every_run(self, tmp_path, capsys):
@@ -332,3 +334,64 @@ class TestCli:
         assert len(noted) == 4
         assert all(not r.converged for r in noted)
         assert all(r.lam > 0.0 for r in noted)
+
+
+GRID_FLAGS = {"--lambda-min": "0.0", "--lambda-max": "0.2", "--lambda-step": "0.1"}
+
+
+@pytest.mark.parametrize("flag, section, key, bad", [
+    ("--schedulers", "sweep", "schedulers", "proposed, edf"),
+    ("--schedulers", "sweep", "schedulers", ""),
+    ("--lambda-min", "sweep", "lambda_min", "-0.1"),
+    ("--lambda-max", "sweep", "lambda_max", "5"),
+    ("--lambda-max", "sweep", "lambda_max", "inf"),
+    ("--lambda-step", "sweep", "lambda_step", "0"),
+    ("--lambda-step", "sweep", "lambda_step", "0.1x"),
+    ("--seed", "sweep", "seeds", "1, 1"),
+    ("--seed", "sweep", "seeds", "one"),
+    ("--max-slots", "system", "max_slots", "10"),
+    ("--max-slots", "system", "max_slots", "1e4"),
+    ("--epsilon", "system", "epsilon", "-1"),
+    ("--epsilon", "system", "epsilon", "nan"),
+    ("--phi-mode", "system", "phi_mode", "rounded"),
+])
+def test_bad_flag_fails_as_the_same_value_in_the_file(tmp_path, capsys, flag, section, key, bad):
+    """A flag's value passes the file's rules: same message, at the flag."""
+    bad_cfg = tmp_path / "bad.cfg"
+    bad_cfg.write_text(set_key(TINY, section, key, bad))
+    with pytest.raises(ConfigError) as exc:
+        load_spec(bad_cfg)
+    assert exc.value.line is not None
+    assert exc.value.message.startswith(f"[{section}] {key}: ")
+
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY)
+    flags = {**GRID_FLAGS, flag: bad} if flag in GRID_FLAGS else {flag: bad}
+    args = ["run", "--config", str(cfg), "--out", str(tmp_path / "o")]
+    for name, value in flags.items():
+        args += [name, value]
+    code = cli.main(args)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {flag}: {exc.value.message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_file_error_names_the_config_line(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY.replace("epsilon = 0.01", "epsilon = -1"))
+    assert cli.main(["run", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:4: [system] epsilon: epsilon must be nonnegative\n"
+    )
+
+
+def test_zero_epsilon_flag_runs_to_max_slots(tmp_path):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY)
+    out = tmp_path / "o"
+    code = cli.main(["run", "--config", str(cfg), "--out", str(out), "--epsilon", "0",
+                     "--schedulers", "maxweight", "--seed", "1", "--max-slots", "1000",
+                     "--lambda-min", "0.1", "--lambda-max", "0.1", "--lambda-step", "0.1"])
+    assert code == 0
+    rows = read_rows(out / ROWS_FILENAME)
+    assert [(r.converged, r.slots) for r in rows] == [(False, 1000)]
