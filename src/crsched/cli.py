@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for (section, key), flag in OVERRIDES.items():
         run.add_argument(flag, dest=flag, metavar=key.upper(), help=f"overrides [{section}] {key}")
     run.add_argument("--out", help="output directory")
-    run.add_argument("--jobs", type=int, help="parallel runs (default: CPU count)")
+    run.add_argument("--jobs", type=int, help="parallel runs, at least 1 (default: CPU count)")
 
     figures = sub.add_parser("figures", help="re-emit figure CSVs from a rows.csv")
     figures.add_argument("--rows", required=True, help="rows.csv from a previous run")
@@ -84,6 +84,8 @@ def _resolve_out(flag: str | None, spec_dir: str | None) -> Path:
 
 
 def _cmd_run(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise ValueError(f"--jobs: must be at least 1, got {args.jobs}")
     spec = _load_spec(args)
     out = _resolve_out(args.out, spec.output_dir)
 

@@ -178,11 +178,18 @@ def _grid_step(raw) -> Decimal:
     return step
 
 
-def lambda_grid(lo: str | Decimal, hi: str | Decimal, step: str | Decimal) -> tuple[float, ...]:
-    """Inclusive arithmetic grid computed in decimal for clean float values."""
-    step, lo, hi = _grid_step(step), _grid_start(lo), _decimal(hi)
+def _grid_last(lo: Decimal, hi: str | Decimal, step: Decimal) -> Decimal:
+    """The last point of the grid from lo up to hi, found without building it."""
+    hi = _decimal(hi)
     if hi < lo:
         raise ValueError("lambda grid is empty: max below min")
+    return lo + (hi - lo) // step * step
+
+
+def lambda_grid(lo: str | Decimal, hi: str | Decimal, step: str | Decimal) -> tuple[float, ...]:
+    """Inclusive arithmetic grid computed in decimal for clean float values."""
+    step, lo = _grid_step(step), _grid_start(lo)
+    hi = _grid_last(lo, hi, step)
     grid = []
     v = lo
     while v <= hi:
@@ -298,10 +305,12 @@ def load_spec(path, overrides: Mapping[tuple[str, str], str] | None = None) -> E
 
     lo = loader.value("sweep", "lambda_min", _grid_start)
     step = loader.value("sweep", "lambda_step", _grid_step)
-    grid = loader.value("sweep", "lambda_max", lambda hi: lambda_grid(lo, hi, step))
+    last = loader.value("sweep", "lambda_max", lambda hi: _grid_last(lo, hi, step))
     a_max = min(su.arrivals.a_max for su in sus)
-    if grid[-1] > a_max:
+    # Checked before the grid is built, whose length is (max - min) / step.
+    if float(last) > a_max:
         loader.fail("sweep", "lambda_max", f"grid exceeds the smallest arrival cap {a_max}")
+    grid = lambda_grid(lo, last, step)
     kinds = loader.value("sweep", "schedulers", lambda value: [parse_scheduler(n) for n in value.split(",")])
     schedulers = tuple(replace(kind, phi_mode=phi_mode) for kind in kinds)
     seeds = loader.value("sweep", "seeds", _parse_seeds)

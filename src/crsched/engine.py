@@ -25,13 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import islice
 from typing import NamedTuple, Sequence
 
 from .channels import ChannelModel
 from .queueing import DEFAULT_BUFFER_CAP, ArrivalProcess, InfeasibleLoadError, SuQueue
-from .streams import ROLE_ARRIVALS, ROLE_DIRECT, ROLE_INTERFERENCE, BufferedDraws, substream
+from .streams import ROLE_ARRIVALS, ROLE_DIRECT, ROLE_INTERFERENCE, substream
 
 PHI_ACTUAL = "actual"  # closing term counts the packets actually transmittable
 PHI_LITERAL = "literal"  # closing term uses the raw real-valued rate
@@ -40,6 +39,8 @@ PROPOSED = "proposed"
 PROPOSED_NONIDLING = "proposed-nonidling"
 MAXWEIGHT = "maxweight"
 SCHEDULER_NAMES = (PROPOSED, PROPOSED_NONIDLING, MAXWEIGHT)
+
+BLOCK = 4096  # slots of inputs drawn at a time
 
 
 @dataclass(frozen=True)
@@ -63,15 +64,6 @@ class SchedulerKind:
 def transmission_rate(gamma: float) -> float:
     """Packets deliverable in one slot at direct power gain gamma."""
     return math.log2(1.0 + gamma)
-
-
-def phi_value(q: int, y: float, d: float, x: float, g: float, w_sum: float, r: float) -> float:
-    """Decision index of one backlogged user: phi = X g + Y sum(W) - (Y d + Q) r.
-
-    w_sum is the waiting-time sum of the head packets that would depart and
-    r is either their count (actual mode) or the raw rate (literal mode).
-    """
-    return x * g + y * w_sum - (y * d + q) * r
 
 
 @dataclass(frozen=True)
@@ -118,13 +110,16 @@ class SimConfig:
 
 
 class SuState(NamedTuple):
-    """One user's FIFO, arrival-uniform and gain feeds, and delay bound."""
+    """One user's FIFO and delay bound, and its inputs for the current
+    block of slots, one entry per slot: arrival counts, direct gains, their
+    rates log2(1 + gain) and interference gains."""
 
     queue: SuQueue
-    uniforms: BufferedDraws
-    direct: BufferedDraws
-    interference: BufferedDraws
     delay_bound: float
+    arrivals: list[int]
+    direct: list[float]
+    rate: list[float]
+    interference: list[float]
 
 
 @dataclass(frozen=True)
@@ -203,115 +198,138 @@ class Simulation:
 
     def __init__(self, config: SimConfig):
         self.config = config
-        seed = config.seed
-        # One block-buffered substream per (user, role): a user's draws
-        # depend only on the seed and its own index.
         self.sus = tuple(
-            SuState(
-                SuQueue(su.arrivals, config.buffer_cap),
-                BufferedDraws(substream(seed, i, ROLE_ARRIVALS).random),
-                BufferedDraws(partial(su.direct.sample_block, substream(seed, i, ROLE_DIRECT))),
-                BufferedDraws(
-                    partial(su.interference.sample_block, substream(seed, i, ROLE_INTERFERENCE))
-                ),
-                su.delay_bound,
-            )
-            for i, su in enumerate(config.sus)
+            SuState(SuQueue(su.arrivals, config.buffer_cap), su.delay_bound, [], [], [], [])
+            for su in config.sus
         )
         n = len(config.sus)
+        # One substream per (user, role): a user's draws depend only on the
+        # seed and its own index. Drawn BLOCK slots at a time, they give the
+        # same values in the same order as one draw per slot.
+        roles = (ROLE_ARRIVALS, ROLE_DIRECT, ROLE_INTERFERENCE)
+        self._streams = [[substream(config.seed, i, role) for role in roles] for i in range(n)]
         self.x = 0.0
         self.y = [0.0] * n
         self.ledger = MetricsLedger(c_y_emp=[0.0] * n)
         self.slot = 0
-        self._queues = tuple(su.queue for su in self.sus)
-        # This slot's draws, overwritten in place every slot.
-        self._arrivals = [0] * n
-        self._direct = [0.0] * n
-        self._interference = [0.0] * n
-        sched = config.scheduler
-        self._maxweight = sched.kind == MAXWEIGHT
-        self._idling = sched.idling
-        self._literal = sched.phi_mode == PHI_LITERAL
+        self._pos = BLOCK  # the next slot's index into the inputs; BLOCK: draw first
+
+    def _fill_block(self) -> None:
+        """Replace every user's inputs with those of the next BLOCK slots."""
+        for su, state, (u_rng, direct_rng, g_rng) in zip(self.config.sus, self.sus, self._streams):
+            state.arrivals[:] = su.arrivals.counts(u_rng.random(BLOCK)).tolist()
+            state.direct[:] = su.direct.sample_block(direct_rng, BLOCK).tolist()
+            state.rate[:] = [transmission_rate(gain) for gain in state.direct]
+            state.interference[:] = su.interference.sample_block(g_rng, BLOCK).tolist()
 
     def run_slot(self) -> int | None:
         """Advance one slot; return the scheduled user, None on idle."""
-        slot = self.slot
-        x = self.x
+        return self._advance(1)
+
+    def _advance(self, count: int) -> int | None:
+        """Run ``count`` >= 1 slots; return the last one's scheduled user.
+
+        The run state lives in locals and is written back on the way out,
+        also when a backlog outgrows its cap: the aborted slot then leaves
+        its arrivals so far queued and changes nothing else.
+        """
+        sus = self.sus
+        users = [
+            (i, su.queue.admit, su.queue.fifo, su.delay_bound, su.arrivals, su.rate, su.interference)
+            for i, su in enumerate(sus)
+        ]
+        fifos = tuple(su.queue.fifo for su in sus)
         y = self.y
-        arrivals = self._arrivals
-        direct = self._direct
-        interference = self._interference
-        maxweight = self._maxweight
-        literal = self._literal
-        # Ties keep the lowest index: only a strictly better value replaces it.
-        best = None
-        best_v = -math.inf if maxweight else math.inf
-        best_n = 0
-        for i, (queue, uniforms, direct_feed, interference_feed, d) in enumerate(self.sus):
-            arrivals[i] = queue.draw_arrivals(slot, uniforms)
-            g_d = direct[i] = direct_feed.random()
-            g = interference[i] = interference_feed.random()
-            fifo = queue.fifo
-            q = len(fifo)
-            if not q:
-                continue
-            if maxweight:
-                # An interference-free link has infinite weight.
-                v = math.inf if g <= 0.0 else q / g
-                if v > best_v:
-                    best, best_v = i, v
-                continue
-            rate = math.log2(1.0 + g_d)
-            n = min(q, int(rate))
-            w_sum = 0.0
-            for a in islice(fifo, n):
-                w_sum += slot - a + 1
-            v = phi_value(q, y[i], d, x, g, w_sum, rate if literal else float(n))
-            if v < best_v:
-                best, best_v, best_n = i, v, n
-        if self._idling and best_v > 0.0:
-            best = None
-
         led = self.ledger
-        gain = 0.0
-        waits = ()
-        if best is not None:
-            gain = interference[best]
-            queue = self._queues[best]
-            if maxweight:
-                best_n = min(len(queue.fifo), int(math.log2(1.0 + direct[best])))
-            # A 0-packet slot still holds the channel and charges its gain.
-            if best_n:
-                waits = queue.depart(best_n, slot)
-                d = self.sus[best].delay_bound
-                w_sum = 0.0
-                excess = 0.0
-                for w in waits:
-                    w_sum += w
-                    excess += w - d
-                y_new = y[best] + excess
-                y[best] = y_new if y_new > 0.0 else 0.0
-                cand = d * d * best_n * best_n + w_sum * w_sum
-                if cand > led.c_y_emp[best]:
-                    led.c_y_emp[best] = cand
-        x = x + gain - self.config.i_avg
-        x = x if x > 0.0 else 0.0
-        self.x = x
+        trace = led.trace if self.config.trace else None
+        i_avg = self.config.i_avg
+        sched = self.config.scheduler
+        maxweight = sched.kind == MAXWEIGHT
+        idling = sched.idling
+        literal = sched.phi_mode == PHI_LITERAL
+        x, slot, pos = self.x, self.slot, self._pos
+        interference_sum = led.interference_sum
+        drift_sum = led.drift_sum
+        lyapunov_prev = led.lyapunov_prev
+        end = slot + count
+        try:
+            while slot < end:
+                if pos == BLOCK:
+                    self._fill_block()
+                    pos = 0
+                stop = min(BLOCK, pos + end - slot)
+                for pos in range(pos, stop):
+                    # Ties keep the lowest index: only a strictly better value replaces it.
+                    best = None
+                    best_v = -math.inf if maxweight else math.inf
+                    best_n = 0
+                    for i, admit, fifo, d, arrivals, rates, interference in users:
+                        if arrivals[pos]:
+                            admit(arrivals[pos], slot)
+                        q = len(fifo)
+                        if not q:
+                            continue
+                        g = interference[pos]
+                        if maxweight:
+                            # An interference-free link has infinite weight.
+                            v = math.inf if g <= 0.0 else q / g
+                            if v > best_v:
+                                best, best_v = i, v
+                            continue
+                        rate = rates[pos]
+                        n = min(q, int(rate))
+                        # The departing packets' waiting-time sum, an exact integer.
+                        w_sum = n * (slot + 1) - (n * fifo[0] if n < 2 else sum(islice(fifo, n)))
+                        # phi = X g + Y sum(W) - (Y d + Q) r, where r is the packet
+                        # count (actual mode) or the raw rate (literal mode).
+                        v = x * g + y[i] * w_sum - (y[i] * d + q) * (rate if literal else n)
+                        if v < best_v:
+                            best, best_v, best_n = i, v, n
+                    if idling and best_v > 0.0:
+                        best = None
 
-        led.interference_sum += gain
-        l_new = 0.5 * x * x
-        for y_i, queue in zip(y, self._queues):
-            q = len(queue.fifo)
-            l_new += 0.5 * (y_i * y_i + q * q)
-        led.drift_sum += l_new - led.lyapunov_prev
-        led.lyapunov_prev = l_new
-        if self.config.trace:
-            led.trace.append(SlotTrace(
-                slot, tuple(arrivals), best, gain, tuple(waits),
-                tuple(len(queue.fifo) for queue in self._queues), tuple(y), x,
-                tuple(direct), tuple(interference),
-            ))
-        self.slot = slot + 1
+                    gain = 0.0
+                    waits = ()
+                    if best is not None:
+                        queue, d, _, _, rates, interference = sus[best]
+                        gain = interference[pos]
+                        if maxweight:
+                            best_n = min(len(queue.fifo), int(rates[pos]))
+                        # A 0-packet slot still holds the channel and charges its gain.
+                        if best_n:
+                            waits = queue.depart(best_n, slot)
+                            excess = 0.0
+                            for w in waits:
+                                excess += w - d
+                            y_new = y[best] + excess
+                            y[best] = y_new if y_new > 0.0 else 0.0
+                            cand = d * d * best_n * best_n + sum(waits) ** 2
+                            if cand > led.c_y_emp[best]:
+                                led.c_y_emp[best] = cand
+                    x = x + gain - i_avg
+                    x = x if x > 0.0 else 0.0
+
+                    interference_sum += gain
+                    l_new = 0.5 * x * x
+                    for y_i, fifo in zip(y, fifos):
+                        q = len(fifo)
+                        l_new += 0.5 * (y_i * y_i + q * q)
+                    drift_sum += l_new - lyapunov_prev
+                    lyapunov_prev = l_new
+                    if trace is not None:
+                        trace.append(SlotTrace(
+                            slot, tuple(su.arrivals[pos] for su in sus), best, gain, tuple(waits),
+                            tuple(map(len, fifos)), tuple(y), x,
+                            tuple(su.direct[pos] for su in sus),
+                            tuple(su.interference[pos] for su in sus),
+                        ))
+                    slot += 1
+                pos = stop
+        finally:
+            self.x, self.slot, self._pos = x, slot, pos
+            led.interference_sum = interference_sum
+            led.drift_sum = drift_sum
+            led.lyapunov_prev = lyapunov_prev
         return best
 
     def stability_metric(self) -> float:
@@ -321,10 +339,11 @@ class Simulation:
 
     def run_until_converged(self) -> RunResult:
         cfg = self.config
+        check = cfg.check_interval
         try:
             while self.slot < cfg.max_slots:
-                self.run_slot()
-                if self.slot % cfg.check_interval == 0:
+                self._advance(min(check - self.slot % check, cfg.max_slots - self.slot))
+                if self.slot % check == 0:
                     metric = self.stability_metric()
                     if metric < cfg.epsilon:
                         return self._finalize(True, metric)
@@ -356,9 +375,10 @@ class Simulation:
     def _finalize(self, converged: bool, metric: float, note: str = "") -> RunResult:
         led = self.ledger
         slots = self.slot
-        terminal_q = tuple(len(queue.fifo) for queue in self._queues)
+        queues = [su.queue for su in self.sus]
+        terminal_q = tuple(queue.backlog for queue in queues)
         return RunResult(
-            converged, metric, tuple(queue.average_delay() for queue in self._queues),
+            converged, metric, tuple(queue.average_delay() for queue in queues),
             led.interference_sum / slots if slots else 0.0, slots,
             self.x, tuple(self.y), terminal_q,
             self._drift_summary(terminal_q) if slots else None, note,

@@ -11,7 +11,9 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
+
+import numpy as np
 
 DEFAULT_BUFFER_CAP = 10_000_000
 
@@ -39,6 +41,10 @@ class Bernoulli:
 
     def draw(self, source) -> int:
         return 1 if source.random() < self.rate else 0
+
+    def counts(self, u: np.ndarray) -> np.ndarray:
+        """draw() applied to each uniform of ``u``."""
+        return (u < self.rate).astype(int)
 
     def with_rate(self, rate: float) -> "Bernoulli":
         return Bernoulli(rate)
@@ -77,6 +83,11 @@ class TruncatedPoisson:
                 return k
         return self.cap
 
+    def counts(self, u: np.ndarray) -> np.ndarray:
+        """draw() applied to each uniform of ``u``."""
+        cdf = np.array(_truncated_poisson_cdf(self.rate, self.cap))
+        return np.minimum(np.searchsorted(cdf, u, side="right"), self.cap)
+
     def with_rate(self, rate: float) -> "TruncatedPoisson":
         return TruncatedPoisson(rate, self.cap)
 
@@ -108,14 +119,14 @@ class SuQueue:
         return len(self.fifo)
 
     def draw_arrivals(self, slot: int, source) -> int:
-        """Append this slot's arrivals; new packets are eligible to depart
-        in the same slot. ``source`` supplies uniforms through .random()."""
-        n = self.arrivals.draw(source)
-        fifo = self.fifo
-        for _ in range(n):
-            fifo.append(slot)
+        """Draw this slot's arrivals from ``source.random()`` and admit them."""
+        return self.admit(self.arrivals.draw(source), slot)
+
+    def admit(self, n: int, slot: int) -> int:
+        """Queue n packets arriving at ``slot`` (they may depart in it); return n."""
+        self.fifo.extend(repeat(slot, n))
         self.cumulative_arrivals += n
-        if len(fifo) > self.buffer_cap:
+        if len(self.fifo) > self.buffer_cap:
             raise InfeasibleLoadError(f"backlog exceeded safety cap {self.buffer_cap} at slot {slot}")
         return n
 

@@ -10,8 +10,6 @@ never perturbs it.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 ROLE_DIRECT = 0
@@ -25,32 +23,3 @@ def substream(seed: int, su_index: int, role: int) -> np.random.Generator:
         raise ValueError("su_index and role must be nonnegative")
     ss = np.random.SeedSequence(seed, spawn_key=(su_index, role))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-class BufferedDraws:
-    """Scalar draws served from blocks of a batched numpy draw ``fill(n)``,
-    such as ``gen.random`` or a gain model's bound ``sample_block``.
-
-    numpy fills a batched request from the same bit stream as repeated
-    scalar calls, so the value sequence equals one scalar draw per call.
-    """
-
-    __slots__ = ("_fill", "_block", "_buf", "_idx")
-
-    def __init__(self, fill: Callable[[int], np.ndarray], block: int = 4096):
-        if block < 1:
-            raise ValueError("block size must be positive")
-        self._fill = fill
-        self._block = block
-        self._buf = fill(block).tolist()
-        self._idx = 0
-
-    def random(self) -> float:
-        """The next draw; named like ``Generator.random``, which arrival
-        processes call on their uniform source."""
-        i = self._idx
-        if i == self._block:
-            self._buf = self._fill(self._block).tolist()
-            i = 0
-        self._idx = i + 1
-        return self._buf[i]

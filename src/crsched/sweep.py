@@ -81,11 +81,15 @@ def run_point(config: SimConfig) -> RunResult:
 def sweep_results(
     spec: ExperimentSpec, jobs: int | None = None, progress=None
 ) -> list[tuple[tuple[str, float, int], RunResult]]:
-    """All sweep cells in deterministic (scheduler, lambda, seed) order."""
+    """All sweep cells in deterministic (scheduler, lambda, seed) order, run
+    in ``jobs`` processes (None: one per CPU)."""
+    if jobs is None:
+        jobs = os.cpu_count() or 1
+    elif jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     points = sweep_points(spec)
     kinds = {sched.kind: sched for sched in spec.schedulers}
     configs = [point_config(spec, kinds[k], lam, seed) for k, lam, seed in points]
-    jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
 
     def collect(results):
         out = []

@@ -25,6 +25,15 @@ class ScriptedSource:
         return v
 
 
+def phi_value(q: int, y: float, d: float, x: float, g: float, w_sum: float, r: float) -> float:
+    """Decision index of one backlogged user: phi = X g + Y sum(W) - (Y d + Q) r.
+
+    w_sum is the waiting-time sum of the head packets that would depart and
+    r is either their count (actual mode) or the raw rate (literal mode).
+    """
+    return x * g + y * w_sum - (y * d + q) * r
+
+
 def resim_queue_levels(arrivals, serve_requests):
     """Backlog trajectory from per-slot arrival and service-offer counts.
 
@@ -115,7 +124,7 @@ def first_decision_mismatch(config, trace) -> str | None:
                 scores[i] = math.inf if g == 0.0 else q / g
                 continue
             d = bounds[i]
-            phi = x * g + y[i] * float(sum(waits)) - (y[i] * d + q) * (rate if literal else float(n))
+            phi = phi_value(q, y[i], d, x, g, float(sum(waits)), rate if literal else float(n))
             if not literal:
                 psi = x * g + y[i] * sum(w - d for w in waits) - q * n
                 scale = abs(x * g) + y[i] * sum(waits) + (y[i] * d + q) * n

@@ -1,5 +1,4 @@
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given, strategies as st
 from crsched.channels import RAYLEIGH_CAP_FACTOR, DeterministicGain, RayleighGain
 from crsched.engine import SchedulerKind, SimConfig, Simulation, SuConfig
 from crsched.queueing import Bernoulli
-from crsched.streams import BufferedDraws
 
 
 def rng(seed=0):
@@ -16,8 +14,8 @@ def rng(seed=0):
 
 
 def gain_feeds(direct, interference, seed):
-    """The per-user gain feeds a Simulation builds for these channel models."""
-    sim = Simulation(SimConfig(
+    """A Simulation of users with these channel models and no traffic."""
+    return Simulation(SimConfig(
         sus=tuple(
             SuConfig(arrivals=Bernoulli(0.0), delay_bound=1.0, direct=g_d, interference=g)
             for g_d, g in zip(direct, interference)
@@ -26,15 +24,16 @@ def gain_feeds(direct, interference, seed):
         scheduler=SchedulerKind("proposed"),
         seed=seed,
     ))
-    return sim.sus
 
 
-def slot_gains(sus):
-    """One slot's (direct, interference) gain tuples from the users' feeds."""
-    return (
-        tuple(su.direct.random() for su in sus),
-        tuple(su.interference.random() for su in sus),
-    )
+def slot_gains(sim, n):
+    """The (direct, interference) gain tuples of the Simulation's first n
+    slots, read from its input blocks."""
+    slots = []
+    while len(slots) < n:
+        sim._fill_block()
+        slots += zip(zip(*(su.direct for su in sim.sus)), zip(*(su.interference for su in sim.sus)))
+    return slots[:n]
 
 
 class TestDeterministicGain:
@@ -77,13 +76,12 @@ class TestRayleighGain:
         assert abs(float(draws.mean()) - mean) <= tol
 
     def test_scalar_and_block_draws_agree(self):
-        # Buffered block draws replay the scalar numpy sequence, across
-        # several refills.
+        # Consecutive block draws replay the scalar numpy sequence.
         model = RayleighGain(0.4)
-        buffered = BufferedDraws(partial(model.sample_block, rng(9)), block=16)
+        block = rng(9)
+        blocked = [g for _ in range(4) for g in model.sample_block(block, 16).tolist()]
         scalar = rng(9)
-        for _ in range(50):
-            assert buffered.random() == min(float(scalar.exponential(0.4)), model.cap)
+        assert blocked == [min(float(scalar.exponential(0.4)), model.cap) for _ in range(64)]
 
     @given(
         mean=st.floats(min_value=0.01, max_value=50.0),
@@ -102,28 +100,28 @@ class TestChannelBank:
 
     def test_deterministic_passthrough_slot(self):
         models = (DeterministicGain(1.0), DeterministicGain(1.0))
-        assert slot_gains(gain_feeds(models, models, seed=0)) == ((1.0, 1.0), (1.0, 1.0))
+        assert slot_gains(gain_feeds(models, models, seed=0), 1) == [((1.0, 1.0), (1.0, 1.0))]
 
     def test_same_seed_gives_identical_sequences(self):
         def draws():
-            sus = gain_feeds(
+            sim = gain_feeds(
                 (DeterministicGain(1.0), RayleighGain(0.3)),
                 (RayleighGain(0.4), RayleighGain(0.2)),
                 seed=42,
             )
-            return [slot_gains(sus) for _ in range(50)]
+            return slot_gains(sim, 50)
 
         assert draws() == draws()
 
     def test_per_user_sequence_invariant_to_population(self):
         # User i's gains must not move when more users are simulated.
         def seqs(n):
-            sus = gain_feeds(
+            sim = gain_feeds(
                 tuple(RayleighGain(0.3) for _ in range(n)),
                 tuple(RayleighGain(0.5) for _ in range(n)),
                 seed=11,
             )
-            samples = [slot_gains(sus) for _ in range(30)]
+            samples = slot_gains(sim, 30)
             return {
                 i: [(direct[i], interference[i]) for direct, interference in samples]
                 for i in range(n)
@@ -137,16 +135,15 @@ class TestChannelBank:
         # Table-style pair of faded interference links; standard error of
         # each mean over 10^6 slots is mean/10^3 (exponential: std = mean).
         n = 10**6
-        sus = gain_feeds(
+        sim = gain_feeds(
             (DeterministicGain(1.0), DeterministicGain(1.0)),
             (RayleighGain(0.4), RayleighGain(0.2)),
             seed=3,
         )
         sums = [0.0, 0.0]
-        feeds = [su.interference for su in sus]
-        for _ in range(n):
-            sums[0] += feeds[0].random()
-            sums[1] += feeds[1].random()
+        for _, interference in slot_gains(sim, n):
+            sums[0] += interference[0]
+            sums[1] += interference[1]
         for got, want in zip((sums[0] / n, sums[1] / n), (0.4, 0.2)):
             assert abs(got - want) <= 3 * want / math.sqrt(n)
 

@@ -4,7 +4,7 @@ from decimal import Decimal
 import pytest
 
 from crsched.channels import DeterministicGain, RayleighGain
-from crsched.config import ConfigError, lambda_grid, load_spec, parse_scheduler
+from crsched.config import ConfigError, _grid_last, lambda_grid, load_spec, parse_scheduler
 from crsched.engine import PHI_LITERAL, SchedulerKind, SimConfig
 from crsched.queueing import Bernoulli, TruncatedPoisson
 from crsched.sweep import file_sha256
@@ -200,6 +200,27 @@ class TestLoadSpecValidation:
         path = write_cfg(tmp_path, patched("lambda_max", "1.2"))
         with pytest.raises(ConfigError, match="exceeds the smallest arrival cap 1"):
             load_spec(path)
+
+    def test_grid_above_arrival_cap_is_found_before_building_it(self, tmp_path, monkeypatch):
+        # A 2-million-point grid is refused from its last point alone.
+        def no_grid(*args):
+            raise AssertionError("lambda_grid called")
+
+        monkeypatch.setattr("crsched.config.lambda_grid", no_grid)
+        text = patched("lambda_max", "2000").replace("lambda_step = 0.1", "lambda_step = 0.001")
+        with pytest.raises(ConfigError) as exc:
+            load_spec(write_cfg(tmp_path, text))
+        assert exc.value.line == 22
+        assert exc.value.message == "[sweep] lambda_max: grid exceeds the smallest arrival cap 1"
+
+    @pytest.mark.parametrize("lo, hi, step", [
+        ("0.1", "0.3", "0.1"), ("0.02", "0.4", "0.02"), ("0.05", "0.35", "0.1"),
+        ("0", "0.99", "0.05"), ("0.4", "0.4", "0.02"), ("0.3", "1.0", "0.7"),
+    ])
+    def test_grid_ends_at_its_computed_last_point(self, lo, hi, step):
+        last = _grid_last(Decimal(lo), hi, Decimal(step))
+        assert lambda_grid(lo, hi, step)[-1] == float(last)
+        assert lambda_grid(lo, last, step) == lambda_grid(lo, hi, step)
 
     def test_poisson_arrivals_raise_the_cap(self, tmp_path):
         text = patched("lambda_max", "1.2").replace(

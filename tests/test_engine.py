@@ -3,8 +3,9 @@ from dataclasses import replace
 
 import pytest
 
-from crsched.channels import DeterministicGain
+from crsched.channels import DeterministicGain, RayleighGain
 from crsched.engine import (
+    BLOCK,
     PHI_LITERAL,
     SchedulerKind,
     Simulation,
@@ -16,7 +17,7 @@ from crsched.engine import (
 from crsched.queueing import Bernoulli, InfeasibleLoadError, TruncatedPoisson
 from crsched.streams import ROLE_DIRECT, ROLE_INTERFERENCE, substream
 
-from conftest import two_user_config
+from conftest import two_user_config, two_user_sus
 from oracles import first_decision_mismatch, random_small_sim_config, resim_trajectories
 
 
@@ -246,6 +247,74 @@ def test_dead_channel_aborts_as_infeasible():
     # 50 completed slots; the 51st packet lands before the abort fires.
     assert partial.slots == 50
     assert partial.terminal_q == (51,)
+
+
+def queue_state(sim: Simulation):
+    return [
+        (list(q.fifo), q.cumulative_arrivals, q.cumulative_departures, q.departed_waiting_sum)
+        for q in (su.queue for su in sim.sus)
+    ]
+
+
+@pytest.mark.parametrize("kind", ["proposed", "proposed-nonidling", "maxweight"])
+@pytest.mark.parametrize("arrivals", ["bernoulli", "poisson"])
+def test_stepped_and_converging_loops_agree(kind, arrivals):
+    # run_until_converged() advances a check interval per call, run_slot()
+    # one slot; both must reach the same state across three input-block
+    # boundaries and a last partial interval.
+    slots = 3 * BLOCK + 500
+    sus = two_user_sus(0.3)
+    if arrivals == "poisson":
+        sus = tuple(
+            replace(su, arrivals=TruncatedPoisson(0.6, 3), direct=RayleighGain(2.0)) for su in sus
+        )
+    cfg = SimConfig(sus=sus, i_avg=0.3, scheduler=SchedulerKind(kind), seed=5, epsilon=0.0,
+                    max_slots=slots, check_interval=1000, trace=True)
+    stepped = run_slots(cfg, slots)
+    converging = Simulation(cfg)
+    result = converging.run_until_converged()
+    assert result.slots == converging.slot == stepped.slot == slots
+    assert (result.terminal_x, result.terminal_y) == (stepped.x, tuple(stepped.y))
+    assert result.terminal_q == tuple(su.queue.backlog for su in stepped.sus)
+    assert converging.ledger == stepped.ledger
+    assert queue_state(converging) == queue_state(stepped)
+    trace = stepped.ledger.trace
+    assert len(trace) == slots
+    assert any(t.su is not None for t in trace[-500:])
+    if arrivals == "poisson":
+        assert any(len(t.waiting_times) > 1 for t in trace)
+
+
+def test_abort_past_the_first_block_matches_stepping():
+    # The buffer overflows at slot 5000, inside the second input block and
+    # inside run_until_converged's first 10,000-slot advance; stepping
+    # run_slot() aborts in the same place with the same state.
+    cfg = single_user_config(
+        sus=(
+            SuConfig(
+                arrivals=Bernoulli(1.0),
+                delay_bound=1.0,
+                direct=DeterministicGain(0.0),
+                interference=DeterministicGain(0.1),
+            ),
+        ),
+        i_avg=2.0,
+        buffer_cap=5000,
+        trace=False,
+    )
+    aborted = Simulation(cfg)
+    with pytest.raises(InfeasibleLoadError) as exc:
+        aborted.run_until_converged()
+    partial = exc.value.partial_result
+    assert partial.note == "infeasible-load"
+    assert partial.slots == 5000
+    assert partial.terminal_q == (5001,)
+    stepped = run_slots(cfg, 5000)
+    with pytest.raises(InfeasibleLoadError):
+        stepped.run_slot()
+    assert (aborted.slot, aborted.x, aborted.y) == (stepped.slot, stepped.x, stepped.y)
+    assert aborted.ledger == stepped.ledger
+    assert queue_state(aborted) == queue_state(stepped)
 
 
 class TestDriftDiagnostics:

@@ -1,11 +1,18 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from crsched.engine import PROPOSED_NONIDLING
-from crsched.queueing import Bernoulli, InfeasibleLoadError, SuQueue, TruncatedPoisson
-from crsched.streams import ROLE_ARRIVALS, BufferedDraws, substream
+from crsched.queueing import (
+    Bernoulli,
+    InfeasibleLoadError,
+    SuQueue,
+    TruncatedPoisson,
+    _truncated_poisson_cdf,
+)
+from crsched.streams import ROLE_ARRIVALS, substream
 
 from conftest import Staged, staged_sim
 from oracles import ScriptedSource, resim_queue_levels, truncated_poisson_stats
@@ -13,8 +20,9 @@ from oracles import ScriptedSource, resim_queue_levels, truncated_poisson_stats
 
 class TestBernoulli:
     def test_zero_rate_never_arrives(self):
-        src = BufferedDraws(substream(0, 0, ROLE_ARRIVALS).random)
+        src = substream(0, 0, ROLE_ARRIVALS)
         assert all(Bernoulli(0.0).draw(src) == 0 for _ in range(100))
+        assert not Bernoulli(0.0).counts(src.random(100)).any()
 
     def test_rate_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -23,15 +31,14 @@ class TestBernoulli:
             Bernoulli(-0.1)
 
     def test_rate_one_always_arrives(self):
-        src = BufferedDraws(substream(0, 0, ROLE_ARRIVALS).random)
+        src = substream(0, 0, ROLE_ARRIVALS)
         assert all(Bernoulli(1.0).draw(src) == 1 for _ in range(100))
+        assert Bernoulli(1.0).counts(src.random(100)).tolist() == [1] * 100
 
     def test_empirical_mean(self):
         # Binomial oracle: std error of the mean is sqrt(p(1-p)/n).
         p, n = 0.3, 10**6
-        src = BufferedDraws(substream(17, 0, ROLE_ARRIVALS).random)
-        proc = Bernoulli(p)
-        total = sum(proc.draw(src) for _ in range(n))
+        total = int(Bernoulli(p).counts(substream(17, 0, ROLE_ARRIVALS).random(n)).sum())
         assert abs(total / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
 
 
@@ -39,8 +46,7 @@ class TestTruncatedPoisson:
     def test_cap_respected_and_mean_matches_renormalized_pmf(self):
         rate, cap, n = 0.3, 4, 10**6
         proc = TruncatedPoisson(rate, cap)
-        src = BufferedDraws(substream(23, 0, ROLE_ARRIVALS).random)
-        draws = [proc.draw(src) for _ in range(n)]
+        draws = proc.counts(substream(23, 0, ROLE_ARRIVALS).random(n)).tolist()
         assert max(draws) <= cap
         mean, var = truncated_poisson_stats(rate, cap)
         assert abs(sum(draws) / n - mean) <= 3 * math.sqrt(var / n)
@@ -53,6 +59,49 @@ class TestTruncatedPoisson:
 
     def test_with_rate_keeps_cap(self):
         assert TruncatedPoisson(0.1, 4).with_rate(0.3) == TruncatedPoisson(0.3, 4)
+
+
+def scalar_counts(process, us):
+    """draw() on each of the uniforms ``us`` in turn: the scalar law."""
+    src = ScriptedSource(us)
+    return [process.draw(src) for _ in us]
+
+
+class TestArrivalDecoding:
+    """counts() decodes a block of uniforms exactly as draw() decodes one."""
+
+    def test_bernoulli_edges(self):
+        # An arrival iff u < rate: u == rate gives none.
+        rate = 0.3
+        us = [0.0, np.nextafter(rate, 0.0), rate, np.nextafter(rate, 1.0), np.nextafter(1.0, 0.0)]
+        want = [1, 1, 0, 0, 0]
+        assert scalar_counts(Bernoulli(rate), us) == want
+        assert Bernoulli(rate).counts(np.array(us)).tolist() == want
+
+    @pytest.mark.parametrize("rate, cap", [(0.3, 4), (1.7, 3), (2.0, 2)])
+    def test_truncated_poisson_edges(self, rate, cap):
+        # The count is the first k with u < cdf[k]: just below an entry
+        # gives its k, the entry itself moves on to k + 1, and at or above
+        # the last entry the count is the cap.
+        cdf = _truncated_poisson_cdf(rate, cap)
+        assert all(a < b for a, b in zip(cdf, cdf[1:]))
+        us, want = [0.0], [0]
+        for k, c in enumerate(cdf):
+            us += [np.nextafter(c, 0.0), c]
+            want += [k, min(k + 1, cap)]
+        us += [np.nextafter(cdf[-1], 2.0), 1.0]
+        want += [cap, cap]
+        proc = TruncatedPoisson(rate, cap)
+        assert scalar_counts(proc, us) == want
+        assert proc.counts(np.array(us)).tolist() == want
+
+    @pytest.mark.parametrize("process", [
+        Bernoulli(0.0), Bernoulli(0.45), Bernoulli(1.0),
+        TruncatedPoisson(0.0, 2), TruncatedPoisson(0.8, 5), TruncatedPoisson(4.0, 4),
+    ], ids=repr)
+    def test_block_matches_scalar_law(self, process):
+        us = substream(3, 0, ROLE_ARRIVALS).random(20_000)
+        assert process.counts(us).tolist() == scalar_counts(process, us.tolist())
 
 
 def make_queue(arrival_slots):
@@ -145,7 +194,7 @@ class TestAverageDelay:
         # packet served in the same slot, the backlog never exceeds one and
         # every waiting time is exactly 1.
         q = SuQueue(Bernoulli(0.2))
-        src = BufferedDraws(substream(99, 0, ROLE_ARRIVALS).random)
+        src = substream(99, 0, ROLE_ARRIVALS)
         oracle_departures = 0
         for slot in range(10**4):
             n = q.draw_arrivals(slot, src)

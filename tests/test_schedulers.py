@@ -10,11 +10,11 @@ from crsched.engine import (
     PROPOSED,
     PROPOSED_NONIDLING,
     SchedulerKind,
-    phi_value,
     transmission_rate,
 )
 
 from conftest import Staged, staged_sim
+from oracles import phi_value
 
 
 def index_choice(phis, x=1.0):

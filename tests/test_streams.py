@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from crsched.streams import (
-    ROLE_ARRIVALS,
-    ROLE_DIRECT,
-    ROLE_INTERFERENCE,
-    BufferedDraws,
-    substream,
-)
+from crsched.channels import DeterministicGain
+from crsched.engine import BLOCK, SchedulerKind, SimConfig, Simulation, SuConfig
+from crsched.queueing import TruncatedPoisson
+from crsched.streams import ROLE_ARRIVALS, ROLE_DIRECT, ROLE_INTERFERENCE, substream
 
 
 def test_same_triple_gives_identical_stream():
@@ -37,14 +34,20 @@ def test_negative_identifiers_rejected():
 
 
 def test_buffered_uniforms_match_scalar_draws():
-    # The buffer is a speed layer only: it must reproduce the exact value
-    # sequence of repeated scalar calls on an identically seeded generator.
-    buffered = BufferedDraws(substream(7, 0, ROLE_ARRIVALS).random, block=16)
+    # Drawing inputs in blocks is a speed layer only: a Simulation's arrival
+    # counts over several blocks equal one scalar draw per slot from an
+    # identically seeded generator, decoded by the scalar law.
+    cfg = SimConfig(
+        sus=(SuConfig(arrivals=TruncatedPoisson(1.2, 4), delay_bound=1.0,
+                      direct=DeterministicGain(1.0), interference=DeterministicGain(1.0)),),
+        i_avg=1.0,
+        scheduler=SchedulerKind("proposed"),
+        seed=7,
+    )
+    sim = Simulation(cfg)
+    blocked = []
+    for _ in range(3):
+        sim._fill_block()
+        blocked += sim.sus[0].arrivals
     scalar = substream(7, 0, ROLE_ARRIVALS)
-    for _ in range(100):  # crosses several refills
-        assert buffered.random() == scalar.random()
-
-
-def test_buffered_uniforms_block_validation():
-    with pytest.raises(ValueError):
-        BufferedDraws(substream(7, 0, 0).random, block=0)
+    assert blocked == [cfg.sus[0].arrivals.draw(scalar) for _ in range(3 * BLOCK)]

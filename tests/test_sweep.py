@@ -105,6 +105,17 @@ class TestSweep:
         parallel = sweep_results(tiny_spec, jobs=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize("jobs", [0, -2])
+    def test_nonpositive_jobs_rejected(self, tiny_spec, jobs):
+        with pytest.raises(ValueError, match=f"jobs must be at least 1, got {jobs}"):
+            sweep_results(tiny_spec, jobs=jobs)
+
+    def test_default_jobs_is_the_cpu_count(self, tiny_spec, monkeypatch):
+        # With one CPU the default runs serially: a process pool would fail.
+        monkeypatch.setattr("crsched.sweep.os.cpu_count", lambda: 1)
+        monkeypatch.setattr("crsched.sweep.ProcessPoolExecutor", None)
+        assert sweep_results(tiny_spec) == sweep_results(tiny_spec, jobs=1)
+
     def test_progress_callback_sees_every_point(self, tiny_spec):
         seen = []
         sweep_results(tiny_spec, jobs=1,
@@ -395,3 +406,13 @@ def test_zero_epsilon_flag_runs_to_max_slots(tmp_path):
     assert code == 0
     rows = read_rows(out / ROWS_FILENAME)
     assert [(r.converged, r.slots) for r in rows] == [(False, 1000)]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_nonpositive_jobs_flag_exits_2(tmp_path, capsys, jobs):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY)
+    code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", jobs])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --jobs: must be at least 1, got {jobs}\n"
+    assert not (tmp_path / "o").exists()
