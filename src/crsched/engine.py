@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, takewhile
 from typing import NamedTuple, Sequence
 
 from .channels import ChannelModel
@@ -142,14 +142,12 @@ class SlotTrace:
 class MetricsLedger:
     """Per-run accumulators, and the slot trace if the config asks for it.
 
-    drift_sum adds up the one-slot changes of L = (X^2 + sum_i Y_i^2 + Q_i^2)/2,
-    whose last value is lyapunov_prev. c_y_emp[i], the empirical Y-term of
-    the drift constant, is the largest d_i^2 n^2 + (sum W)^2 of user i.
+    interference_sum adds up the interference gains charged so far.
+    c_y_emp[i], the empirical Y-term of the drift constant, is the largest
+    d_i^2 n^2 + (sum W)^2 of user i.
     """
 
     interference_sum: float = 0.0
-    drift_sum: float = 0.0
-    lyapunov_prev: float = 0.0
     c_y_emp: list[float] = field(default_factory=list)
     trace: list[SlotTrace] = field(default_factory=list)
 
@@ -157,8 +155,10 @@ class MetricsLedger:
 @dataclass(frozen=True)
 class DriftSummary:
     """Empirical drift bound check for one run: c_total bounds the mean
-    one-slot quadratic drift; jensen_bound is the implied cap sqrt(C/T) on
-    every terminal backlog divided by the horizon."""
+    one-slot quadratic drift, which telescopes to mean_drift = (L(T) - L(0))/T
+    over the T completed slots, L = (X^2 + sum_i Y_i^2 + Q_i^2)/2 and L(0) = 0;
+    jensen_bound is the implied cap sqrt(C/T) on every terminal backlog
+    divided by the horizon."""
 
     c_x: float
     c_q: tuple[float, ...]
@@ -238,7 +238,6 @@ class Simulation:
             (i, su.queue.admit, su.queue.fifo, su.delay_bound, su.arrivals, su.rate, su.interference)
             for i, su in enumerate(sus)
         ]
-        fifos = tuple(su.queue.fifo for su in sus)
         y = self.y
         led = self.ledger
         trace = led.trace if self.config.trace else None
@@ -249,8 +248,6 @@ class Simulation:
         literal = sched.phi_mode == PHI_LITERAL
         x, slot, pos = self.x, self.slot, self._pos
         interference_sum = led.interference_sum
-        drift_sum = led.drift_sum
-        lyapunov_prev = led.lyapunov_prev
         end = slot + count
         try:
             while slot < end:
@@ -310,16 +307,10 @@ class Simulation:
                     x = x if x > 0.0 else 0.0
 
                     interference_sum += gain
-                    l_new = 0.5 * x * x
-                    for y_i, fifo in zip(y, fifos):
-                        q = len(fifo)
-                        l_new += 0.5 * (y_i * y_i + q * q)
-                    drift_sum += l_new - lyapunov_prev
-                    lyapunov_prev = l_new
                     if trace is not None:
                         trace.append(SlotTrace(
                             slot, tuple(su.arrivals[pos] for su in sus), best, gain, tuple(waits),
-                            tuple(map(len, fifos)), tuple(y), x,
+                            tuple(len(su.queue.fifo) for su in sus), tuple(y), x,
                             tuple(su.direct[pos] for su in sus),
                             tuple(su.interference[pos] for su in sus),
                         ))
@@ -328,8 +319,6 @@ class Simulation:
         finally:
             self.x, self.slot, self._pos = x, slot, pos
             led.interference_sum = interference_sum
-            led.drift_sum = drift_sum
-            led.lyapunov_prev = lyapunov_prev
         return best
 
     def stability_metric(self) -> float:
@@ -367,8 +356,15 @@ class Simulation:
             c_q.append(a_max * a_max + r_max * r_max)
         c_total = c_x + sum(c_q) + sum(led.c_y_emp)
         t = self.slot
+        # L after the last completed slot. An aborted slot has changed only
+        # the FIFOs, by appending its arrivals, each tagged with slot t.
+        level = 0.5 * self.x * self.x
+        for y, su in zip(self.y, self.sus):
+            fifo = su.queue.fifo
+            q = len(fifo) - sum(1 for _ in takewhile(t.__eq__, reversed(fifo)))
+            level += 0.5 * (y * y + q * q)
         return DriftSummary(
-            c_x, tuple(c_q), tuple(led.c_y_emp), c_total, led.drift_sum / t,
+            c_x, tuple(c_q), tuple(led.c_y_emp), c_total, level / t,
             tuple(q / t for q in terminal_q), math.sqrt(c_total / t),
         )
 

@@ -156,29 +156,42 @@ def write_rows(rows: list[SweepRow], path) -> None:
             )
 
 
+def _parse_row(rec: list[str], n_sus: int) -> SweepRow:
+    if len(rec) != n_sus + 8:
+        raise ValueError(f"expected {n_sus + 8} fields, got {len(rec)}")
+    fixed, delays, note = rec[:7], rec[7:7 + n_sus], rec[7 + n_sus]
+    if fixed[3] not in ("true", "false"):
+        raise ValueError(f"converged must be true or false, got {fixed[3]!r}")
+    return SweepRow(
+        scheduler=fixed[0],
+        lam=float(fixed[1]),
+        seed=int(fixed[2]),
+        converged=fixed[3] == "true",
+        slots=int(fixed[4]),
+        stability_metric=float(fixed[5]),
+        interference_avg=float(fixed[6]),
+        delays=tuple(None if d == "" else float(d) for d in delays),
+        note=note,
+    )
+
+
 def read_rows(path) -> list[SweepRow]:
+    """The rows of a rows.csv; a malformed file raises ValueError naming
+    the file and line."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}:1: empty file, expected the rows header")
         n_sus = sum(1 for h in header if h.endswith("_delay"))
         if header != rows_header(n_sus):
-            raise ValueError(f"{path}: unrecognized rows schema: {header}")
+            raise ValueError(f"{path}:1: unrecognized rows schema: {header}")
         rows = []
         for rec in reader:
-            fixed, delays, note = rec[:7], rec[7:7 + n_sus], rec[7 + n_sus]
-            rows.append(
-                SweepRow(
-                    scheduler=fixed[0],
-                    lam=float(fixed[1]),
-                    seed=int(fixed[2]),
-                    converged=fixed[3] == "true",
-                    slots=int(fixed[4]),
-                    stability_metric=float(fixed[5]),
-                    interference_avg=float(fixed[6]),
-                    delays=tuple(None if d == "" else float(d) for d in delays),
-                    note=note,
-                )
-            )
+            try:
+                rows.append(_parse_row(rec, n_sus))
+            except ValueError as err:
+                raise ValueError(f"{path}:{reader.line_num}: {err}") from err
     return rows
 
 

@@ -79,6 +79,19 @@ def resim_trajectories(trace, delay_bounds, i_avg):
     return out
 
 
+def lyapunov_drift_sum(trace) -> float:
+    """Sum of the one-slot drifts L(t+1) - L(t) over a traced run that
+    starts empty, with L = (X^2 + sum_i Y_i^2 + Q_i^2)/2 taken from each
+    slot's logged post-slot x, y and q."""
+    total = 0.0
+    prev = 0.0
+    for t in trace:
+        level = 0.5 * (t.x * t.x + sum(y * y for y in t.y) + sum(q * q for q in t.q))
+        total += level - prev
+        prev = level
+    return total
+
+
 def first_decision_mismatch(config, trace) -> str | None:
     """Replay a traced run and check every logged decision by brute force.
 

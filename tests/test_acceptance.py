@@ -78,11 +78,12 @@ def lib_out(table1_spec, lib_results, tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def cli_out(tmp_path_factory):
-    """The CLI-route output directory: a second, independent full sweep."""
+    """The CLI-route output directory: a second, independent full sweep,
+    run in two processes where the library sweep runs in one."""
     out = tmp_path_factory.mktemp("cli-out")
     code = cli.main([
         "run", "--config", shipped_config("table1.cfg"),
-        "--out", str(out), "--jobs", "1",
+        "--out", str(out), "--jobs", "2",
     ])
     return out, code
 

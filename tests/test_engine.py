@@ -18,7 +18,12 @@ from crsched.queueing import Bernoulli, InfeasibleLoadError, TruncatedPoisson
 from crsched.streams import ROLE_DIRECT, ROLE_INTERFERENCE, substream
 
 from conftest import two_user_config, two_user_sus
-from oracles import first_decision_mismatch, random_small_sim_config, resim_trajectories
+from oracles import (
+    first_decision_mismatch,
+    lyapunov_drift_sum,
+    random_small_sim_config,
+    resim_trajectories,
+)
 
 
 def single_user_config(**kw) -> SimConfig:
@@ -352,16 +357,40 @@ class TestDriftDiagnostics:
         result = run_until_converged(cfg)
         assert result.drift.c_q == (2.0,)
 
-    def test_drift_sum_telescopes_to_terminal_level(self):
-        cfg = two_user_config(0.2, "proposed", seed=6,
-                              max_slots=2_000, check_interval=2_000,
-                              epsilon=0.0)
-        sim = run_slots(cfg, 2_000)
-        led = sim.ledger
-        terminal_level = 0.5 * sim.x ** 2 + 0.5 * sum(
-            y ** 2 + su.queue.backlog ** 2 for y, su in zip(sim.y, sim.sus)
+    def test_mean_drift_sums_the_traced_one_slot_drifts(self):
+        # mean_drift is read from the end state alone; the one-slot drifts
+        # L(t+1) - L(t), recomputed from every traced slot, must average to it.
+        for case_seed in range(100):
+            config, slots = random_small_sim_config(case_seed)
+            sim = Simulation(config)
+            result = sim.run_until_converged()
+            assert result.slots == slots
+            want = lyapunov_drift_sum(sim.ledger.trace) / slots
+            assert result.drift.mean_drift == pytest.approx(want, rel=1e-9), f"case {case_seed}"
+
+    @pytest.mark.parametrize("arrivals, slots, terminal_q, mean_drift", [
+        (Bernoulli(1.0), 5000, (5001, 0), 2500.0),
+        (TruncatedPoisson(2.5, 4), 2335, (5002, 0), 5351.177944325482),
+    ])
+    def test_aborted_run_drift_covers_completed_slots_only(
+        self, arrivals, slots, terminal_q, mean_drift
+    ):
+        # SU 0's dead link fills its 5000-packet buffer. The aborted slot's
+        # arrivals are queued, so terminal_q counts them, but the drift
+        # averages over completed slots and leaves them out.
+        cfg = SimConfig(
+            sus=(
+                SuConfig(arrivals, 1.5, DeterministicGain(0.0), DeterministicGain(1.0)),
+                SuConfig(Bernoulli(0.3), 2.0, DeterministicGain(1.0), DeterministicGain(0.5)),
+            ),
+            i_avg=1.0, scheduler=SchedulerKind("proposed"), epsilon=0.0,
+            max_slots=10_000, check_interval=10_000, buffer_cap=5000,
         )
-        assert led.drift_sum == pytest.approx(terminal_level, rel=1e-9)
+        with pytest.raises(InfeasibleLoadError) as exc:
+            run_until_converged(cfg)
+        partial = exc.value.partial_result
+        assert (partial.slots, partial.terminal_q) == (slots, terminal_q)
+        assert partial.drift.mean_drift == pytest.approx(mean_drift, rel=1e-12)
 
     def test_unrecorded_run_has_no_diagnostics(self):
         # A run that aborts before completing a slot has no drift to

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -132,6 +133,27 @@ class TestSweep:
         assert not result.converged
 
 
+def _set_cell(column: int, value: str):
+    def edit(records):
+        records[1][column] = value
+        return records
+    return edit
+
+
+# rows.csv edits -> the error after "<path>:"; the tiny sweep has 2 users,
+# so a row has 10 fields, and its first row is line 2.
+MALFORMED_ROWS = {
+    "short-row": (lambda records: [records[0], records[1][:5]], "2: expected 10 fields, got 5"),
+    "empty-file": (lambda records: [], "1: empty file, expected the rows header"),
+    "converged-not-boolean": (
+        _set_cell(3, "maybe"), "2: converged must be true or false, got 'maybe'"
+    ),
+    "lambda-not-a-number": (
+        _set_cell(1, "abc"), "2: could not convert string to float: 'abc'"
+    ),
+}
+
+
 class TestRowsCsv:
     def test_round_trip(self, tiny_rows, tmp_path):
         path = tmp_path / ROWS_FILENAME
@@ -162,6 +184,19 @@ class TestRowsCsv:
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no rows"):
             write_rows([], tmp_path / "empty.csv")
+
+    @pytest.mark.parametrize("case", MALFORMED_ROWS)
+    def test_malformed_file_exits_2_naming_the_line(self, case, tiny_rows, tmp_path, capsys):
+        edit, message = MALFORMED_ROWS[case]
+        path = tmp_path / ROWS_FILENAME
+        write_rows(tiny_rows, path)
+        with open(path, newline="") as f:
+            records = list(csv.reader(f))
+        with open(path, "w", newline="") as f:
+            csv.writer(f, lineterminator="\n").writerows(edit(records))
+        code = cli.main(["figures", "--rows", str(path), "--out", str(tmp_path / "figs")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}:{message}\n"
 
 
 @pytest.fixture(scope="module")
