@@ -14,7 +14,6 @@ the trailing notes below are annotations, as a comment needs its own line):
 
     [su1]
     d = 1.5                   # delay bound in slots (> 0)
-    lambda = 0.1              # mean arrivals per slot
     arrivals = bernoulli      # bernoulli | poisson cap=K
     direct = deterministic value=1.0         # or: rayleigh mean=M [cap=C]
     interference = rayleigh mean=0.4 [cap=C]
@@ -24,7 +23,7 @@ the trailing notes below are annotations, as a comment needs its own line):
     lambda_max = 0.4
     lambda_step = 0.02
     schedulers = proposed, maxweight   # proposed | proposed-nonidling | maxweight
-    seeds = 1                 # comma-separated, distinct
+    seeds = 1                 # comma-separated, distinct, nonnegative
     output_dir = results      # optional
 
 Each value is read once, from ``load_spec``'s ``overrides`` (``crsched run``
@@ -74,7 +73,6 @@ class ExperimentSpec:
     schedulers: tuple[SchedulerKind, ...]
     seeds: tuple[int, ...]
     output_dir: str | None
-    source_path: str
     source_sha256: str
 
 
@@ -223,16 +221,17 @@ def _parse_channel(value: str) -> ChannelModel:
     return model(params[required], params.get("cap"))
 
 
-def _parse_arrivals(value: str, rate: float) -> ArrivalProcess:
+def _parse_arrivals(value: str) -> ArrivalProcess:
+    """The arrival process at rate 0; the sweep grid sets every user's rate."""
     kind, *params = value.split() or [""]
     if kind == "bernoulli":
         if params:
             raise ValueError("bernoulli takes no parameters")
-        return Bernoulli(rate)
+        return Bernoulli(0.0)
     if kind == "poisson":
         if len(params) != 1 or not params[0].startswith("cap="):
             raise ValueError("poisson needs exactly cap=K")
-        return TruncatedPoisson(rate, _integer(params[0][len("cap="):]))
+        return TruncatedPoisson(0.0, _integer(params[0][len("cap="):]))
     raise ValueError(f"unknown arrival process {kind!r} (expected bernoulli or poisson)")
 
 
@@ -252,6 +251,8 @@ def _parse_seeds(value: str) -> tuple[int, ...]:
         raise ValueError("need at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
+    if min(seeds) < 0:
+        raise ValueError("seeds must be nonnegative")
     return seeds
 
 
@@ -264,17 +265,19 @@ def load_spec(path, overrides: Mapping[tuple[str, str], str] | None = None) -> E
     (section, key) to a raw value, spelled as in the file, that replaces the
     file's value for that key under the same rules."""
     loader = _Loader(path, overrides or {})
+    # An omitted run setting takes its SimConfig default.
     n_sus = loader.value("system", "n_sus", _integer)
     if n_sus < 1:
         loader.fail("system", "n_sus", "need at least one user")
     i_avg = loader.value("system", "i_avg", _number)
     if i_avg <= 0:
         loader.fail("system", "i_avg", "interference budget must be positive")
-    epsilon = loader.value("system", "epsilon", _number, default="0.01")
+    epsilon = loader.value("system", "epsilon", _number, default=str(SimConfig.epsilon))
     if epsilon < 0:
         loader.fail("system", "epsilon", "epsilon must be nonnegative")
-    max_slots = loader.value("system", "max_slots", _integer, default="1000000")
-    check_interval = loader.value("system", "check_interval", _integer, default="10000")
+    max_slots = loader.value("system", "max_slots", _integer, default=str(SimConfig.max_slots))
+    check_interval = loader.value("system", "check_interval", _integer,
+                                  default=str(SimConfig.check_interval))
     if check_interval < 1:
         loader.fail("system", "check_interval", "check interval must be positive")
     if max_slots < check_interval:
@@ -282,7 +285,7 @@ def load_spec(path, overrides: Mapping[tuple[str, str], str] | None = None) -> E
     phi_mode = loader.value("system", "phi_mode", str.lower, default=PHI_ACTUAL)
     if phi_mode not in (PHI_ACTUAL, PHI_LITERAL):
         loader.fail("system", "phi_mode", f"expected actual or literal, got {phi_mode!r}")
-    buffer_cap = loader.value("system", "buffer_cap", _integer, default="10000000")
+    buffer_cap = loader.value("system", "buffer_cap", _integer, default=str(SimConfig.buffer_cap))
     if buffer_cap < 1:
         loader.fail("system", "buffer_cap", "buffer cap must be positive")
 
@@ -292,10 +295,7 @@ def load_spec(path, overrides: Mapping[tuple[str, str], str] | None = None) -> E
         d = loader.value(section, "d", _number)
         if d <= 0:
             loader.fail(section, "d", "delay bound must be positive")
-        rate = loader.value(section, "lambda", _number, default="0.0")
-        arrivals = loader.value(
-            section, "arrivals", lambda value: _parse_arrivals(value, rate), default="bernoulli"
-        )
+        arrivals = loader.value(section, "arrivals", _parse_arrivals, default="bernoulli")
         direct = loader.value(section, "direct", _parse_channel)
         interference = loader.value(section, "interference", _parse_channel)
         sus.append(SuConfig(arrivals=arrivals, delay_bound=d, direct=direct, interference=interference))
@@ -333,6 +333,5 @@ def load_spec(path, overrides: Mapping[tuple[str, str], str] | None = None) -> E
         schedulers=schedulers,
         seeds=seeds,
         output_dir=output_dir,
-        source_path=str(loader.path),
         source_sha256=file_sha256(loader.path),
     )

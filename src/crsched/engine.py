@@ -24,9 +24,11 @@ A backlog that outgrows its safety cap aborts the run as infeasible-load.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, takewhile
 from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .channels import ChannelModel
 from .queueing import DEFAULT_BUFFER_CAP, ArrivalProcess, InfeasibleLoadError, SuQueue
@@ -110,9 +112,10 @@ class SimConfig:
 
 
 class SuState(NamedTuple):
-    """One user's FIFO and delay bound, and its inputs for the current
-    block of slots, one entry per slot: arrival counts, direct gains, their
-    rates log2(1 + gain) and interference gains."""
+    """One user's FIFO and delay bound, its inputs for the current block of
+    slots, one entry per slot (arrival counts, direct gains, their rates
+    log2(1 + gain) and interference gains), and the generators they are
+    drawn from."""
 
     queue: SuQueue
     delay_bound: float
@@ -120,6 +123,9 @@ class SuState(NamedTuple):
     direct: list[float]
     rate: list[float]
     interference: list[float]
+    arrival_rng: np.random.Generator
+    direct_rng: np.random.Generator
+    interference_rng: np.random.Generator
 
 
 @dataclass(frozen=True)
@@ -136,20 +142,6 @@ class SlotTrace:
     x: float
     direct: tuple[float, ...]
     interference: tuple[float, ...]
-
-
-@dataclass(slots=True)
-class MetricsLedger:
-    """Per-run accumulators, and the slot trace if the config asks for it.
-
-    interference_sum adds up the interference gains charged so far.
-    c_y_emp[i], the empirical Y-term of the drift constant, is the largest
-    d_i^2 n^2 + (sum W)^2 of user i.
-    """
-
-    interference_sum: float = 0.0
-    c_y_emp: list[float] = field(default_factory=list)
-    trace: list[SlotTrace] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -194,33 +186,44 @@ def stability_metric(x: float, ys: Sequence[float], slots: int) -> float:
 
 class Simulation:
     """Mutable run state, with X as x and Y_i as y[i]; drive with
-    run_slot() or run_until_converged()."""
+    run_slot() or run_until_converged().
+
+    interference_sum adds up the interference gains charged so far.
+    c_y_emp[i], the empirical Y-term of the drift constant, is the largest
+    d_i^2 n^2 + (sum W)^2 of user i. trace holds one SlotTrace per slot if
+    the config asks for it.
+    """
 
     def __init__(self, config: SimConfig):
         self.config = config
-        self.sus = tuple(
-            SuState(SuQueue(su.arrivals, config.buffer_cap), su.delay_bound, [], [], [], [])
-            for su in config.sus
-        )
-        n = len(config.sus)
         # One substream per (user, role): a user's draws depend only on the
         # seed and its own index. Drawn BLOCK slots at a time, they give the
         # same values in the same order as one draw per slot.
-        roles = (ROLE_ARRIVALS, ROLE_DIRECT, ROLE_INTERFERENCE)
-        self._streams = [[substream(config.seed, i, role) for role in roles] for i in range(n)]
+        self.sus = tuple(
+            SuState(
+                SuQueue(su.arrivals, config.buffer_cap), su.delay_bound, [], [], [], [],
+                substream(config.seed, i, ROLE_ARRIVALS),
+                substream(config.seed, i, ROLE_DIRECT),
+                substream(config.seed, i, ROLE_INTERFERENCE),
+            )
+            for i, su in enumerate(config.sus)
+        )
+        n = len(config.sus)
         self.x = 0.0
         self.y = [0.0] * n
-        self.ledger = MetricsLedger(c_y_emp=[0.0] * n)
+        self.interference_sum = 0.0
+        self.c_y_emp = [0.0] * n
+        self.trace: list[SlotTrace] = []
         self.slot = 0
         self._pos = BLOCK  # the next slot's index into the inputs; BLOCK: draw first
 
     def _fill_block(self) -> None:
         """Replace every user's inputs with those of the next BLOCK slots."""
-        for su, state, (u_rng, direct_rng, g_rng) in zip(self.config.sus, self.sus, self._streams):
-            state.arrivals[:] = su.arrivals.counts(u_rng.random(BLOCK)).tolist()
-            state.direct[:] = su.direct.sample_block(direct_rng, BLOCK).tolist()
+        for su, state in zip(self.config.sus, self.sus):
+            state.arrivals[:] = su.arrivals.counts(state.arrival_rng.random(BLOCK)).tolist()
+            state.direct[:] = su.direct.sample_block(state.direct_rng, BLOCK).tolist()
             state.rate[:] = [transmission_rate(gain) for gain in state.direct]
-            state.interference[:] = su.interference.sample_block(g_rng, BLOCK).tolist()
+            state.interference[:] = su.interference.sample_block(state.interference_rng, BLOCK).tolist()
 
     def run_slot(self) -> int | None:
         """Advance one slot; return the scheduled user, None on idle."""
@@ -239,15 +242,15 @@ class Simulation:
             for i, su in enumerate(sus)
         ]
         y = self.y
-        led = self.ledger
-        trace = led.trace if self.config.trace else None
+        c_y_emp = self.c_y_emp
+        trace = self.trace if self.config.trace else None
         i_avg = self.config.i_avg
         sched = self.config.scheduler
         maxweight = sched.kind == MAXWEIGHT
         idling = sched.idling
         literal = sched.phi_mode == PHI_LITERAL
         x, slot, pos = self.x, self.slot, self._pos
-        interference_sum = led.interference_sum
+        interference_sum = self.interference_sum
         end = slot + count
         try:
             while slot < end:
@@ -288,7 +291,7 @@ class Simulation:
                     gain = 0.0
                     waits = ()
                     if best is not None:
-                        queue, d, _, _, rates, interference = sus[best]
+                        queue, d, _, _, rates, interference, _, _, _ = sus[best]
                         gain = interference[pos]
                         if maxweight:
                             best_n = min(len(queue.fifo), int(rates[pos]))
@@ -301,8 +304,8 @@ class Simulation:
                             y_new = y[best] + excess
                             y[best] = y_new if y_new > 0.0 else 0.0
                             cand = d * d * best_n * best_n + sum(waits) ** 2
-                            if cand > led.c_y_emp[best]:
-                                led.c_y_emp[best] = cand
+                            if cand > c_y_emp[best]:
+                                c_y_emp[best] = cand
                     x = x + gain - i_avg
                     x = x if x > 0.0 else 0.0
 
@@ -318,7 +321,7 @@ class Simulation:
                 pos = stop
         finally:
             self.x, self.slot, self._pos = x, slot, pos
-            led.interference_sum = interference_sum
+            self.interference_sum = interference_sum
         return best
 
     def stability_metric(self) -> float:
@@ -327,6 +330,8 @@ class Simulation:
         return stability_metric(self.x, self.y, self.slot)
 
     def run_until_converged(self) -> RunResult:
+        """Run to the stopping rule or max_slots. A backlog that outgrows its
+        cap ends the run too, as an unconverged result noted infeasible-load."""
         cfg = self.config
         check = cfg.check_interval
         try:
@@ -336,17 +341,13 @@ class Simulation:
                     metric = self.stability_metric()
                     if metric < cfg.epsilon:
                         return self._finalize(True, metric)
-            return self._finalize(False, self.stability_metric())
-        except InfeasibleLoadError as err:
-            err.partial_result = self._finalize(
-                False, self.stability_metric(), note="infeasible-load"
-            )
-            raise
+        except InfeasibleLoadError:
+            return self._finalize(False, self.stability_metric(), note="infeasible-load")
+        return self._finalize(False, self.stability_metric())
 
     def _drift_summary(self, terminal_q: tuple[int, ...]) -> DriftSummary:
         """Empirical drift statistics against the per-run deterministic bound."""
         config = self.config
-        led = self.ledger
         g_max = max(su.interference.cap for su in config.sus)
         c_x = g_max * g_max + config.i_avg * config.i_avg
         c_q = []
@@ -354,7 +355,7 @@ class Simulation:
             a_max = float(su.arrivals.a_max)
             r_max = transmission_rate(su.direct.cap)
             c_q.append(a_max * a_max + r_max * r_max)
-        c_total = c_x + sum(c_q) + sum(led.c_y_emp)
+        c_total = c_x + sum(c_q) + sum(self.c_y_emp)
         t = self.slot
         # L after the last completed slot. An aborted slot has changed only
         # the FIFOs, by appending its arrivals, each tagged with slot t.
@@ -364,23 +365,17 @@ class Simulation:
             q = len(fifo) - sum(1 for _ in takewhile(t.__eq__, reversed(fifo)))
             level += 0.5 * (y * y + q * q)
         return DriftSummary(
-            c_x, tuple(c_q), tuple(led.c_y_emp), c_total, level / t,
+            c_x, tuple(c_q), tuple(self.c_y_emp), c_total, level / t,
             tuple(q / t for q in terminal_q), math.sqrt(c_total / t),
         )
 
     def _finalize(self, converged: bool, metric: float, note: str = "") -> RunResult:
-        led = self.ledger
         slots = self.slot
         queues = [su.queue for su in self.sus]
         terminal_q = tuple(queue.backlog for queue in queues)
         return RunResult(
             converged, metric, tuple(queue.average_delay() for queue in queues),
-            led.interference_sum / slots if slots else 0.0, slots,
+            self.interference_sum / slots if slots else 0.0, slots,
             self.x, tuple(self.y), terminal_q,
             self._drift_summary(terminal_q) if slots else None, note,
         )
-
-
-def run_until_converged(config: SimConfig) -> RunResult:
-    """Build a Simulation from config and drive it to its stopping point."""
-    return Simulation(config).run_until_converged()

@@ -19,10 +19,7 @@ DEFAULT_BUFFER_CAP = 10_000_000
 
 
 class InfeasibleLoadError(RuntimeError):
-    """A queue outgrew its safety cap: the offered load cannot be served.
-    The aborted run attaches its metrics so far as partial_result."""
-
-    partial_result = None
+    """A queue outgrew its safety cap: the offered load cannot be served."""
 
 
 @dataclass(frozen=True)

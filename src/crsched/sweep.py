@@ -22,8 +22,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .config import ExperimentSpec, file_sha256  # file_sha256: digests of rows.csv and configs
-from .engine import RunResult, SimConfig, run_until_converged
-from .queueing import InfeasibleLoadError
+from .engine import RunResult, SimConfig, Simulation
 
 SCHEMA_VERSION = 1
 
@@ -71,11 +70,8 @@ def sweep_points(spec: ExperimentSpec) -> list[tuple[str, float, int]]:
 
 
 def run_point(config: SimConfig) -> RunResult:
-    """One sweep cell; an infeasible-load abort becomes a noted result."""
-    try:
-        return run_until_converged(config)
-    except InfeasibleLoadError as err:
-        return err.partial_result
+    """One sweep cell; an infeasible-load abort returns as a noted result."""
+    return Simulation(config).run_until_converged()
 
 
 def sweep_results(

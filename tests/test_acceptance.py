@@ -182,8 +182,8 @@ def test_criterion_5_trajectories_match_independent_resimulation():
         for _ in range(slots):
             sim.run_slot()
         bounds = [su.delay_bound for su in config.sus]
-        expected = resim_trajectories(sim.ledger.trace, bounds, config.i_avg)
-        for t, (q, y, x) in zip(sim.ledger.trace, expected):
+        expected = resim_trajectories(sim.trace, bounds, config.i_avg)
+        for t, (q, y, x) in zip(sim.trace, expected):
             if t.q != q or t.y != y or t.x != x:
                 mismatches.append(f"case {case_seed} slot {t.slot}")
                 break
@@ -212,10 +212,10 @@ def test_criterion_6_decisions_minimize_the_slot_objective(table1_spec, binding_
         sim = Simulation(config)
         for _ in range(slots):
             sim.run_slot()
-        mismatch = first_decision_mismatch(config, sim.ledger.trace)
+        mismatch = first_decision_mismatch(config, sim.trace)
         if mismatch is not None:
             mismatches.append(f"{label} {mismatch}")
-        checked[label] = len(sim.ledger.trace)
+        checked[label] = len(sim.trace)
     ok = not mismatches and all(n == slots for n in checked.values())
     detail = "every decision matched the brute-force minimizer: " + ", ".join(
         f"{label} {n} slots" for label, n in checked.items()

@@ -235,6 +235,24 @@ class TestLoadSpecValidation:
         with pytest.raises(ConfigError, match="seeds must be distinct"):
             load_spec(path)
 
+    def test_negative_seed(self, tmp_path):
+        path = write_cfg(tmp_path, patched("seeds", "1, -1"))
+        with pytest.raises(ConfigError) as exc:
+            load_spec(path)
+        assert exc.value.line == 25
+        assert exc.value.message == "[sweep] seeds: seeds must be nonnegative"
+
+    def test_omitted_run_settings_take_simconfig_defaults(self, tmp_path):
+        text = "".join(
+            line for line in BASE.splitlines(keepends=True)
+            if line.split("=")[0].strip() not in ("epsilon", "max_slots", "check_interval")
+        )
+        assert "buffer_cap" not in text
+        base = load_spec(write_cfg(tmp_path, text)).base
+        assert base == SimConfig(sus=base.sus, i_avg=base.i_avg, scheduler=base.scheduler,
+                                 seed=base.seed)
+        assert all(su.arrivals.rate == 0.0 for su in base.sus)
+
     def test_nonpositive_epsilon(self, tmp_path):
         path = write_cfg(tmp_path, patched("epsilon", "-0.5"))
         with pytest.raises(ConfigError, match="epsilon must be nonnegative"):
@@ -275,7 +293,7 @@ OVERRIDES = {
 
 
 def without_source(spec):
-    return replace(spec, source_path="", source_sha256="")
+    return replace(spec, source_sha256="")
 
 
 class TestOverrides:
@@ -322,6 +340,14 @@ class TestUnknownNamesRejected:
             load_spec(path)
         assert exc.value.line == 4
         assert str(exc.value).startswith(f"{path}:4: ")
+
+    def test_user_lambda_key_rejected(self, tmp_path):
+        # The sweep grid sets every user's rate; a per-user rate is unknown.
+        path = write_cfg(tmp_path, BASE.replace("d = 1.5", "d = 1.5\nlambda = 7"))
+        with pytest.raises(ConfigError) as exc:
+            load_spec(path)
+        assert exc.value.line == 10
+        assert exc.value.message == "[su1] lambda: unknown key"
 
     def test_unknown_section(self, tmp_path):
         path = write_cfg(tmp_path, BASE + "\n[bogus]\nx = 1\n")

@@ -11,7 +11,6 @@ from crsched.engine import (
     Simulation,
     SimConfig,
     SuConfig,
-    run_until_converged,
     stability_metric,
 )
 from crsched.queueing import Bernoulli, InfeasibleLoadError, TruncatedPoisson
@@ -54,6 +53,11 @@ def run_slots(config: SimConfig, n: int) -> Simulation:
     return sim
 
 
+def accumulators(sim: Simulation):
+    """The run's accumulators besides X, Y and the queues."""
+    return sim.interference_sum, sim.c_y_emp, sim.trace
+
+
 class TestHandTrace:
     """Regression against a five-slot trace computed by hand.
 
@@ -65,7 +69,7 @@ class TestHandTrace:
 
     def test_idling_variant(self):
         sim = run_slots(single_user_config(), 5)
-        trace = sim.ledger.trace
+        trace = sim.trace
         assert [t.su for t in trace] == [0, 0, None, 0, None]
         assert [t.waiting_times for t in trace] == [(1,), (1,), (), (2, 1), ()]
         assert [t.q for t in trace] == [(0,), (0,), (1,), (0,), (1,)]
@@ -73,21 +77,21 @@ class TestHandTrace:
         assert [t.x for t in trace] == [0.5, 1.0, 0.5, 1.0, 0.5]
         assert [t.gain for t in trace] == [1.0, 1.0, 0.0, 1.0, 0.0]
         assert sim.sus[0].queue.average_delay() == 1.25
-        assert sim.ledger.interference_sum == 3.0
+        assert sim.interference_sum == 3.0
 
     def test_literal_rate_variant(self):
         # The raw-rate index is more negative, so the run never idles;
         # slot 4 lands exactly on the zero boundary and still transmits.
         cfg = single_user_config(scheduler=SchedulerKind("proposed", PHI_LITERAL))
         sim = run_slots(cfg, 5)
-        trace = sim.ledger.trace
+        trace = sim.trace
         assert [t.su for t in trace] == [0, 0, 0, 0, 0]
         assert all(t.waiting_times == (1,) for t in trace)
         assert all(t.q == (0,) for t in trace)
         assert [t.y for t in trace] == [(0.5,), (1.0,), (1.5,), (2.0,), (2.5,)]
         assert [t.x for t in trace] == [0.5, 1.0, 1.5, 2.0, 2.5]
         assert sim.sus[0].queue.average_delay() == 1.0
-        assert sim.ledger.interference_sum == 5.0
+        assert sim.interference_sum == 5.0
 
 
 def test_saturated_unit_rate_steady_state():
@@ -106,7 +110,7 @@ def test_saturated_unit_rate_steady_state():
         i_avg=10.0,
     )
     sim = run_slots(cfg, 10)
-    for t in sim.ledger.trace:
+    for t in sim.trace:
         assert t.arrivals == (1,)
         assert t.su == 0
         assert t.waiting_times == (1,)
@@ -123,7 +127,7 @@ def test_empty_system_slot_drains_interference_accumulator():
     assert sim.run_slot() is None
     assert sim.x == 3.0
     assert sim.sus[0].queue.average_delay() is None
-    assert sim.ledger.trace[0].arrivals == (0, 0)
+    assert sim.trace[0].arrivals == (0, 0)
 
 
 def test_same_seed_same_ledger():
@@ -131,18 +135,18 @@ def test_same_seed_same_ledger():
                           max_slots=10_000, check_interval=10_000, trace=True)
     a = run_slots(cfg, 10_000)
     b = run_slots(cfg, 10_000)
-    assert a.ledger == b.ledger
+    assert accumulators(a) == accumulators(b)
     assert a.stability_metric() == b.stability_metric()
 
 
 def test_run_results_are_reproducible():
     cfg = two_user_config(0.3, "maxweight", seed=7,
                           max_slots=20_000, check_interval=10_000)
-    assert run_until_converged(cfg) == run_until_converged(cfg)
+    assert Simulation(cfg).run_until_converged() == Simulation(cfg).run_until_converged()
 
 
 def test_no_traffic_converges_at_first_check():
-    result = run_until_converged(two_user_config(0.0, "proposed"))
+    result = Simulation(two_user_config(0.0, "proposed")).run_until_converged()
     assert result.converged
     assert result.slots == 10_000
     assert result.stability_metric == 0.0
@@ -154,7 +158,7 @@ def test_no_traffic_converges_at_first_check():
 def test_zero_epsilon_runs_to_the_cap():
     cfg = two_user_config(0.1, "proposed", epsilon=0.0,
                           max_slots=2_000, check_interval=1_000)
-    result = run_until_converged(cfg)
+    result = Simulation(cfg).run_until_converged()
     assert not result.converged
     assert result.slots == 2_000
 
@@ -162,7 +166,7 @@ def test_zero_epsilon_runs_to_the_cap():
 @pytest.fixture(scope="module")
 def moderate_load_run():
     cfg = two_user_config(0.1, "proposed", seed=1)
-    return cfg, run_until_converged(cfg)
+    return cfg, Simulation(cfg).run_until_converged()
 
 
 def test_converged_metric_recomputes_from_terminals(moderate_load_run):
@@ -196,7 +200,7 @@ def test_work_conservation(kind):
                           max_slots=2_000, check_interval=2_000,
                           epsilon=0.0, trace=True)
     sim = run_slots(cfg, 2_000)
-    idle_slots = [t for t in sim.ledger.trace if t.su is None]
+    idle_slots = [t for t in sim.trace if t.su is None]
     assert idle_slots, "load should leave some genuinely empty slots"
     for t in idle_slots:
         assert sum(t.q) == 0
@@ -207,11 +211,11 @@ def test_interference_sum_re_adds_from_trace():
                           max_slots=3_000, check_interval=3_000,
                           epsilon=0.0, trace=True)
     sim = run_slots(cfg, 3_000)
-    trace = sim.ledger.trace
+    trace = sim.trace
     # Same float addition order, so equality is exact.
-    assert sim.ledger.interference_sum == sum(t.gain for t in trace)
+    assert sim.interference_sum == sum(t.gain for t in trace)
     assert all(t.gain == 0.0 for t in trace if t.su is None)
-    assert sim.ledger.interference_sum > 0.0
+    assert sim.interference_sum > 0.0
 
 
 def test_trace_matches_independent_resimulation():
@@ -220,9 +224,9 @@ def test_trace_matches_independent_resimulation():
                           epsilon=0.0, trace=True)
     sim = run_slots(cfg, 500)
     expected = resim_trajectories(
-        sim.ledger.trace, [su.delay_bound for su in cfg.sus], cfg.i_avg
+        sim.trace, [su.delay_bound for su in cfg.sus], cfg.i_avg
     )
-    for t, (q, y, x) in zip(sim.ledger.trace, expected):
+    for t, (q, y, x) in zip(sim.trace, expected):
         assert t.q == q
         assert t.y == y
         assert t.x == x
@@ -230,7 +234,7 @@ def test_trace_matches_independent_resimulation():
 
 def test_dead_channel_aborts_as_infeasible():
     # A zero direct gain can never carry a packet, so the backlog outgrows
-    # its safety cap and the run aborts with partial metrics attached.
+    # its safety cap and the run ends with its metrics so far, noted.
     cfg = single_user_config(
         sus=(
             SuConfig(
@@ -244,14 +248,12 @@ def test_dead_channel_aborts_as_infeasible():
         buffer_cap=50,
         trace=False,
     )
-    with pytest.raises(InfeasibleLoadError) as exc:
-        run_until_converged(cfg)
-    partial = exc.value.partial_result
-    assert partial.note == "infeasible-load"
-    assert not partial.converged
+    result = Simulation(cfg).run_until_converged()
+    assert result.note == "infeasible-load"
+    assert not result.converged
     # 50 completed slots; the 51st packet lands before the abort fires.
-    assert partial.slots == 50
-    assert partial.terminal_q == (51,)
+    assert result.slots == 50
+    assert result.terminal_q == (51,)
 
 
 def queue_state(sim: Simulation):
@@ -266,7 +268,7 @@ def queue_state(sim: Simulation):
 def test_stepped_and_converging_loops_agree(kind, arrivals):
     # run_until_converged() advances a check interval per call, run_slot()
     # one slot; both must reach the same state across three input-block
-    # boundaries and a last partial interval.
+    # boundaries and a last result interval.
     slots = 3 * BLOCK + 500
     sus = two_user_sus(0.3)
     if arrivals == "poisson":
@@ -281,9 +283,9 @@ def test_stepped_and_converging_loops_agree(kind, arrivals):
     assert result.slots == converging.slot == stepped.slot == slots
     assert (result.terminal_x, result.terminal_y) == (stepped.x, tuple(stepped.y))
     assert result.terminal_q == tuple(su.queue.backlog for su in stepped.sus)
-    assert converging.ledger == stepped.ledger
+    assert accumulators(converging) == accumulators(stepped)
     assert queue_state(converging) == queue_state(stepped)
-    trace = stepped.ledger.trace
+    trace = stepped.trace
     assert len(trace) == slots
     assert any(t.su is not None for t in trace[-500:])
     if arrivals == "poisson":
@@ -308,17 +310,15 @@ def test_abort_past_the_first_block_matches_stepping():
         trace=False,
     )
     aborted = Simulation(cfg)
-    with pytest.raises(InfeasibleLoadError) as exc:
-        aborted.run_until_converged()
-    partial = exc.value.partial_result
-    assert partial.note == "infeasible-load"
-    assert partial.slots == 5000
-    assert partial.terminal_q == (5001,)
+    result = aborted.run_until_converged()
+    assert result.note == "infeasible-load"
+    assert result.slots == 5000
+    assert result.terminal_q == (5001,)
     stepped = run_slots(cfg, 5000)
     with pytest.raises(InfeasibleLoadError):
         stepped.run_slot()
     assert (aborted.slot, aborted.x, aborted.y) == (stepped.slot, stepped.x, stepped.y)
-    assert aborted.ledger == stepped.ledger
+    assert accumulators(aborted) == accumulators(stepped)
     assert queue_state(aborted) == queue_state(stepped)
 
 
@@ -333,10 +333,10 @@ class TestDriftDiagnostics:
             )
             for d in (1.5, 5.0)
         )
-        result = run_until_converged(SimConfig(
+        result = Simulation(SimConfig(
             sus=sus, i_avg=2.0, scheduler=SchedulerKind("proposed"),
             max_slots=10, check_interval=10,
-        ))
+        )).run_until_converged()
         assert result.drift.c_x == 20.0
 
     def test_queue_bound_component(self):
@@ -354,7 +354,7 @@ class TestDriftDiagnostics:
             max_slots=10,
             check_interval=10,
         )
-        result = run_until_converged(cfg)
+        result = Simulation(cfg).run_until_converged()
         assert result.drift.c_q == (2.0,)
 
     def test_mean_drift_sums_the_traced_one_slot_drifts(self):
@@ -365,7 +365,7 @@ class TestDriftDiagnostics:
             sim = Simulation(config)
             result = sim.run_until_converged()
             assert result.slots == slots
-            want = lyapunov_drift_sum(sim.ledger.trace) / slots
+            want = lyapunov_drift_sum(sim.trace) / slots
             assert result.drift.mean_drift == pytest.approx(want, rel=1e-9), f"case {case_seed}"
 
     @pytest.mark.parametrize("arrivals, slots, terminal_q, mean_drift", [
@@ -386,11 +386,10 @@ class TestDriftDiagnostics:
             i_avg=1.0, scheduler=SchedulerKind("proposed"), epsilon=0.0,
             max_slots=10_000, check_interval=10_000, buffer_cap=5000,
         )
-        with pytest.raises(InfeasibleLoadError) as exc:
-            run_until_converged(cfg)
-        partial = exc.value.partial_result
-        assert (partial.slots, partial.terminal_q) == (slots, terminal_q)
-        assert partial.drift.mean_drift == pytest.approx(mean_drift, rel=1e-12)
+        result = Simulation(cfg).run_until_converged()
+        assert result.note == "infeasible-load"
+        assert (result.slots, result.terminal_q) == (slots, terminal_q)
+        assert result.drift.mean_drift == pytest.approx(mean_drift, rel=1e-12)
 
     def test_unrecorded_run_has_no_diagnostics(self):
         # A run that aborts before completing a slot has no drift to
@@ -409,12 +408,11 @@ class TestDriftDiagnostics:
             seed=1,
             trace=False,
         )
-        with pytest.raises(InfeasibleLoadError) as exc:
-            run_until_converged(cfg)
-        partial = exc.value.partial_result
-        assert partial.slots == 0
-        assert partial.terminal_q == (3,)
-        assert partial.drift is None
+        result = Simulation(cfg).run_until_converged()
+        assert result.note == "infeasible-load"
+        assert result.slots == 0
+        assert result.terminal_q == (3,)
+        assert result.drift is None
 
 
 @pytest.mark.parametrize("kind", ["proposed", "proposed-nonidling"])
@@ -423,15 +421,15 @@ def test_objective_consistency_check_passes(kind):
                           max_slots=2_000, check_interval=2_000,
                           epsilon=0.0, trace=True)
     sim = run_slots(cfg, 2_000)
-    assert len(sim.ledger.trace) == 2_000
-    assert first_decision_mismatch(cfg, sim.ledger.trace) is None
+    assert len(sim.trace) == 2_000
+    assert first_decision_mismatch(cfg, sim.trace) is None
 
 
 def test_decisions_match_brute_force_oracle_on_random_instances():
     for case_seed in range(100):
         config, slots = random_small_sim_config(case_seed)
         sim = run_slots(config, slots)
-        mismatch = first_decision_mismatch(config, sim.ledger.trace)
+        mismatch = first_decision_mismatch(config, sim.trace)
         assert mismatch is None, f"case {case_seed}: {mismatch}"
 
 
@@ -441,7 +439,7 @@ def test_oracle_flags_a_tampered_decision():
     cfg = two_user_config(0.3, "proposed", seed=9,
                           max_slots=500, check_interval=500,
                           epsilon=0.0, trace=True)
-    trace = run_slots(cfg, 500).ledger.trace
+    trace = run_slots(cfg, 500).trace
     k = next(k for k, t in enumerate(trace) if t.su is not None and k > 100)
     tampered = list(trace)
     tampered[k] = replace(trace[k], su=1 - trace[k].su)
@@ -457,7 +455,7 @@ def test_every_user_draws_both_gains_every_slot():
     cfg = two_user_config(0.05, "proposed", seed=4,
                           max_slots=slots, check_interval=slots,
                           epsilon=0.0, trace=True)
-    trace = run_slots(cfg, slots).ledger.trace
+    trace = run_slots(cfg, slots).trace
     assert any(t.q[0] == 0 for t in trace)
     for i, su in enumerate(cfg.sus):
         for role, model, logged in (
@@ -476,7 +474,7 @@ def test_drift_delay_term_re_derives_from_trace():
     sim = Simulation(cfg)
     result = sim.run_until_converged()
     want = [0.0, 0.0]
-    for t in sim.ledger.trace:
+    for t in sim.trace:
         if t.waiting_times:
             d = cfg.sus[t.su].delay_bound
             n = len(t.waiting_times)

@@ -170,7 +170,7 @@ class TestDecideProposed:
     def test_all_empty_idles(self):
         sim = staged_sim(PROPOSED, Staged(), Staged())
         assert sim.run_slot() is None
-        t = sim.ledger.trace[-1]
+        t = sim.trace[-1]
         assert t.waiting_times == () and t.gain == 0.0
 
     def test_argmin_selects_most_negative(self):
@@ -182,7 +182,7 @@ class TestDecideProposed:
             Staged(fifo=(0, 0), direct=3.0, interference=0.2),
         )
         assert sim.run_slot() == 1
-        assert sim.ledger.trace[-1].waiting_times == (1, 1)
+        assert sim.trace[-1].waiting_times == (1, 1)
 
     def test_idling_gate_under_pure_interference_pressure(self):
         # Sub-unit direct gains mean nothing can depart (n=0), so phi
@@ -201,7 +201,7 @@ class TestDecideProposed:
         # scheduled slot sends 0 packets but still charges its gain.
         sim = staged_sim(PROPOSED, Staged(fifo=(0,), direct=0.5, interference=0.3), slot=1)
         assert sim.run_slot() == 0
-        t = sim.ledger.trace[-1]
+        t = sim.trace[-1]
         assert t.waiting_times == ()
         assert t.q == (1,)
         assert t.gain == 0.3
@@ -223,7 +223,7 @@ class TestDecideProposed:
         sim = staged_sim(PROPOSED, Staged(fifo=(1, 2, 3), direct=3.0, interference=0.1), Staged(),
                          slot=4)
         assert sim.run_slot() == 0
-        assert sim.ledger.trace[-1].waiting_times == (4, 3)
+        assert sim.trace[-1].waiting_times == (4, 3)
         assert list(sim.sus[0].queue.fifo) == [3]
 
 
@@ -244,11 +244,11 @@ class TestDecideMaxWeight:
         sim = staged_sim(MAXWEIGHT, Staged(fifo=(0,), direct=0.2, interference=5.0), Staged(),
                          slot=1)
         assert sim.run_slot() == 0
-        t = sim.ledger.trace[-1]
+        t = sim.trace[-1]
         assert t.waiting_times == ()
         assert t.gain == 5.0
 
     def test_batch_carries_transmittable_head_packets(self):
         sim = staged_sim(MAXWEIGHT, Staged(fifo=(0, 1), direct=3.0), Staged(), slot=2)
         assert sim.run_slot() == 0
-        assert sim.ledger.trace[-1].waiting_times == (3, 2)
+        assert sim.trace[-1].waiting_times == (3, 2)

@@ -395,6 +395,7 @@ GRID_FLAGS = {"--lambda-min": "0.0", "--lambda-max": "0.2", "--lambda-step": "0.
     ("--lambda-step", "sweep", "lambda_step", "0.1x"),
     ("--seed", "sweep", "seeds", "1, 1"),
     ("--seed", "sweep", "seeds", "one"),
+    ("--seed", "sweep", "seeds", "-1"),
     ("--max-slots", "system", "max_slots", "10"),
     ("--max-slots", "system", "max_slots", "1e4"),
     ("--epsilon", "system", "epsilon", "-1"),

@@ -25,7 +25,7 @@ def delay_level_after(y, d, waits):
     sim = staged_sim(MAXWEIGHT, Staged(fifo=fifo, y=y, d=d, direct=2.0 ** len(waits) - 1.0),
                      slot=slot)
     assert sim.run_slot() == 0
-    assert sim.ledger.trace[-1].waiting_times == tuple(waits)
+    assert sim.trace[-1].waiting_times == tuple(waits)
     return sim.y[0]
 
 
