@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for (section, key), flag in OVERRIDES.items():
         run.add_argument(flag, dest=flag, metavar=key.upper(), help=f"overrides [{section}] {key}")
     run.add_argument("--out", help="output directory")
-    run.add_argument("--jobs", type=int, help="parallel runs, at least 1 (default: CPU count)")
+    run.add_argument("--jobs", type=int, help="parallel runs, at least 1 (default: the CPUs this process may use)")
 
     figures = sub.add_parser("figures", help="re-emit figure CSVs from a rows.csv")
     figures.add_argument("--rows", required=True, help="rows.csv from a previous run")

@@ -22,7 +22,7 @@ the trailing notes below are annotations, as a comment needs its own line):
     lambda_min = 0.02         # grid applied to every user's rate
     lambda_max = 0.4
     lambda_step = 0.02
-    schedulers = proposed, maxweight   # proposed | proposed-nonidling | maxweight
+    schedulers = proposed, maxweight   # distinct: proposed | proposed-nonidling | maxweight
     seeds = 1                 # comma-separated, distinct, nonnegative
     output_dir = results      # optional
 
@@ -245,6 +245,13 @@ def parse_scheduler(name: str) -> SchedulerKind:
     return SchedulerKind(canon)
 
 
+def _parse_schedulers(value: str) -> list[SchedulerKind]:
+    kinds = [parse_scheduler(name) for name in value.split(",")]
+    if len(set(kinds)) != len(kinds):
+        raise ValueError("schedulers must be distinct")
+    return kinds
+
+
 def _parse_seeds(value: str) -> tuple[int, ...]:
     seeds = tuple(_integer(token.strip()) for token in value.split(",") if token.strip())
     if not seeds:
@@ -311,7 +318,7 @@ def load_spec(path, overrides: Mapping[tuple[str, str], str] | None = None) -> E
     if float(last) > a_max:
         loader.fail("sweep", "lambda_max", f"grid exceeds the smallest arrival cap {a_max}")
     grid = lambda_grid(lo, last, step)
-    kinds = loader.value("sweep", "schedulers", lambda value: [parse_scheduler(n) for n in value.split(",")])
+    kinds = loader.value("sweep", "schedulers", _parse_schedulers)
     schedulers = tuple(replace(kind, phi_mode=phi_mode) for kind in kinds)
     seeds = loader.value("sweep", "seeds", _parse_seeds)
     output_dir = loader.value("sweep", "output_dir", default="") or None

@@ -114,14 +114,15 @@ class SimConfig:
 class SuState(NamedTuple):
     """One user's FIFO and delay bound, its inputs for the current block of
     slots, one entry per slot (arrival counts, direct gains, their rates
-    log2(1 + gain) and interference gains), and the generators they are
-    drawn from."""
+    log2(1 + gain), the whole packets int(rate) and interference gains),
+    and the generators they are drawn from."""
 
     queue: SuQueue
     delay_bound: float
     arrivals: list[int]
     direct: list[float]
     rate: list[float]
+    packets: list[int]
     interference: list[float]
     arrival_rng: np.random.Generator
     direct_rng: np.random.Generator
@@ -201,7 +202,7 @@ class Simulation:
         # same values in the same order as one draw per slot.
         self.sus = tuple(
             SuState(
-                SuQueue(su.arrivals, config.buffer_cap), su.delay_bound, [], [], [], [],
+                SuQueue(su.arrivals, config.buffer_cap), su.delay_bound, [], [], [], [], [],
                 substream(config.seed, i, ROLE_ARRIVALS),
                 substream(config.seed, i, ROLE_DIRECT),
                 substream(config.seed, i, ROLE_INTERFERENCE),
@@ -221,8 +222,11 @@ class Simulation:
         """Replace every user's inputs with those of the next BLOCK slots."""
         for su, state in zip(self.config.sus, self.sus):
             state.arrivals[:] = su.arrivals.counts(state.arrival_rng.random(BLOCK)).tolist()
-            state.direct[:] = su.direct.sample_block(state.direct_rng, BLOCK).tolist()
-            state.rate[:] = [transmission_rate(gain) for gain in state.direct]
+            direct = su.direct.sample_block(state.direct_rng, BLOCK)
+            state.direct[:] = direct.tolist()
+            # transmission_rate of each gain: numpy's float64 add rounds as Python's.
+            state.rate[:] = map(math.log2, (1.0 + direct).tolist())
+            state.packets[:] = map(int, state.rate)
             state.interference[:] = su.interference.sample_block(state.interference_rng, BLOCK).tolist()
 
     def run_slot(self) -> int | None:
@@ -238,7 +242,8 @@ class Simulation:
         """
         sus = self.sus
         users = [
-            (i, su.queue.admit, su.queue.fifo, su.delay_bound, su.arrivals, su.rate, su.interference)
+            (i, su.queue.admit, su.queue.fifo, su.delay_bound, su.arrivals, su.rate, su.packets,
+             su.interference)
             for i, su in enumerate(sus)
         ]
         y = self.y
@@ -263,7 +268,7 @@ class Simulation:
                     best = None
                     best_v = -math.inf if maxweight else math.inf
                     best_n = 0
-                    for i, admit, fifo, d, arrivals, rates, interference in users:
+                    for i, admit, fifo, d, arrivals, rates, packets, interference in users:
                         if arrivals[pos]:
                             admit(arrivals[pos], slot)
                         q = len(fifo)
@@ -276,43 +281,63 @@ class Simulation:
                             if v > best_v:
                                 best, best_v = i, v
                             continue
-                        rate = rates[pos]
-                        n = min(q, int(rate))
+                        n = packets[pos]
+                        if n > q:
+                            n = q
                         # The departing packets' waiting-time sum, an exact integer.
                         w_sum = n * (slot + 1) - (n * fifo[0] if n < 2 else sum(islice(fifo, n)))
                         # phi = X g + Y sum(W) - (Y d + Q) r, where r is the packet
                         # count (actual mode) or the raw rate (literal mode).
-                        v = x * g + y[i] * w_sum - (y[i] * d + q) * (rate if literal else n)
+                        v = x * g + y[i] * w_sum - (y[i] * d + q) * (rates[pos] if literal else n)
                         if v < best_v:
                             best, best_v, best_n = i, v, n
                     if idling and best_v > 0.0:
                         best = None
 
-                    gain = 0.0
                     waits = ()
-                    if best is not None:
-                        queue, d, _, _, rates, interference, _, _, _ = sus[best]
+                    if best is None:
+                        gain = 0.0
+                    else:
+                        _, _, fifo, d, _, _, packets, interference = users[best]
                         gain = interference[pos]
+                        interference_sum += gain
                         if maxweight:
-                            best_n = min(len(queue.fifo), int(rates[pos]))
+                            best_n = packets[pos]
+                            if best_n > len(fifo):
+                                best_n = len(fifo)
                         # A 0-packet slot still holds the channel and charges its gain.
                         if best_n:
-                            waits = queue.depart(best_n, slot)
-                            excess = 0.0
-                            for w in waits:
-                                excess += w - d
+                            if trace is not None:
+                                waits = tuple(slot + 1 - a for a in islice(fifo, best_n))
+                            # Pop the head packets in FIFO order: each adds its
+                            # waiting time W to w_sum and its excess W - d to excess.
+                            # A single packet, the only case on a unit-rate link,
+                            # skips the loop's set-up.
+                            if best_n == 1:
+                                w_sum = slot + 1 - fifo.popleft()
+                                excess = w_sum - d
+                            else:
+                                pop = fifo.popleft
+                                w_sum = 0
+                                excess = 0.0
+                                for _ in range(best_n):
+                                    w = slot + 1 - pop()
+                                    w_sum += w
+                                    excess += w - d
+                            queue = sus[best].queue
+                            queue.cumulative_departures += best_n
+                            queue.departed_waiting_sum += w_sum
                             y_new = y[best] + excess
                             y[best] = y_new if y_new > 0.0 else 0.0
-                            cand = d * d * best_n * best_n + sum(waits) ** 2
+                            cand = d * d * best_n * best_n + w_sum * w_sum
                             if cand > c_y_emp[best]:
                                 c_y_emp[best] = cand
                     x = x + gain - i_avg
                     x = x if x > 0.0 else 0.0
 
-                    interference_sum += gain
                     if trace is not None:
                         trace.append(SlotTrace(
-                            slot, tuple(su.arrivals[pos] for su in sus), best, gain, tuple(waits),
+                            slot, tuple(su.arrivals[pos] for su in sus), best, gain, waits,
                             tuple(len(su.queue.fifo) for su in sus), tuple(y), x,
                             tuple(su.direct[pos] for su in sus),
                             tuple(su.interference[pos] for su in sus),

@@ -95,7 +95,9 @@ ArrivalProcess = Bernoulli | TruncatedPoisson
 class SuQueue:
     """One user's FIFO buffer plus cumulative arrival/departure stats.
 
-    The FIFO holds each queued packet's arrival slot, oldest first.
+    The FIFO holds each queued packet's arrival slot, oldest first. The
+    slot loop (engine.Simulation) pops departing packets off its head and
+    adds them to the departure counters.
     """
 
     __slots__ = ("arrivals", "buffer_cap", "fifo", "cumulative_arrivals",
@@ -126,15 +128,6 @@ class SuQueue:
         if len(self.fifo) > self.buffer_cap:
             raise InfeasibleLoadError(f"backlog exceeded safety cap {self.buffer_cap} at slot {slot}")
         return n
-
-    def depart(self, n: int, slot: int) -> list[int]:
-        """Remove the n head packets at ``slot`` and return their waiting
-        times, oldest packet first."""
-        pop = self.fifo.popleft
-        waits = [slot - pop() + 1 for _ in range(n)]
-        self.cumulative_departures += n
-        self.departed_waiting_sum += sum(waits)
-        return waits
 
     def average_delay(self) -> float | None:
         """Mean waiting time over departed packets; None if none departed."""

@@ -78,9 +78,14 @@ def sweep_results(
     spec: ExperimentSpec, jobs: int | None = None, progress=None
 ) -> list[tuple[tuple[str, float, int], RunResult]]:
     """All sweep cells in deterministic (scheduler, lambda, seed) order, run
-    in ``jobs`` processes (None: one per CPU)."""
+    in ``jobs`` processes (None: one per CPU this process may run on)."""
     if jobs is None:
-        jobs = os.cpu_count() or 1
+        # os.cpu_count() counts every CPU of the host, also those this
+        # process may not run on; it stands in where affinity is unknown.
+        try:
+            jobs = len(os.sched_getaffinity(0))
+        except AttributeError:
+            jobs = os.cpu_count() or 1
     elif jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     points = sweep_points(spec)

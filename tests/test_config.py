@@ -235,6 +235,16 @@ class TestLoadSpecValidation:
         with pytest.raises(ConfigError, match="seeds must be distinct"):
             load_spec(path)
 
+    @pytest.mark.parametrize("names", [
+        "proposed, proposed", "maxweight, Proposed_NonIdling, proposed-nonidling",
+    ])
+    def test_duplicate_schedulers(self, tmp_path, names):
+        path = write_cfg(tmp_path, patched("schedulers", names))
+        with pytest.raises(ConfigError) as exc:
+            load_spec(path)
+        assert exc.value.line == 24
+        assert exc.value.message == "[sweep] schedulers: schedulers must be distinct"
+
     def test_negative_seed(self, tmp_path):
         path = write_cfg(tmp_path, patched("seeds", "1, -1"))
         with pytest.raises(ConfigError) as exc:

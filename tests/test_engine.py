@@ -6,12 +6,14 @@ import pytest
 from crsched.channels import DeterministicGain, RayleighGain
 from crsched.engine import (
     BLOCK,
+    PHI_ACTUAL,
     PHI_LITERAL,
     SchedulerKind,
     Simulation,
     SimConfig,
     SuConfig,
     stability_metric,
+    transmission_rate,
 )
 from crsched.queueing import Bernoulli, InfeasibleLoadError, TruncatedPoisson
 from crsched.streams import ROLE_DIRECT, ROLE_INTERFERENCE, substream
@@ -263,6 +265,15 @@ def queue_state(sim: Simulation):
     ]
 
 
+def multi_packet_sus(lam=0.6, direct_mean=2.0):
+    """two_user_sus with truncated-Poisson arrivals and Rayleigh direct
+    links, so that some slots send several packets."""
+    return tuple(
+        replace(su, arrivals=TruncatedPoisson(lam, 3), direct=RayleighGain(direct_mean))
+        for su in two_user_sus(0.3)
+    )
+
+
 @pytest.mark.parametrize("kind", ["proposed", "proposed-nonidling", "maxweight"])
 @pytest.mark.parametrize("arrivals", ["bernoulli", "poisson"])
 def test_stepped_and_converging_loops_agree(kind, arrivals):
@@ -270,11 +281,7 @@ def test_stepped_and_converging_loops_agree(kind, arrivals):
     # one slot; both must reach the same state across three input-block
     # boundaries and a last result interval.
     slots = 3 * BLOCK + 500
-    sus = two_user_sus(0.3)
-    if arrivals == "poisson":
-        sus = tuple(
-            replace(su, arrivals=TruncatedPoisson(0.6, 3), direct=RayleighGain(2.0)) for su in sus
-        )
+    sus = multi_packet_sus() if arrivals == "poisson" else two_user_sus(0.3)
     cfg = SimConfig(sus=sus, i_avg=0.3, scheduler=SchedulerKind(kind), seed=5, epsilon=0.0,
                     max_slots=slots, check_interval=1000, trace=True)
     stepped = run_slots(cfg, slots)
@@ -290,6 +297,37 @@ def test_stepped_and_converging_loops_agree(kind, arrivals):
     assert any(t.su is not None for t in trace[-500:])
     if arrivals == "poisson":
         assert any(len(t.waiting_times) > 1 for t in trace)
+
+
+@pytest.mark.parametrize("kind", ["proposed", "proposed-nonidling", "maxweight"])
+@pytest.mark.parametrize("phi_mode", [PHI_ACTUAL, PHI_LITERAL])
+def test_tracing_does_not_change_the_run(kind, phi_mode):
+    # Only a traced run lists the departed waiting times; the departures
+    # themselves must leave the same state either way.
+    cfg = SimConfig(sus=multi_packet_sus(1.2, 3.0), i_avg=1.0, scheduler=SchedulerKind(kind, phi_mode),
+                    seed=6, epsilon=0.0, max_slots=2 * BLOCK + 300, check_interval=1000)
+    plain = Simulation(cfg)
+    traced = Simulation(replace(cfg, trace=True))
+    assert plain.run_until_converged() == traced.run_until_converged()
+    assert queue_state(plain) == queue_state(traced)
+    assert (plain.c_y_emp, plain.interference_sum) == (traced.c_y_emp, traced.interference_sum)
+    assert plain.trace == []
+    assert any(len(t.waiting_times) > 1 for t in traced.trace)
+
+
+def test_block_rates_and_packets_follow_the_scalar_rule():
+    # Each block's rates come from one numpy add and math.log2; they must
+    # equal transmission_rate of each gain exactly, and the whole packets
+    # their integer parts.
+    cfg = SimConfig(sus=multi_packet_sus(), i_avg=0.3, scheduler=SchedulerKind("proposed"), seed=8)
+    sim = Simulation(cfg)
+    for _ in range(3):
+        sim._fill_block()
+        for inputs in sim.sus:
+            assert len(inputs.rate) == len(inputs.packets) == BLOCK
+            assert inputs.rate == [transmission_rate(g) for g in inputs.direct]
+            assert inputs.packets == [int(transmission_rate(g)) for g in inputs.direct]
+            assert set(inputs.packets) >= {0, 1, 2, 3}
 
 
 def test_abort_past_the_first_block_matches_stepping():

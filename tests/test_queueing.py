@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from crsched.engine import PROPOSED_NONIDLING
+from crsched.channels import DeterministicGain
+from crsched.engine import PROPOSED_NONIDLING, SchedulerKind, SimConfig, Simulation, SuConfig
 from crsched.queueing import (
     Bernoulli,
     InfeasibleLoadError,
@@ -104,28 +105,48 @@ class TestArrivalDecoding:
         assert process.counts(us).tolist() == scalar_counts(process, us.tolist())
 
 
-def make_queue(arrival_slots):
-    """Queue holding packets that arrived at the given slots."""
-    q = SuQueue(Bernoulli(1.0))
-    src = ScriptedSource([0.0])
-    for slot in arrival_slots:
-        q.draw_arrivals(slot, src)
-    return q
+def staged_queue(arrival_slots, packets):
+    """A one-user staged Simulation whose FIFO holds packets that arrived at
+    the given slots; whenever backlogged it is scheduled and its direct
+    gain 2^packets - 1 lets up to ``packets`` head packets depart."""
+    return staged_sim(PROPOSED_NONIDLING, Staged(fifo=tuple(arrival_slots), direct=2.0**packets - 1.0))
+
+
+def serve(sim, slot):
+    """Run slot ``slot`` of a staged Simulation; return the waiting times of
+    the packets that departed in it, oldest packet first."""
+    sim.slot = slot
+    sim.run_slot()
+    return sim.trace[-1].waiting_times
+
+
+def scripted_sim(arrivals, serves):
+    """A one-user staged Simulation whose slot t admits arrivals[t] packets
+    and offers serves[t] departures."""
+    sim = staged_sim(PROPOSED_NONIDLING, Staged())
+    sim._fill_block()
+    sim._pos = 0
+    inputs = sim.sus[0]
+    inputs.arrivals[:len(arrivals)] = arrivals
+    inputs.rate[:len(serves)] = map(float, serves)
+    inputs.packets[:len(serves)] = serves
+    return sim
 
 
 class TestPeekDepartures:
     def test_empty_queue(self):
-        q = make_queue([])
-        assert q.depart(0, slot=0) == []
+        sim = staged_queue([], 1)
+        assert serve(sim, 0) == ()
+        q = sim.sus[0].queue
         assert q.backlog == 0 and q.cumulative_departures == 0
 
     def test_waiting_time_counts_transmission_slot(self):
-        assert make_queue([3]).depart(1, slot=5) == [3]
+        assert serve(staged_queue([3], 1), 5) == (3,)
 
     def test_fifo_order_and_truncation(self):
-        q = make_queue([1, 2, 4])
-        assert q.depart(2, slot=5) == [5, 4]
-        assert list(q.fifo) == [4]
+        sim = staged_queue([1, 2, 4], 2)
+        assert serve(sim, 5) == (5, 4)
+        assert list(sim.sus[0].queue.fifo) == [4]
 
     def test_peek_does_not_mutate(self):
         # User 0's index reads its two head packets (phi = 5 - 4 = 1) but
@@ -143,64 +164,67 @@ class TestPeekDepartures:
 
 class TestCommitDepartures:
     def test_removes_head_packets(self):
-        q = make_queue([0, 0, 0, 0, 0])
-        q.depart(3, slot=0)
+        sim = staged_queue([0, 0, 0, 0, 0], 3)
+        serve(sim, 0)
+        q = sim.sus[0].queue
         assert q.backlog == 2
         assert q.cumulative_departures == 3
 
     def test_zero_count_is_a_noop(self):
-        q = make_queue([0])
-        assert q.depart(0, slot=4) == []
+        sim = staged_queue([0], 0)
+        assert serve(sim, 4) == ()
+        q = sim.sus[0].queue
         assert q.backlog == 1
         assert q.cumulative_departures == 0 and q.departed_waiting_sum == 0
 
     def test_departures_then_arrival_within_one_slot(self):
-        q = make_queue([0, 0])
-        q.depart(2, slot=1)
-        q.draw_arrivals(1, ScriptedSource([0.0]))
+        sim = staged_queue([0, 0], 2)
+        serve(sim, 1)
+        q = sim.sus[0].queue
+        q.admit(1, 1)
         assert q.backlog == 1
 
     def test_batch_count_must_match_waiting_times(self):
         for n in range(4):
-            q = make_queue([0, 1, 2])
-            assert len(q.depart(n, slot=2)) == n
-            assert q.cumulative_departures == n
+            sim = staged_queue([0, 1, 2], n)
+            assert len(serve(sim, 2)) == n
+            assert sim.sus[0].queue.cumulative_departures == n
 
     def test_departure_stamps_satisfy_waiting_law(self):
-        q = make_queue([2, 5])
-        assert q.depart(2, slot=7) == [7 - 2 + 1, 7 - 5 + 1]
-        assert q.departed_waiting_sum == (7 - 2 + 1) + (7 - 5 + 1)
+        sim = staged_queue([2, 5], 2)
+        assert serve(sim, 7) == (7 - 2 + 1, 7 - 5 + 1)
+        assert sim.sus[0].queue.departed_waiting_sum == (7 - 2 + 1) + (7 - 5 + 1)
 
 
 class TestAverageDelay:
     def test_mean_over_departed(self):
-        q = make_queue([0, 1, 2])
-        # serve one per slot starting at slot 0: W = 1, 2-1+1... drive exactly
-        q.depart(1, slot=0)   # W=1
-        q.depart(1, slot=2)   # W=2
-        q.depart(1, slot=4)   # W=3
-        assert q.average_delay() == 2.0
+        sim = staged_queue([0, 1, 2], 1)
+        serve(sim, 0)   # W=1
+        serve(sim, 2)   # W=2
+        serve(sim, 4)   # W=3
+        assert sim.sus[0].queue.average_delay() == 2.0
 
     def test_single_same_slot_departure(self):
-        q = make_queue([6])
-        q.depart(1, slot=6)
-        assert q.average_delay() == 1.0
+        sim = staged_queue([6], 1)
+        serve(sim, 6)
+        assert sim.sus[0].queue.average_delay() == 1.0
 
     def test_undefined_before_first_departure(self):
-        assert make_queue([0]).average_delay() is None
+        assert staged_queue([0], 1).sus[0].queue.average_delay() is None
 
     def test_serve_every_slot_gives_unit_delay(self):
         # Independent oracle: with at most one arrival per slot and one
         # packet served in the same slot, the backlog never exceeds one and
         # every waiting time is exactly 1.
-        q = SuQueue(Bernoulli(0.2))
-        src = substream(99, 0, ROLE_ARRIVALS)
-        oracle_departures = 0
-        for slot in range(10**4):
-            n = q.draw_arrivals(slot, src)
-            oracle_departures += n
-            q.depart(min(1, q.backlog), slot)
+        sim = Simulation(SimConfig(
+            sus=(SuConfig(Bernoulli(0.2), 1.5, DeterministicGain(1.0), DeterministicGain(0.4)),),
+            i_avg=2.0, scheduler=SchedulerKind(PROPOSED_NONIDLING), seed=99, trace=True,
+        ))
+        q = sim.sus[0].queue
+        for _ in range(10**4):
+            sim.run_slot()
             assert q.backlog == 0
+        oracle_departures = sum(t.arrivals[0] for t in sim.trace)
         assert q.cumulative_departures == oracle_departures
         if oracle_departures:
             assert q.average_delay() == 1.0
@@ -219,29 +243,29 @@ class TestQueueProperties:
     @settings(max_examples=200)
     def test_conservation_and_backlog_trajectory(self, script):
         arrivals, serves = script
-        q = SuQueue(Bernoulli(0.5))
-        src = ScriptedSource([0.0 if a else 0.9 for a in arrivals])
-        counts = []
+        counts = [1 if a else 0 for a in arrivals]
+        sim = scripted_sim(counts, serves)
+        q = sim.sus[0].queue
         levels = []
-        for slot, serve in enumerate(serves):
-            counts.append(q.draw_arrivals(slot, src))
-            q.depart(min(serve, q.backlog), slot)
+        for _ in serves:
+            sim.run_slot()
             levels.append(q.backlog)
             assert q.cumulative_arrivals == q.backlog + q.cumulative_departures
-        assert counts == [1 if a else 0 for a in arrivals]
+        assert [t.arrivals[0] for t in sim.trace] == counts
         assert levels == resim_queue_levels(counts, serves)
 
     @given(slot_script())
     @settings(max_examples=100)
     def test_fifo_order_and_waiting_law(self, script):
         arrivals, serves = script
-        q = SuQueue(Bernoulli(0.5))
-        src = ScriptedSource([0.0 if a else 0.9 for a in arrivals])
+        counts = [1 if a else 0 for a in arrivals]
+        sim = scripted_sim(counts, serves)
+        q = sim.sus[0].queue
         departed = []
-        for slot, serve in enumerate(serves):
-            q.draw_arrivals(slot, src)
-            head_arrivals = list(q.fifo)[:serve]
-            waits = q.depart(min(serve, q.backlog), slot)
+        for slot, offer in enumerate(serves):
+            head_arrivals = (list(q.fifo) + [slot] * counts[slot])[:offer]
+            sim.run_slot()
+            waits = sim.trace[-1].waiting_times
             assert len(waits) == len(head_arrivals)
             departed.extend((a, slot, w) for a, w in zip(head_arrivals, waits))
         arrival_order = [a for a, _, _ in departed]

@@ -112,7 +112,15 @@ class TestSweep:
             sweep_results(tiny_spec, jobs=jobs)
 
     def test_default_jobs_is_the_cpu_count(self, tiny_spec, monkeypatch):
-        # With one CPU the default runs serially: a process pool would fail.
+        # Allowed one CPU of a larger host, the default runs serially: a
+        # process pool would fail.
+        monkeypatch.setattr("crsched.sweep.os.sched_getaffinity", lambda pid: {3})
+        monkeypatch.setattr("crsched.sweep.os.cpu_count", lambda: 8)
+        monkeypatch.setattr("crsched.sweep.ProcessPoolExecutor", None)
+        assert sweep_results(tiny_spec) == sweep_results(tiny_spec, jobs=1)
+
+    def test_default_jobs_without_affinity_is_the_host_cpu_count(self, tiny_spec, monkeypatch):
+        monkeypatch.delattr("crsched.sweep.os.sched_getaffinity")
         monkeypatch.setattr("crsched.sweep.os.cpu_count", lambda: 1)
         monkeypatch.setattr("crsched.sweep.ProcessPoolExecutor", None)
         assert sweep_results(tiny_spec) == sweep_results(tiny_spec, jobs=1)
@@ -388,6 +396,7 @@ GRID_FLAGS = {"--lambda-min": "0.0", "--lambda-max": "0.2", "--lambda-step": "0.
 @pytest.mark.parametrize("flag, section, key, bad", [
     ("--schedulers", "sweep", "schedulers", "proposed, edf"),
     ("--schedulers", "sweep", "schedulers", ""),
+    ("--schedulers", "sweep", "schedulers", "proposed, PROPOSED_nonidling, proposed-nonidling"),
     ("--lambda-min", "sweep", "lambda_min", "-0.1"),
     ("--lambda-max", "sweep", "lambda_max", "5"),
     ("--lambda-max", "sweep", "lambda_max", "inf"),
