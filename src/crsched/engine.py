@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice, takewhile
+from itertools import islice, repeat, takewhile
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import ChannelModel
+from .channels import ChannelModel, DeterministicGain
 from .queueing import DEFAULT_BUFFER_CAP, ArrivalProcess, InfeasibleLoadError, SuQueue
 from .streams import ROLE_ARRIVALS, ROLE_DIRECT, ROLE_INTERFERENCE, substream
 
@@ -109,13 +109,22 @@ class SimConfig:
             raise ValueError("check interval must be positive")
         if self.max_slots < self.check_interval:
             raise ValueError("max_slots must be at least the check interval")
+        if self.seed < 0:
+            raise ValueError("seeds must be nonnegative")
+        if self.buffer_cap < 1:
+            raise ValueError("buffer cap must be positive")
 
 
 class SuState(NamedTuple):
     """One user's FIFO and delay bound, its inputs for the current block of
     slots, one entry per slot (arrival counts, direct gains, their rates
-    log2(1 + gain), the whole packets int(rate) and interference gains),
-    and the generators they are drawn from."""
+    log2(1 + gain), the whole packets floor(rate) and interference gains),
+    and the generators they are drawn from.
+
+    The direct gains are kept only in a traced run, the one reader. A link
+    with a constant gain has its lists filled once, when the run is set up,
+    and never redrawn; its generator is never drawn from.
+    """
 
     queue: SuQueue
     delay_bound: float
@@ -217,17 +226,30 @@ class Simulation:
         self.trace: list[SlotTrace] = []
         self.slot = 0
         self._pos = BLOCK  # the next slot's index into the inputs; BLOCK: draw first
+        for su, state in zip(config.sus, self.sus):
+            if isinstance(su.direct, DeterministicGain):
+                self._set_direct(state, su.direct)
+            if isinstance(su.interference, DeterministicGain):
+                state.interference[:] = su.interference.sample_block(state.interference_rng, BLOCK).tolist()
+
+    def _set_direct(self, state: SuState, model: ChannelModel) -> None:
+        """Fill ``state``'s direct-link lists from a block of ``model``'s gains."""
+        direct = model.sample_block(state.direct_rng, BLOCK)
+        if self.config.trace:
+            state.direct[:] = direct.tolist()
+        # transmission_rate of each gain: numpy's float64 add rounds as Python's.
+        state.rate[:] = map(math.log2, (1.0 + direct).tolist())
+        # Rates are finite and nonnegative, so floor gives int(rate), faster.
+        state.packets[:] = map(math.floor, state.rate)
 
     def _fill_block(self) -> None:
-        """Replace every user's inputs with those of the next BLOCK slots."""
+        """Replace every user's drawn inputs with those of the next BLOCK slots."""
         for su, state in zip(self.config.sus, self.sus):
             state.arrivals[:] = su.arrivals.counts(state.arrival_rng.random(BLOCK)).tolist()
-            direct = su.direct.sample_block(state.direct_rng, BLOCK)
-            state.direct[:] = direct.tolist()
-            # transmission_rate of each gain: numpy's float64 add rounds as Python's.
-            state.rate[:] = map(math.log2, (1.0 + direct).tolist())
-            state.packets[:] = map(int, state.rate)
-            state.interference[:] = su.interference.sample_block(state.interference_rng, BLOCK).tolist()
+            if not isinstance(su.direct, DeterministicGain):
+                self._set_direct(state, su.direct)
+            if not isinstance(su.interference, DeterministicGain):
+                state.interference[:] = su.interference.sample_block(state.interference_rng, BLOCK).tolist()
 
     def run_slot(self) -> int | None:
         """Advance one slot; return the scheduled user, None on idle."""
@@ -242,14 +264,14 @@ class Simulation:
         """
         sus = self.sus
         users = [
-            (i, su.queue.admit, su.queue.fifo, su.delay_bound, su.arrivals, su.rate, su.packets,
-             su.interference)
+            (i, su.queue.fifo, su.delay_bound, su.arrivals, su.rate, su.packets, su.interference)
             for i, su in enumerate(sus)
         ]
         y = self.y
         c_y_emp = self.c_y_emp
         trace = self.trace if self.config.trace else None
         i_avg = self.config.i_avg
+        buffer_cap = self.config.buffer_cap
         sched = self.config.scheduler
         maxweight = sched.kind == MAXWEIGHT
         idling = sched.idling
@@ -268,9 +290,17 @@ class Simulation:
                     best = None
                     best_v = -math.inf if maxweight else math.inf
                     best_n = 0
-                    for i, admit, fifo, d, arrivals, rates, packets, interference in users:
-                        if arrivals[pos]:
-                            admit(arrivals[pos], slot)
+                    for i, fifo, d, arrivals, rates, packets, interference in users:
+                        # Arrivals join the tail; they may depart in this slot.
+                        a = arrivals[pos]
+                        if a:
+                            if a == 1:
+                                fifo.append(slot)
+                            else:
+                                fifo.extend(repeat(slot, a))
+                            if len(fifo) > buffer_cap:
+                                raise InfeasibleLoadError(
+                                    f"backlog exceeded safety cap {buffer_cap} at slot {slot}")
                         q = len(fifo)
                         if not q:
                             continue
@@ -298,7 +328,7 @@ class Simulation:
                     if best is None:
                         gain = 0.0
                     else:
-                        _, _, fifo, d, _, _, packets, interference = users[best]
+                        _, fifo, d, _, _, packets, interference = users[best]
                         gain = interference[pos]
                         interference_sum += gain
                         if maxweight:

@@ -96,12 +96,13 @@ class SuQueue:
     """One user's FIFO buffer plus cumulative arrival/departure stats.
 
     The FIFO holds each queued packet's arrival slot, oldest first. The
-    slot loop (engine.Simulation) pops departing packets off its head and
-    adds them to the departure counters.
+    slot loop (engine.Simulation) appends arriving packets to its tail,
+    pops departing packets off its head and adds them to the departure
+    counters. A packet leaves the FIFO only by departing, so the arrivals
+    so far are the departures plus the backlog.
     """
 
-    __slots__ = ("arrivals", "buffer_cap", "fifo", "cumulative_arrivals",
-                 "cumulative_departures", "departed_waiting_sum")
+    __slots__ = ("arrivals", "buffer_cap", "fifo", "cumulative_departures", "departed_waiting_sum")
 
     def __init__(self, arrivals: ArrivalProcess, buffer_cap: int = DEFAULT_BUFFER_CAP):
         if buffer_cap < 1:
@@ -109,7 +110,6 @@ class SuQueue:
         self.arrivals = arrivals
         self.buffer_cap = buffer_cap
         self.fifo: deque[int] = deque()
-        self.cumulative_arrivals = 0
         self.cumulative_departures = 0
         self.departed_waiting_sum = 0
 
@@ -117,14 +117,21 @@ class SuQueue:
     def backlog(self) -> int:
         return len(self.fifo)
 
+    @property
+    def cumulative_arrivals(self) -> int:
+        return self.cumulative_departures + len(self.fifo)
+
     def draw_arrivals(self, slot: int, source) -> int:
         """Draw this slot's arrivals from ``source.random()`` and admit them."""
         return self.admit(self.arrivals.draw(source), slot)
 
     def admit(self, n: int, slot: int) -> int:
-        """Queue n packets arriving at ``slot`` (they may depart in it); return n."""
+        """Queue n packets arriving at ``slot`` (they may depart in it); return n.
+
+        The scalar arrival path of draw_arrivals; the slot loop admits
+        arrivals itself, with the same cap check.
+        """
         self.fifo.extend(repeat(slot, n))
-        self.cumulative_arrivals += n
         if len(self.fifo) > self.buffer_cap:
             raise InfeasibleLoadError(f"backlog exceeded safety cap {self.buffer_cap} at slot {slot}")
         return n

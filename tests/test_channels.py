@@ -14,7 +14,8 @@ def rng(seed=0):
 
 
 def gain_feeds(direct, interference, seed):
-    """A Simulation of users with these channel models and no traffic."""
+    """A traced Simulation of users with these channel models and no
+    traffic; only a traced run keeps its direct gains."""
     return Simulation(SimConfig(
         sus=tuple(
             SuConfig(arrivals=Bernoulli(0.0), delay_bound=1.0, direct=g_d, interference=g)
@@ -23,12 +24,14 @@ def gain_feeds(direct, interference, seed):
         i_avg=1.0,
         scheduler=SchedulerKind("proposed"),
         seed=seed,
+        trace=True,
     ))
 
 
 def slot_gains(sim, n):
     """The (direct, interference) gain tuples of the Simulation's first n
     slots, read from its input blocks."""
+    assert sim.config.trace, "only a traced run keeps its direct gains"
     slots = []
     while len(slots) < n:
         sim._fill_block()

@@ -302,24 +302,31 @@ def test_stepped_and_converging_loops_agree(kind, arrivals):
 @pytest.mark.parametrize("kind", ["proposed", "proposed-nonidling", "maxweight"])
 @pytest.mark.parametrize("phi_mode", [PHI_ACTUAL, PHI_LITERAL])
 def test_tracing_does_not_change_the_run(kind, phi_mode):
-    # Only a traced run lists the departed waiting times; the departures
-    # themselves must leave the same state either way.
-    cfg = SimConfig(sus=multi_packet_sus(1.2, 3.0), i_avg=1.0, scheduler=SchedulerKind(kind, phi_mode),
-                    seed=6, epsilon=0.0, max_slots=2 * BLOCK + 300, check_interval=1000)
-    plain = Simulation(cfg)
-    traced = Simulation(replace(cfg, trace=True))
-    assert plain.run_until_converged() == traced.run_until_converged()
-    assert queue_state(plain) == queue_state(traced)
-    assert (plain.c_y_emp, plain.interference_sum) == (traced.c_y_emp, traced.interference_sum)
-    assert plain.trace == []
-    assert any(len(t.waiting_times) > 1 for t in traced.trace)
+    # Only a traced run lists the departed waiting times and keeps the
+    # direct gains; the departures themselves must leave the same state
+    # either way, also beside a constant link whose inputs are filled once.
+    fading = multi_packet_sus(1.2, 3.0)
+    mixed = (replace(fading[0], direct=DeterministicGain(3.0)), fading[1])
+    for sus in (fading, mixed):
+        cfg = SimConfig(sus=sus, i_avg=1.0, scheduler=SchedulerKind(kind, phi_mode),
+                        seed=6, epsilon=0.0, max_slots=2 * BLOCK + 300, check_interval=1000)
+        plain = Simulation(cfg)
+        traced = Simulation(replace(cfg, trace=True))
+        assert plain.run_until_converged() == traced.run_until_converged()
+        assert queue_state(plain) == queue_state(traced)
+        assert (plain.c_y_emp, plain.interference_sum) == (traced.c_y_emp, traced.interference_sum)
+        assert plain.trace == []
+        assert all(su.direct == [] for su in plain.sus)
+        assert any(len(t.waiting_times) > 1 for t in traced.trace)
 
 
 def test_block_rates_and_packets_follow_the_scalar_rule():
     # Each block's rates come from one numpy add and math.log2; they must
     # equal transmission_rate of each gain exactly, and the whole packets
     # their integer parts.
-    cfg = SimConfig(sus=multi_packet_sus(), i_avg=0.3, scheduler=SchedulerKind("proposed"), seed=8)
+    # Only a traced run keeps the direct gains to compare with.
+    cfg = SimConfig(sus=multi_packet_sus(), i_avg=0.3, scheduler=SchedulerKind("proposed"), seed=8,
+                    trace=True)
     sim = Simulation(cfg)
     for _ in range(3):
         sim._fill_block()
@@ -328,6 +335,32 @@ def test_block_rates_and_packets_follow_the_scalar_rule():
             assert inputs.rate == [transmission_rate(g) for g in inputs.direct]
             assert inputs.packets == [int(transmission_rate(g)) for g in inputs.direct]
             assert set(inputs.packets) >= {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_constant_links_take_no_draws(trace):
+    # A constant link's inputs are computed once and its generator is never
+    # drawn from, so the Rayleigh user beside it sees its own stream as before.
+    slots = 3 * BLOCK
+    constant = SuConfig(Bernoulli(0.3), 1.5, DeterministicGain(3.0), DeterministicGain(0.5))
+    fading = multi_packet_sus()[1]
+    cfg = SimConfig(sus=(constant, fading), i_avg=1.0, scheduler=SchedulerKind("proposed"),
+                    seed=3, epsilon=0.0, max_slots=slots, check_interval=BLOCK, trace=trace)
+    sim = Simulation(cfg)
+    sim.run_until_converged()
+    assert sim.slot == slots
+    inputs = sim.sus[0]
+    for rng, role in ((inputs.direct_rng, ROLE_DIRECT), (inputs.interference_rng, ROLE_INTERFERENCE)):
+        assert rng.bit_generator.state == substream(3, 0, role).bit_generator.state
+    assert inputs.rate == [transmission_rate(3.0)] * BLOCK
+    assert inputs.packets == [int(transmission_rate(3.0))] * BLOCK == [2] * BLOCK
+    assert inputs.interference == [0.5] * BLOCK
+    assert inputs.direct == ([3.0] * BLOCK if trace else [])
+    drawn = sim.sus[1].direct_rng.bit_generator.state
+    assert drawn != substream(3, 1, ROLE_DIRECT).bit_generator.state
+    if trace:
+        assert [t.direct for t in sim.trace] == list(zip(
+            [3.0] * slots, fading.direct.sample_block(substream(3, 1, ROLE_DIRECT), slots).tolist()))
 
 
 def test_abort_past_the_first_block_matches_stepping():
@@ -353,8 +386,11 @@ def test_abort_past_the_first_block_matches_stepping():
     assert result.slots == 5000
     assert result.terminal_q == (5001,)
     stepped = run_slots(cfg, 5000)
-    with pytest.raises(InfeasibleLoadError):
+    with pytest.raises(InfeasibleLoadError, match="^backlog exceeded safety cap 5000 at slot 5000$"):
         stepped.run_slot()
+    for sim in (aborted, stepped):
+        queue = sim.sus[0].queue
+        assert queue.cumulative_arrivals == queue.cumulative_departures + queue.backlog == 5001
     assert (aborted.slot, aborted.x, aborted.y) == (stepped.slot, stepped.x, stepped.y)
     assert accumulators(aborted) == accumulators(stepped)
     assert queue_state(aborted) == queue_state(stepped)
@@ -424,10 +460,19 @@ class TestDriftDiagnostics:
             i_avg=1.0, scheduler=SchedulerKind("proposed"), epsilon=0.0,
             max_slots=10_000, check_interval=10_000, buffer_cap=5000,
         )
-        result = Simulation(cfg).run_until_converged()
+        sim = Simulation(cfg)
+        result = sim.run_until_converged()
         assert result.note == "infeasible-load"
         assert (result.slots, result.terminal_q) == (slots, terminal_q)
         assert result.drift.mean_drift == pytest.approx(mean_drift, rel=1e-12)
+        # Every admitted packet, the aborted slot's too, is queued or departed.
+        for su, q in zip(sim.sus, terminal_q):
+            queue = su.queue
+            assert queue.cumulative_arrivals == queue.cumulative_departures + queue.backlog
+            assert queue.backlog == q
+        stepped = run_slots(cfg, slots)
+        with pytest.raises(InfeasibleLoadError, match=f"^backlog exceeded safety cap 5000 at slot {slots}$"):
+            stepped.run_slot()
 
     def test_unrecorded_run_has_no_diagnostics(self):
         # A run that aborts before completing a slot has no drift to
@@ -530,6 +575,16 @@ class TestConfigValidation:
     def test_cap_below_check_interval_rejected(self):
         with pytest.raises(ValueError, match="max_slots"):
             two_user_config(0.1, "proposed", max_slots=100, check_interval=200)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("buffer_cap", 0, "buffer cap must be positive"),
+        ("buffer_cap", -5, "buffer cap must be positive"),
+        ("seed", -1, "seeds must be nonnegative"),
+    ])
+    def test_bad_run_setting_rejected(self, field, value, message):
+        # SimConfig refuses what the config file refuses, with its message.
+        with pytest.raises(ValueError, match=message):
+            two_user_config(0.1, "proposed", **{field: value})
 
     def test_no_users_rejected(self):
         with pytest.raises(ValueError, match="at least one user"):
