@@ -100,9 +100,10 @@ def _cmd_run(args) -> int:
         )
 
     progress.done = 0
+    # An unusable output path fails here, before any point has run.
+    out.mkdir(parents=True, exist_ok=True)
     results = sweep_results(spec, jobs=args.jobs, progress=progress)
     rows = rows_from_results(results)
-    out.mkdir(parents=True, exist_ok=True)
     rows_path = out / ROWS_FILENAME
     write_rows(rows, rows_path)
     emit_figures(

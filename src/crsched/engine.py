@@ -4,15 +4,18 @@ At most one backlogged user transmits per slot. The index policy serves the
 smallest index phi (its idling variant idles when even that is positive);
 max-weight serves the largest Q/g and never idles under backlog.
 
-Each slot is one pass over the users followed by at most one departure:
+Each slot is one scan over the users followed by at most one departure.
+Every user's arrivals and gains are drawn a block of slots at a time,
+backlogged or not. Simulation._advance sets up the decision rule's scan
+once per call: max-weight's reads only each user's backlog Q and
+interference gain g, the index scan what phi needs. Either way a slot goes:
 
-1. the user's arrivals join its queue (and may depart in the same slot)
-2. its direct and interference gains are drawn, backlogged or not
-3. if backlogged, its metric is scored: the index phi, or Q/g for max-weight
-4. the chosen user's head packets depart, n = min(Q, floor(rate))
-5. its delay accumulator Y_i absorbs the departures' excess over d_i
-6. the interference accumulator X absorbs the slot's gain (0 on idle) - I_avg
-7. metrics are accumulated
+1. each user's arrivals join its queue (and may depart in the same slot)
+2. if backlogged, its metric is scored: the index phi, or Q/g for max-weight
+3. the chosen user's head packets depart, n = min(Q, floor(rate))
+4. its delay accumulator Y_i absorbs the departures' excess over d_i
+5. the interference accumulator X absorbs the slot's gain (0 on idle) - I_avg
+6. metrics are accumulated
 
 Y_i and X (the "virtual queues") grow when a slot violates its constraint
 and drain, down to 0, when it has room to spare; if their time-averaged
@@ -263,10 +266,6 @@ class Simulation:
         its arrivals so far queued and changes nothing else.
         """
         sus = self.sus
-        users = [
-            (i, su.queue.fifo, su.delay_bound, su.arrivals, su.rate, su.packets, su.interference)
-            for i, su in enumerate(sus)
-        ]
         y = self.y
         c_y_emp = self.c_y_emp
         trace = self.trace if self.config.trace else None
@@ -276,9 +275,25 @@ class Simulation:
         maxweight = sched.kind == MAXWEIGHT
         idling = sched.idling
         literal = sched.phi_mode == PHI_LITERAL
+        inf = math.inf
+        # Each rule scans what it reads of a user: Q and g for max-weight,
+        # what phi needs for the index policy. Its entry ends with what the
+        # departure step reads of the user, if the user is served.
+        scan = []
+        for i, su in enumerate(sus):
+            fifo = su.queue.fifo
+            served = (i, su.queue, fifo, su.delay_bound, su.packets, su.interference)
+            if maxweight:
+                scan.append((fifo, su.arrivals, su.interference, served))
+            else:
+                scan.append((fifo, su.arrivals, su.interference, su.packets, su.rate,
+                             su.delay_bound, i, served))
+        start_v = -inf if maxweight else inf
         x, slot, pos = self.x, self.slot, self._pos
         interference_sum = self.interference_sum
         end = slot + count
+        best_served = None
+        waits = ()  # the served packets' waiting times, for the trace only
         try:
             while slot < end:
                 if pos == BLOCK:
@@ -287,54 +302,75 @@ class Simulation:
                 stop = min(BLOCK, pos + end - slot)
                 for pos in range(pos, stop):
                     # Ties keep the lowest index: only a strictly better value replaces it.
-                    best = None
-                    best_v = -math.inf if maxweight else math.inf
-                    best_n = 0
-                    for i, fifo, d, arrivals, rates, packets, interference in users:
-                        # Arrivals join the tail; they may depart in this slot.
-                        a = arrivals[pos]
-                        if a:
-                            if a == 1:
-                                fifo.append(slot)
+                    best_served = None
+                    best_v = start_v
+                    if maxweight:
+                        for fifo, arrivals, interference, served in scan:
+                            # Arrivals join the tail; they may depart in this slot.
+                            a = arrivals[pos]
+                            if a:
+                                if a == 1:
+                                    fifo.append(slot)
+                                else:
+                                    fifo.extend(repeat(slot, a))
+                                q = len(fifo)
+                                if q > buffer_cap:
+                                    raise InfeasibleLoadError(
+                                        f"backlog exceeded safety cap {buffer_cap} at slot {slot}")
+                            elif fifo:
+                                q = len(fifo)
                             else:
-                                fifo.extend(repeat(slot, a))
-                            if len(fifo) > buffer_cap:
-                                raise InfeasibleLoadError(
-                                    f"backlog exceeded safety cap {buffer_cap} at slot {slot}")
-                        q = len(fifo)
-                        if not q:
-                            continue
-                        g = interference[pos]
-                        if maxweight:
+                                continue
+                            g = interference[pos]
                             # An interference-free link has infinite weight.
-                            v = math.inf if g <= 0.0 else q / g
+                            v = inf if g <= 0.0 else q / g
                             if v > best_v:
-                                best, best_v = i, v
-                            continue
-                        n = packets[pos]
-                        if n > q:
-                            n = q
-                        # The departing packets' waiting-time sum, an exact integer.
-                        w_sum = n * (slot + 1) - (n * fifo[0] if n < 2 else sum(islice(fifo, n)))
-                        # phi = X g + Y sum(W) - (Y d + Q) r, where r is the packet
-                        # count (actual mode) or the raw rate (literal mode).
-                        v = x * g + y[i] * w_sum - (y[i] * d + q) * (rates[pos] if literal else n)
-                        if v < best_v:
-                            best, best_v, best_n = i, v, n
-                    if idling and best_v > 0.0:
-                        best = None
-
-                    waits = ()
-                    if best is None:
-                        gain = 0.0
+                                best_served, best_v, best_q = served, v, q
                     else:
-                        _, fifo, d, _, _, packets, interference = users[best]
+                        for fifo, arrivals, interference, packets, rates, d, i, served in scan:
+                            a = arrivals[pos]
+                            if a:
+                                if a == 1:
+                                    fifo.append(slot)
+                                else:
+                                    fifo.extend(repeat(slot, a))
+                                q = len(fifo)
+                                if q > buffer_cap:
+                                    raise InfeasibleLoadError(
+                                        f"backlog exceeded safety cap {buffer_cap} at slot {slot}")
+                            elif fifo:
+                                q = len(fifo)
+                            else:
+                                continue
+                            n = packets[pos]
+                            if n > q:
+                                n = q
+                            # The departing packets' waiting-time sum, an exact integer.
+                            if n < 2:
+                                w_sum = n * (slot + 1 - fifo[0])
+                            else:
+                                w_sum = n * (slot + 1) - sum(islice(fifo, n))
+                            # phi = X g + Y sum(W) - (Y d + Q) r, where r is the packet
+                            # count (actual mode) or the raw rate (literal mode).
+                            y_i = y[i]
+                            v = (x * interference[pos] + y_i * w_sum
+                                 - (y_i * d + q) * (rates[pos] if literal else n))
+                            if v < best_v:
+                                best_served, best_v, best_n = served, v, n
+                        if idling and best_v > 0.0:
+                            best_served = None
+
+                    if best_served is None:
+                        # An idle slot charges no gain; x + 0.0 == x, as X >= 0 is never -0.0.
+                        x -= i_avg
+                    else:
+                        best, queue, fifo, d, packets, interference = best_served
                         gain = interference[pos]
                         interference_sum += gain
                         if maxweight:
                             best_n = packets[pos]
-                            if best_n > len(fifo):
-                                best_n = len(fifo)
+                            if best_n > best_q:
+                                best_n = best_q
                         # A 0-packet slot still holds the channel and charges its gain.
                         if best_n:
                             if trace is not None:
@@ -354,7 +390,6 @@ class Simulation:
                                     w = slot + 1 - pop()
                                     w_sum += w
                                     excess += w - d
-                            queue = sus[best].queue
                             queue.cumulative_departures += best_n
                             queue.departed_waiting_sum += w_sum
                             y_new = y[best] + excess
@@ -362,22 +397,24 @@ class Simulation:
                             cand = d * d * best_n * best_n + w_sum * w_sum
                             if cand > c_y_emp[best]:
                                 c_y_emp[best] = cand
-                    x = x + gain - i_avg
+                        x = x + gain - i_avg
                     x = x if x > 0.0 else 0.0
 
                     if trace is not None:
                         trace.append(SlotTrace(
-                            slot, tuple(su.arrivals[pos] for su in sus), best, gain, waits,
+                            slot, tuple(su.arrivals[pos] for su in sus),
+                            best if best_served else None, gain if best_served else 0.0, waits,
                             tuple(len(su.queue.fifo) for su in sus), tuple(y), x,
                             tuple(su.direct[pos] for su in sus),
                             tuple(su.interference[pos] for su in sus),
                         ))
+                        waits = ()
                     slot += 1
                 pos = stop
         finally:
             self.x, self.slot, self._pos = x, slot, pos
             self.interference_sum = interference_sum
-        return best
+        return None if best_served is None else best_served[0]
 
     def stability_metric(self) -> float:
         if self.slot == 0:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -102,6 +101,9 @@ def sweep_results(
 
     if jobs == 1 or len(configs) <= 1:
         return collect(map(run_point, configs))
+    # Imported here: the pool's modules cost a serial run start-up time and memory.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
         return collect(pool.map(run_point, configs))
 

@@ -248,6 +248,30 @@ class TestDecideMaxWeight:
         assert t.waiting_times == ()
         assert t.gain == 5.0
 
+    def test_interference_free_tie_takes_lowest_index(self):
+        # Both weights are infinite, whatever the backlogs.
+        assert weight_choice([None, (1, 0.0), (5, 0.0)]) == 1
+
+    def test_arrival_departs_in_its_own_slot(self):
+        # The link carries log2(1 + 7) = 3 packets, but only the queued
+        # packet and the one arriving in this slot can go.
+        sim = staged_sim(MAXWEIGHT, Staged(fifo=(0,), direct=7.0), slot=1)
+        sim._fill_block()
+        sim._pos = 0
+        sim.sus[0].arrivals[0] = 1
+        assert sim.run_slot() == 0
+        assert sim.trace[-1].waiting_times == (2, 1)
+        queue = sim.sus[0].queue
+        assert queue.backlog == 0 and queue.cumulative_departures == 2
+
+    def test_all_empty_slot_charges_no_gain(self):
+        sim = staged_sim(MAXWEIGHT, Staged(interference=0.0), Staged(interference=5.0), x=3.0)
+        assert sim.run_slot() is None
+        t = sim.trace[-1]
+        assert t.waiting_times == () and t.gain == 0.0
+        assert sim.interference_sum == 0.0
+        assert sim.x == 1.0
+
     def test_batch_carries_transmittable_head_packets(self):
         sim = staged_sim(MAXWEIGHT, Staged(fifo=(0, 1), direct=3.0), Staged(), slot=2)
         assert sim.run_slot() == 0

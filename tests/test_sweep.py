@@ -1,8 +1,13 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crsched
 from crsched import cli
 from crsched.config import ConfigError, load_spec
 from crsched.sweep import (
@@ -58,6 +63,10 @@ DEAD = TINY.replace(
 ).replace(
     "direct = deterministic value=1.0", "direct = deterministic value=0.0"
 ).replace("schedulers = proposed, maxweight", "schedulers = proposed")
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("a process pool was built")
 
 
 @pytest.fixture(scope="module")
@@ -116,14 +125,33 @@ class TestSweep:
         # process pool would fail.
         monkeypatch.setattr("crsched.sweep.os.sched_getaffinity", lambda pid: {3})
         monkeypatch.setattr("crsched.sweep.os.cpu_count", lambda: 8)
-        monkeypatch.setattr("crsched.sweep.ProcessPoolExecutor", None)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         assert sweep_results(tiny_spec) == sweep_results(tiny_spec, jobs=1)
 
     def test_default_jobs_without_affinity_is_the_host_cpu_count(self, tiny_spec, monkeypatch):
         monkeypatch.delattr("crsched.sweep.os.sched_getaffinity")
         monkeypatch.setattr("crsched.sweep.os.cpu_count", lambda: 1)
-        monkeypatch.setattr("crsched.sweep.ProcessPoolExecutor", None)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         assert sweep_results(tiny_spec) == sweep_results(tiny_spec, jobs=1)
+
+    def test_serial_sweep_loads_no_process_pool(self, tmp_path):
+        # A fresh interpreter: this one may have loaded the pool already.
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY)
+        script = (
+            "import sys\n"
+            "import crsched.cli\n"
+            "from crsched.config import load_spec\n"
+            "from crsched.sweep import sweep_results\n"
+            "sweep_results(load_spec(sys.argv[1]), jobs=1)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
+        )
+        src = str(Path(crsched.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script, str(cfg)], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "[]\n"
 
     def test_progress_callback_sees_every_point(self, tiny_spec):
         seen = []
@@ -367,6 +395,22 @@ class TestCli:
         code = cli.main(["run", "--config", str(tmp_path / "absent.cfg")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_unusable_out_fails_before_the_sweep(self, tmp_path, capsys, monkeypatch):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+
+        def no_point(config):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr("crsched.sweep.run_point", no_point)
+        code = cli.main(["run", "--config", str(cfg), "--out", str(taken), "--jobs", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
 
     def test_incomplete_grid_flags_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"
