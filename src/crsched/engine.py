@@ -6,9 +6,11 @@ max-weight serves the largest Q/g and never idles under backlog.
 
 Each slot is one scan over the users followed by at most one departure.
 Every user's arrivals and gains are drawn a block of slots at a time,
-backlogged or not. Simulation._advance sets up the decision rule's scan
-once per call: max-weight's reads only each user's backlog Q and
-interference gain g, the index scan what phi needs. Either way a slot goes:
+backlogged or not: up to BLOCK slots, ending at the next convergence check,
+so a run that stops at a check has drawn exactly the slots it ran.
+Simulation._advance sets up the decision rule's scan once per call:
+max-weight's reads only each user's backlog Q and interference gain g, the
+index scan what phi needs. Either way a slot goes:
 
 1. each user's arrivals join its queue (and may depart in the same slot)
 2. if backlogged, its metric is scored: the index phi, or Q/g for max-weight
@@ -71,6 +73,26 @@ def transmission_rate(gamma: float) -> float:
     return math.log2(1.0 + gamma)
 
 
+# Mantissas of 1 + gamma this close to a power of two take the scalar rule.
+_NEAR_POWER_OF_TWO = 2.0**-30
+
+
+def whole_packets(one_plus: np.ndarray) -> list[int]:
+    """int(transmission_rate(gamma)) for each element 1 + gamma >= 1 of
+    ``one_plus``, without a log per element.
+
+    With 1 + gamma = m 2^e and m in [0.5, 1), log2(1 + gamma) lies in
+    [e - 1, e), so its integer part is e - 1. math.log2 errs by less than
+    an ulp, so it lands in that interval too unless m is within a hair of
+    0.5 or 1; only those elements are evaluated by the scalar rule.
+    """
+    m, e = np.frexp(one_plus)
+    packets = e - 1
+    for k in np.flatnonzero(np.abs(m - 0.75) > 0.25 - _NEAR_POWER_OF_TWO).tolist():
+        packets[k] = int(math.log2(float(one_plus[k])))
+    return packets.tolist()
+
+
 @dataclass(frozen=True)
 class SuConfig:
     """One user's statics: traffic, delay bound, and both channel models."""
@@ -120,13 +142,15 @@ class SimConfig:
 
 class SuState(NamedTuple):
     """One user's FIFO and delay bound, its inputs for the current block of
-    slots, one entry per slot (arrival counts, direct gains, their rates
-    log2(1 + gain), the whole packets floor(rate) and interference gains),
-    and the generators they are drawn from.
+    up to BLOCK slots, one entry per slot (arrival counts, direct gains,
+    their rates log2(1 + gain), the whole packets floor(rate) and
+    interference gains), and the generators they are drawn from.
 
-    The direct gains are kept only in a traced run, the one reader. A link
-    with a constant gain has its lists filled once, when the run is set up,
-    and never redrawn; its generator is never drawn from.
+    Each list is kept only where it is read: the direct gains in a traced
+    run, the rates in literal phi mode; otherwise it stays empty. A link
+    with a constant gain has its lists filled once from the scalar rule,
+    when the run is set up, and never redrawn; its generator is never drawn
+    from.
     """
 
     queue: SuQueue
@@ -228,31 +252,43 @@ class Simulation:
         self.c_y_emp = [0.0] * n
         self.trace: list[SlotTrace] = []
         self.slot = 0
-        self._pos = BLOCK  # the next slot's index into the inputs; BLOCK: draw first
+        # The next slot's index into the inputs, and the block's length;
+        # _advance draws the next block when the first reaches the second.
+        self._pos = self._len = 0
+        literal = config.scheduler.phi_mode == PHI_LITERAL
         for su, state in zip(config.sus, self.sus):
+            # A constant link's lists come from the scalar rule, once; they
+            # hold BLOCK slots, at least as many as any block.
             if isinstance(su.direct, DeterministicGain):
-                self._set_direct(state, su.direct)
+                gain = float(su.direct.value)
+                if config.trace:
+                    state.direct[:] = [gain] * BLOCK
+                if literal:
+                    state.rate[:] = [transmission_rate(gain)] * BLOCK
+                state.packets[:] = [int(transmission_rate(gain))] * BLOCK
             if isinstance(su.interference, DeterministicGain):
-                state.interference[:] = su.interference.sample_block(state.interference_rng, BLOCK).tolist()
-
-    def _set_direct(self, state: SuState, model: ChannelModel) -> None:
-        """Fill ``state``'s direct-link lists from a block of ``model``'s gains."""
-        direct = model.sample_block(state.direct_rng, BLOCK)
-        if self.config.trace:
-            state.direct[:] = direct.tolist()
-        # transmission_rate of each gain: numpy's float64 add rounds as Python's.
-        state.rate[:] = map(math.log2, (1.0 + direct).tolist())
-        # Rates are finite and nonnegative, so floor gives int(rate), faster.
-        state.packets[:] = map(math.floor, state.rate)
+                state.interference[:] = [float(su.interference.value)] * BLOCK
 
     def _fill_block(self) -> None:
-        """Replace every user's drawn inputs with those of the next BLOCK slots."""
-        for su, state in zip(self.config.sus, self.sus):
-            state.arrivals[:] = su.arrivals.counts(state.arrival_rng.random(BLOCK)).tolist()
+        """Replace every user's drawn inputs with those of the next slots from
+        self.slot on: BLOCK of them, or fewer if the next check comes first."""
+        config = self.config
+        check = config.check_interval
+        n = self._len = min(BLOCK, check - self.slot % check)
+        literal = config.scheduler.phi_mode == PHI_LITERAL
+        for su, state in zip(config.sus, self.sus):
+            state.arrivals[:] = su.arrivals.counts(state.arrival_rng.random(n)).tolist()
             if not isinstance(su.direct, DeterministicGain):
-                self._set_direct(state, su.direct)
+                direct = su.direct.sample_block(state.direct_rng, n)
+                if config.trace:
+                    state.direct[:] = direct.tolist()
+                # numpy's float64 add rounds as Python's does in transmission_rate.
+                one_plus = 1.0 + direct
+                if literal:
+                    state.rate[:] = map(math.log2, one_plus.tolist())
+                state.packets[:] = whole_packets(one_plus)
             if not isinstance(su.interference, DeterministicGain):
-                state.interference[:] = su.interference.sample_block(state.interference_rng, BLOCK).tolist()
+                state.interference[:] = su.interference.sample_block(state.interference_rng, n).tolist()
 
     def run_slot(self) -> int | None:
         """Advance one slot; return the scheduled user, None on idle."""
@@ -289,17 +325,18 @@ class Simulation:
                 scan.append((fifo, su.arrivals, su.interference, su.packets, su.rate,
                              su.delay_bound, i, served))
         start_v = -inf if maxweight else inf
-        x, slot, pos = self.x, self.slot, self._pos
+        x, slot, pos, length = self.x, self.slot, self._pos, self._len
         interference_sum = self.interference_sum
         end = slot + count
         best_served = None
         waits = ()  # the served packets' waiting times, for the trace only
         try:
             while slot < end:
-                if pos == BLOCK:
+                if pos == length:
+                    self.slot = slot
                     self._fill_block()
-                    pos = 0
-                stop = min(BLOCK, pos + end - slot)
+                    pos, length = 0, self._len
+                stop = min(length, pos + end - slot)
                 for pos in range(pos, stop):
                     # Ties keep the lowest index: only a strictly better value replaces it.
                     best_served = None

@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from crsched.channels import DeterministicGain, RayleighGain
@@ -14,6 +15,7 @@ from crsched.engine import (
     SuConfig,
     stability_metric,
     transmission_rate,
+    whole_packets,
 )
 from crsched.queueing import Bernoulli, InfeasibleLoadError, TruncatedPoisson
 from crsched.streams import ROLE_DIRECT, ROLE_INTERFERENCE, substream
@@ -321,38 +323,76 @@ def test_tracing_does_not_change_the_run(kind, phi_mode):
 
 
 def test_block_rates_and_packets_follow_the_scalar_rule():
-    # Each block's rates come from one numpy add and math.log2; they must
-    # equal transmission_rate of each gain exactly, and the whole packets
-    # their integer parts.
+    # Each block's whole packets come from the exponents of one numpy add;
+    # they must equal the integer part of transmission_rate of each gain.
+    # Only literal mode reads the raw rates, so only it keeps them, from
+    # math.log2 of the same sums: they must equal transmission_rate exactly.
     # Only a traced run keeps the direct gains to compare with.
-    cfg = SimConfig(sus=multi_packet_sus(), i_avg=0.3, scheduler=SchedulerKind("proposed"), seed=8,
-                    trace=True)
-    sim = Simulation(cfg)
-    for _ in range(3):
-        sim._fill_block()
-        for inputs in sim.sus:
-            assert len(inputs.rate) == len(inputs.packets) == BLOCK
-            assert inputs.rate == [transmission_rate(g) for g in inputs.direct]
-            assert inputs.packets == [int(transmission_rate(g)) for g in inputs.direct]
-            assert set(inputs.packets) >= {0, 1, 2, 3}
+    for phi_mode in (PHI_ACTUAL, PHI_LITERAL):
+        cfg = SimConfig(sus=multi_packet_sus(), i_avg=0.3, scheduler=SchedulerKind("proposed", phi_mode),
+                        seed=8, trace=True)
+        sim = Simulation(cfg)
+        for _ in range(3):
+            sim._fill_block()
+            for inputs in sim.sus:
+                assert len(inputs.direct) == len(inputs.packets) == BLOCK
+                if phi_mode == PHI_LITERAL:
+                    assert inputs.rate == [transmission_rate(g) for g in inputs.direct]
+                else:
+                    assert inputs.rate == []
+                assert inputs.packets == [int(transmission_rate(g)) for g in inputs.direct]
+                assert set(inputs.packets) >= {0, 1, 2, 3}
+
+
+def near_powers_of_two():
+    """Gains g whose 1 + g lies within 2000 ulps of 2^k, k = 0..7, on
+    either side (only above for k = 0, since g >= 0)."""
+    gains = []
+    for k in range(8):
+        below = above = 2.0**k
+        for _ in range(2000):
+            above = math.nextafter(above, math.inf)
+            gains.append(above - 1.0)
+            if k:
+                below = math.nextafter(below, 0.0)
+                gains.append(below - 1.0)
+        if k:
+            gains.append(2.0**k - 1.0)
+    return gains
+
+
+def test_whole_packets_take_the_scalar_rule_at_powers_of_two():
+    # Where 1 + g sits at or next to a power of two, the exponent alone can
+    # disagree with math.log2's rounding; the helper must still give
+    # int(transmission_rate(g)) for every g, and for drawn Rayleigh gains.
+    caps = [RayleighGain(mean).cap for mean in (0.2, 0.3, 0.4, 2.0, 3.0, 4.0)]
+    gains = np.array([0.0, *caps, *near_powers_of_two()])
+    assert whole_packets(1.0 + gains) == [int(transmission_rate(g)) for g in gains.tolist()]
+    for mean in (1e-3, 0.5, 2.0, 30.0):
+        drawn = RayleighGain(mean).sample_block(substream(4, 0, ROLE_DIRECT), 20_000)
+        assert whole_packets(1.0 + drawn) == [int(transmission_rate(g)) for g in drawn.tolist()]
 
 
 @pytest.mark.parametrize("trace", [False, True])
 def test_constant_links_take_no_draws(trace):
     # A constant link's inputs are computed once and its generator is never
     # drawn from, so the Rayleigh user beside it sees its own stream as before.
+    # Its raw rates are kept in literal mode only, the one reader.
     slots = 3 * BLOCK
     constant = SuConfig(Bernoulli(0.3), 1.5, DeterministicGain(3.0), DeterministicGain(0.5))
     fading = multi_packet_sus()[1]
     cfg = SimConfig(sus=(constant, fading), i_avg=1.0, scheduler=SchedulerKind("proposed"),
                     seed=3, epsilon=0.0, max_slots=slots, check_interval=BLOCK, trace=trace)
+    literal = Simulation(replace(cfg, scheduler=SchedulerKind("proposed", PHI_LITERAL))).sus[0]
+    assert literal.rate == [transmission_rate(3.0)] * BLOCK
+    assert literal.packets == [2] * BLOCK
     sim = Simulation(cfg)
     sim.run_until_converged()
     assert sim.slot == slots
     inputs = sim.sus[0]
     for rng, role in ((inputs.direct_rng, ROLE_DIRECT), (inputs.interference_rng, ROLE_INTERFERENCE)):
         assert rng.bit_generator.state == substream(3, 0, role).bit_generator.state
-    assert inputs.rate == [transmission_rate(3.0)] * BLOCK
+    assert inputs.rate == []
     assert inputs.packets == [int(transmission_rate(3.0))] * BLOCK == [2] * BLOCK
     assert inputs.interference == [0.5] * BLOCK
     assert inputs.direct == ([3.0] * BLOCK if trace else [])

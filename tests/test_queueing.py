@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,7 +129,6 @@ def scripted_sim(arrivals, serves):
     sim._pos = 0
     inputs = sim.sus[0]
     inputs.arrivals[:len(arrivals)] = arrivals
-    inputs.rate[:len(serves)] = map(float, serves)
     inputs.packets[:len(serves)] = serves
     return sim
 
@@ -283,3 +283,27 @@ def test_buffer_safety_cap_aborts():
         q.draw_arrivals(slot, src)
     with pytest.raises(InfeasibleLoadError):
         q.draw_arrivals(3, src)
+
+
+def test_fifo_memory_stays_bounded_per_queued_packet():
+    # A user whose channel never carries a packet queues every arrival until
+    # its backlog passes buffer_cap; the FIFO, one arrival slot per packet,
+    # is then nearly all the run holds. The README's worst case per process,
+    # sum_i min(buffer_cap, max_slots * a_max_i) * ~40 B, rests on this.
+    cap = 30_000
+    cfg = SimConfig(
+        sus=(SuConfig(Bernoulli(1.0), 1.0, DeterministicGain(0.0), DeterministicGain(0.1)),),
+        i_avg=2.0, scheduler=SchedulerKind(PROPOSED_NONIDLING), max_slots=100_000,
+        check_interval=10_000, epsilon=0.0, buffer_cap=cap,
+    )
+    Simulation(cfg)  # the first one imports numpy.random, no part of the FIFO
+    tracemalloc.start()
+    try:
+        sim = Simulation(cfg)
+        result = sim.run_until_converged()
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.note == "infeasible-load"
+    assert result.terminal_q == (cap + 1,) and sim.sus[0].queue.backlog == cap + 1
+    assert held / (cap + 1) <= 64

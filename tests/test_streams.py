@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crsched.channels import DeterministicGain
+from crsched.channels import DeterministicGain, RayleighGain
 from crsched.engine import BLOCK, SchedulerKind, SimConfig, Simulation, SuConfig
 from crsched.queueing import TruncatedPoisson
 from crsched.streams import ROLE_ARRIVALS, ROLE_DIRECT, ROLE_INTERFERENCE, substream
@@ -33,21 +33,50 @@ def test_negative_identifiers_rejected():
         substream(1, 0, -1)
 
 
-def test_buffered_uniforms_match_scalar_draws():
+def test_block_arrivals_match_scalar_draws():
     # Drawing inputs in blocks is a speed layer only: a Simulation's arrival
     # counts over several blocks equal one scalar draw per slot from an
-    # identically seeded generator, decoded by the scalar law.
+    # identically seeded generator, decoded by the scalar law. A block ends
+    # at the next check, so with checks every 5000 slots the blocks hold
+    # 4096 and 904 slots in turn.
     cfg = SimConfig(
         sus=(SuConfig(arrivals=TruncatedPoisson(1.2, 4), delay_bound=1.0,
                       direct=DeterministicGain(1.0), interference=DeterministicGain(1.0)),),
         i_avg=1.0,
         scheduler=SchedulerKind("proposed"),
+        check_interval=5000,
         seed=7,
     )
     sim = Simulation(cfg)
-    blocked = []
-    for _ in range(3):
+    blocked, lengths = [], []
+    for _ in range(5):
         sim._fill_block()
         blocked += sim.sus[0].arrivals
+        lengths.append(len(sim.sus[0].arrivals))
+        sim.slot += lengths[-1]
+    assert lengths == [BLOCK, 5000 - BLOCK, BLOCK, 5000 - BLOCK, BLOCK]
     scalar = substream(7, 0, ROLE_ARRIVALS)
-    assert blocked == [cfg.sus[0].arrivals.draw(scalar) for _ in range(3 * BLOCK)]
+    assert blocked == [cfg.sus[0].arrivals.draw(scalar) for _ in range(sum(lengths))]
+
+
+def test_a_run_draws_only_the_slots_it_runs():
+    # Blocks end at the next check, so a run that stops at a check has taken
+    # exactly one draw per slot from each faded generator, and none beyond.
+    sus = tuple(
+        SuConfig(TruncatedPoisson(0.05, 3), d, RayleighGain(direct), RayleighGain(interference))
+        for d, direct, interference in ((2.0, 2.0, 0.4), (4.0, 3.0, 0.2), (6.0, 4.0, 0.3))
+    )
+    cfg = SimConfig(sus=sus, i_avg=0.1, scheduler=SchedulerKind("proposed"), max_slots=10_000,
+                    check_interval=2000, seed=1)
+    sim = Simulation(cfg)
+    result = sim.run_until_converged()
+    assert result.converged and result.slots == 2000
+    for i, (su, state) in enumerate(zip(sus, sim.sus)):
+        arrivals = substream(1, i, ROLE_ARRIVALS)
+        arrivals.random(result.slots)
+        assert state.arrival_rng.bit_generator.state == arrivals.bit_generator.state
+        for model, rng, role in ((su.direct, state.direct_rng, ROLE_DIRECT),
+                                 (su.interference, state.interference_rng, ROLE_INTERFERENCE)):
+            fresh = substream(1, i, role)
+            model.sample_block(fresh, result.slots)
+            assert rng.bit_generator.state == fresh.bit_generator.state
