@@ -8,6 +8,7 @@ envelope) is exponentially distributed with the configured mean.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,8 @@ class DeterministicGain:
     def __post_init__(self):
         if self.cap is None:
             object.__setattr__(self, "cap", float(self.value))
+        if not (math.isfinite(self.value) and math.isfinite(self.cap)):
+            raise ValueError(f"deterministic gain {self.value!r} and its cap {self.cap!r} must be finite")
         if not 0.0 <= self.value <= self.cap:
             raise ValueError(f"deterministic gain {self.value!r} outside [0, {self.cap!r}]")
 
@@ -43,12 +46,12 @@ class RayleighGain:
     cap: float | None = None
 
     def __post_init__(self):
-        if self.mean <= 0.0:
-            raise ValueError(f"rayleigh mean must be positive, got {self.mean!r}")
+        if not 0.0 < self.mean < math.inf:
+            raise ValueError(f"rayleigh mean must be positive and finite, got {self.mean!r}")
         if self.cap is None:
             object.__setattr__(self, "cap", RAYLEIGH_CAP_FACTOR * self.mean)
-        if self.cap <= 0.0:
-            raise ValueError(f"rayleigh cap must be positive, got {self.cap!r}")
+        if not 0.0 < self.cap < math.inf:
+            raise ValueError(f"rayleigh cap must be positive and finite, got {self.cap!r}")
 
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.minimum(rng.exponential(self.mean, n), self.cap)

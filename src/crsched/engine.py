@@ -6,8 +6,9 @@ max-weight serves the largest Q/g and never idles under backlog.
 
 Each slot is one scan over the users followed by at most one departure.
 Every user's arrivals and gains are drawn a block of slots at a time,
-backlogged or not: up to BLOCK slots, ending at the next convergence check,
-so a run that stops at a check has drawn exactly the slots it ran.
+backlogged or not: up to BLOCK slots, ending at the next convergence check
+or at max_slots, so a run that stops at either has drawn exactly the slots
+it ran.
 Simulation._advance sets up the decision rule's scan once per call:
 max-weight's reads only each user's backlog Q and interference gain g, the
 index scan what phi needs. Either way a slot goes:
@@ -18,6 +19,11 @@ index scan what phi needs. Either way a slot goes:
 4. its delay accumulator Y_i absorbs the departures' excess over d_i
 5. the interference accumulator X absorbs the slot's gain (0 on idle) - I_avg
 6. metrics are accumulated
+
+Simulation._advance is the only kernel and holds no trace code. A traced
+run steps it one slot at a time and builds each SlotTrace from outside,
+from the state and the slot's inputs; the observer is the only reader of
+the direct gains.
 
 Y_i and X (the "virtual queues") grow when a slot violates its constraint
 and drain, down to 0, when it has room to spare; if their time-averaged
@@ -103,8 +109,8 @@ class SuConfig:
     interference: ChannelModel
 
     def __post_init__(self):
-        if self.delay_bound <= 0.0:
-            raise ValueError(f"delay bound must be positive, got {self.delay_bound!r}")
+        if not 0.0 < self.delay_bound < math.inf:
+            raise ValueError(f"delay bound must be positive and finite, got {self.delay_bound!r}")
 
 
 @dataclass(frozen=True)
@@ -124,12 +130,12 @@ class SimConfig:
     def __post_init__(self):
         if not self.sus:
             raise ValueError("need at least one user")
-        if self.i_avg <= 0.0:
-            raise ValueError(f"interference budget must be positive, got {self.i_avg!r}")
+        if not 0.0 < self.i_avg < math.inf:
+            raise ValueError(f"interference budget must be positive and finite, got {self.i_avg!r}")
         # epsilon = 0 is allowed here: the threshold is then unreachable and
         # the run always executes max_slots slots.
-        if self.epsilon < 0.0:
-            raise ValueError(f"epsilon must be nonnegative, got {self.epsilon!r}")
+        if not 0.0 <= self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon!r}")
         if self.check_interval < 1:
             raise ValueError("check interval must be positive")
         if self.max_slots < self.check_interval:
@@ -147,10 +153,10 @@ class SuState(NamedTuple):
     interference gains), and the generators they are drawn from.
 
     Each list is kept only where it is read: the direct gains in a traced
-    run, the rates in literal phi mode; otherwise it stays empty. A link
-    with a constant gain has its lists filled once from the scalar rule,
-    when the run is set up, and never redrawn; its generator is never drawn
-    from.
+    run, where only the observer reads them, the rates in literal phi mode;
+    otherwise it stays empty. A link with a constant gain has its lists
+    filled once from the scalar rule, when the run is set up, and never
+    redrawn; its generator is never drawn from.
     """
 
     queue: SuQueue
@@ -228,7 +234,8 @@ class Simulation:
     interference_sum adds up the interference gains charged so far.
     c_y_emp[i], the empirical Y-term of the drift constant, is the largest
     d_i^2 n^2 + (sum W)^2 of user i. trace holds one SlotTrace per slot if
-    the config asks for it.
+    the config asks for it: a traced run steps the unchanged kernel,
+    _advance, one slot at a time and records each slot from outside it.
     """
 
     def __init__(self, config: SimConfig):
@@ -271,10 +278,15 @@ class Simulation:
 
     def _fill_block(self) -> None:
         """Replace every user's drawn inputs with those of the next slots from
-        self.slot on: BLOCK of them, or fewer if the next check comes first."""
+        self.slot on: BLOCK of them, or fewer if the next check or max_slots
+        comes first. Past max_slots, reachable only by stepping run_slot(),
+        blocks end at checks alone, so none is empty."""
         config = self.config
         check = config.check_interval
-        n = self._len = min(BLOCK, check - self.slot % check)
+        n = min(BLOCK, check - self.slot % check)
+        if self.slot < config.max_slots:
+            n = min(n, config.max_slots - self.slot)
+        self._len = n
         literal = config.scheduler.phi_mode == PHI_LITERAL
         for su, state in zip(config.sus, self.sus):
             state.arrivals[:] = su.arrivals.counts(state.arrival_rng.random(n)).tolist()
@@ -292,7 +304,41 @@ class Simulation:
 
     def run_slot(self) -> int | None:
         """Advance one slot; return the scheduled user, None on idle."""
-        return self._advance(1)
+        return (self._observe if self.config.trace else self._advance)(1)
+
+    def _observe(self, count: int) -> int | None:
+        """Run ``count`` >= 1 slots as _advance(1) calls, appending each slot's
+        SlotTrace; return the last one's scheduled user.
+
+        The kernel is watched from outside: before a slot, each user's FIFO
+        head, as many packets as the slot could send, and its departure count;
+        after it, the state and the slot's inputs. The served packets are the
+        first of that head, then the slot's own arrivals (waiting 1 slot), as
+        many as the departure count grew by.
+        """
+        sus = self.sus
+        for _ in range(count):
+            if self._pos == self._len:
+                self._fill_block()
+                self._pos = 0
+            slot, pos = self.slot, self._pos
+            heads = [(list(islice(su.queue.fifo, su.packets[pos])), su.queue.cumulative_departures)
+                     for su in sus]
+            best = self._advance(1)
+            if best is None:
+                gain, waits = 0.0, ()
+            else:
+                head, departed = heads[best]
+                n = sus[best].queue.cumulative_departures - departed
+                gain = sus[best].interference[pos]
+                waits = tuple(slot + 1 - a for a in head[:n]) + (1,) * (n - len(head))
+            self.trace.append(SlotTrace(
+                slot, tuple(su.arrivals[pos] for su in sus), best, gain, waits,
+                tuple(len(su.queue.fifo) for su in sus), tuple(self.y), self.x,
+                tuple(su.direct[pos] for su in sus),
+                tuple(su.interference[pos] for su in sus),
+            ))
+        return best
 
     def _advance(self, count: int) -> int | None:
         """Run ``count`` >= 1 slots; return the last one's scheduled user.
@@ -304,7 +350,6 @@ class Simulation:
         sus = self.sus
         y = self.y
         c_y_emp = self.c_y_emp
-        trace = self.trace if self.config.trace else None
         i_avg = self.config.i_avg
         buffer_cap = self.config.buffer_cap
         sched = self.config.scheduler
@@ -329,7 +374,6 @@ class Simulation:
         interference_sum = self.interference_sum
         end = slot + count
         best_served = None
-        waits = ()  # the served packets' waiting times, for the trace only
         try:
             while slot < end:
                 if pos == length:
@@ -410,8 +454,6 @@ class Simulation:
                                 best_n = best_q
                         # A 0-packet slot still holds the channel and charges its gain.
                         if best_n:
-                            if trace is not None:
-                                waits = tuple(slot + 1 - a for a in islice(fifo, best_n))
                             # Pop the head packets in FIFO order: each adds its
                             # waiting time W to w_sum and its excess W - d to excess.
                             # A single packet, the only case on a unit-rate link,
@@ -436,16 +478,6 @@ class Simulation:
                                 c_y_emp[best] = cand
                         x = x + gain - i_avg
                     x = x if x > 0.0 else 0.0
-
-                    if trace is not None:
-                        trace.append(SlotTrace(
-                            slot, tuple(su.arrivals[pos] for su in sus),
-                            best if best_served else None, gain if best_served else 0.0, waits,
-                            tuple(len(su.queue.fifo) for su in sus), tuple(y), x,
-                            tuple(su.direct[pos] for su in sus),
-                            tuple(su.interference[pos] for su in sus),
-                        ))
-                        waits = ()
                     slot += 1
                 pos = stop
         finally:
@@ -463,9 +495,10 @@ class Simulation:
         cap ends the run too, as an unconverged result noted infeasible-load."""
         cfg = self.config
         check = cfg.check_interval
+        advance = self._observe if cfg.trace else self._advance
         try:
             while self.slot < cfg.max_slots:
-                self._advance(min(check - self.slot % check, cfg.max_slots - self.slot))
+                advance(min(check - self.slot % check, cfg.max_slots - self.slot))
                 if self.slot % check == 0:
                     metric = self.stability_metric()
                     if metric < cfg.epsilon:

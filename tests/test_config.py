@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from decimal import Decimal
 
@@ -384,6 +385,27 @@ class TestUnknownNamesRejected:
         path = write_cfg(tmp_path, patched(key, value))
         with pytest.raises(ConfigError, match=f"{key}: expected a number, got '{value}'"):
             load_spec(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("build, message", [
+        (lambda v: SimConfig(sus=two_user_sus(0.1), i_avg=v, scheduler=SchedulerKind("proposed")),
+         "interference budget must be positive"),
+        (lambda v: SimConfig(sus=two_user_sus(0.1), i_avg=1.0, scheduler=SchedulerKind("proposed"),
+                             epsilon=v),
+         "epsilon must be nonnegative"),
+        (lambda v: replace(two_user_sus(0.1)[0], delay_bound=v), "delay bound must be positive"),
+        (RayleighGain, "rayleigh mean must be positive"),
+        (lambda v: RayleighGain(1.0, v), "rayleigh cap must be positive"),
+        (DeterministicGain, "deterministic gain"),
+        (lambda v: DeterministicGain(1.0, v), "deterministic gain"),
+    ], ids=["i_avg", "epsilon", "delay_bound", "rayleigh-mean", "rayleigh-cap",
+            "deterministic-value", "deterministic-cap"])
+    def test_non_finite_numbers_rejected_by_constructors(self, build, message, value):
+        # The library refuses what the file refuses, at construction: a NaN
+        # epsilon would otherwise never stop a run, and an infinite gain
+        # would fail only once the run draws it.
+        with pytest.raises(ValueError, match=message):
+            build(value)
 
 
 class TestEpsilonRule:

@@ -301,6 +301,22 @@ def test_stepped_and_converging_loops_agree(kind, arrivals):
         assert any(len(t.waiting_times) > 1 for t in trace)
 
 
+@pytest.mark.parametrize("trace", [False, True])
+def test_stepping_past_max_slots_matches_a_longer_run(trace):
+    # Input blocks end at max_slots only while a run is short of it, so
+    # run_slot() stepped 200 slots past max_slots goes on drawing, with
+    # blocks ending at checks, and agrees with a run that has room to spare.
+    slots = 2700
+    cfg = SimConfig(sus=multi_packet_sus(), i_avg=0.3, scheduler=SchedulerKind("proposed"), seed=5,
+                    epsilon=0.0, max_slots=slots - 200, check_interval=2000, trace=trace)
+    short = run_slots(cfg, slots)
+    longer = run_slots(replace(cfg, max_slots=10_000), slots)
+    assert (short.slot, short.x, short.y) == (longer.slot, longer.x, longer.y)
+    assert accumulators(short) == accumulators(longer)
+    assert queue_state(short) == queue_state(longer)
+    assert len(short.trace) == (slots if trace else 0)
+
+
 @pytest.mark.parametrize("kind", ["proposed", "proposed-nonidling", "maxweight"])
 @pytest.mark.parametrize("phi_mode", [PHI_ACTUAL, PHI_LITERAL])
 def test_tracing_does_not_change_the_run(kind, phi_mode):
@@ -540,12 +556,18 @@ class TestDriftDiagnostics:
 
 @pytest.mark.parametrize("kind", ["proposed", "proposed-nonidling"])
 def test_objective_consistency_check_passes(kind):
-    cfg = two_user_config(0.3, kind, seed=9,
-                          max_slots=2_000, check_interval=2_000,
-                          epsilon=0.0, trace=True)
-    sim = run_slots(cfg, 2_000)
-    assert len(sim.trace) == 2_000
-    assert first_decision_mismatch(cfg, sim.trace) is None
+    # The second run's input blocks end at its 3000-slot checks, the last
+    # one at max_slots; its Poisson arrivals and Rayleigh direct links send
+    # several packets in a slot, some in the slot they arrive.
+    unit = two_user_config(0.3, kind, seed=9, max_slots=2_000, check_interval=2_000,
+                           epsilon=0.0, trace=True)
+    multi = SimConfig(sus=multi_packet_sus(), i_avg=0.3, scheduler=SchedulerKind(kind), seed=9,
+                      max_slots=2 * BLOCK + 300, check_interval=3000, epsilon=0.0, trace=True)
+    for cfg in (unit, multi):
+        sim = run_slots(cfg, cfg.max_slots)
+        assert len(sim.trace) == cfg.max_slots
+        assert first_decision_mismatch(cfg, sim.trace) is None
+    assert any(len(t.waiting_times) > 1 and 1 in t.waiting_times for t in sim.trace)
 
 
 def test_decisions_match_brute_force_oracle_on_random_instances():

@@ -60,23 +60,26 @@ def test_block_arrivals_match_scalar_draws():
 
 
 def test_a_run_draws_only_the_slots_it_runs():
-    # Blocks end at the next check, so a run that stops at a check has taken
-    # exactly one draw per slot from each faded generator, and none beyond.
+    # Blocks end at the next check and at max_slots, so a run that stops at
+    # either has taken exactly one draw per slot from each faded generator,
+    # and none beyond: the first run converges at its first check, the
+    # second (epsilon 0) runs to a max_slots between two checks.
     sus = tuple(
         SuConfig(TruncatedPoisson(0.05, 3), d, RayleighGain(direct), RayleighGain(interference))
         for d, direct, interference in ((2.0, 2.0, 0.4), (4.0, 3.0, 0.2), (6.0, 4.0, 0.3))
     )
-    cfg = SimConfig(sus=sus, i_avg=0.1, scheduler=SchedulerKind("proposed"), max_slots=10_000,
-                    check_interval=2000, seed=1)
-    sim = Simulation(cfg)
-    result = sim.run_until_converged()
-    assert result.converged and result.slots == 2000
-    for i, (su, state) in enumerate(zip(sus, sim.sus)):
-        arrivals = substream(1, i, ROLE_ARRIVALS)
-        arrivals.random(result.slots)
-        assert state.arrival_rng.bit_generator.state == arrivals.bit_generator.state
-        for model, rng, role in ((su.direct, state.direct_rng, ROLE_DIRECT),
-                                 (su.interference, state.interference_rng, ROLE_INTERFERENCE)):
-            fresh = substream(1, i, role)
-            model.sample_block(fresh, result.slots)
-            assert rng.bit_generator.state == fresh.bit_generator.state
+    for max_slots, epsilon, slots in ((10_000, 0.01, 2000), (2500, 0.0, 2500)):
+        cfg = SimConfig(sus=sus, i_avg=0.1, scheduler=SchedulerKind("proposed"), epsilon=epsilon,
+                        max_slots=max_slots, check_interval=2000, seed=1)
+        sim = Simulation(cfg)
+        result = sim.run_until_converged()
+        assert (result.converged, result.slots) == (epsilon > 0.0, slots)
+        for i, (su, state) in enumerate(zip(sus, sim.sus)):
+            arrivals = substream(1, i, ROLE_ARRIVALS)
+            arrivals.random(slots)
+            assert state.arrival_rng.bit_generator.state == arrivals.bit_generator.state
+            for model, rng, role in ((su.direct, state.direct_rng, ROLE_DIRECT),
+                                     (su.interference, state.interference_rng, ROLE_INTERFERENCE)):
+                fresh = substream(1, i, role)
+                model.sample_block(fresh, slots)
+                assert rng.bit_generator.state == fresh.bit_generator.state
