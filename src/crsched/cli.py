@@ -23,8 +23,7 @@ from .sweep import (
     emit_figures,
     file_sha256,
     read_rows,
-    rows_from_results,
-    sweep_results,
+    run_sweep,
     write_rows,
 )
 
@@ -102,8 +101,7 @@ def _cmd_run(args) -> int:
     progress.done = 0
     # An unusable output path fails here, before any point has run.
     out.mkdir(parents=True, exist_ok=True)
-    results = sweep_results(spec, jobs=args.jobs, progress=progress)
-    rows = rows_from_results(results)
+    rows = run_sweep(spec, jobs=args.jobs, progress=progress)
     rows_path = out / ROWS_FILENAME
     write_rows(rows, rows_path)
     emit_figures(

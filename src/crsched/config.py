@@ -28,10 +28,12 @@ the trailing notes below are annotations, as a comment needs its own line):
 
 Each value is read once, from ``load_spec``'s ``overrides`` (``crsched run``
 passes its flags there) or else from the file, under the same rules; an
-error names the key's file line or the override. Keys and sections that are
-never read are rejected. The lambda grid is generated in decimal, so grid
-points are the cleanest binary floats for their decimal spellings (0.06, not
-0.060000...5).
+error names the key's file line or the override. A value's range rule lives
+in the constructor that takes it (SimConfig, SuConfig, SchedulerKind, ...):
+the file reports that rule's message at the key, and checks only its own
+syntax, n_sus, the lambda grid and distinct lists. Keys and sections that
+are never read are rejected. The lambda grid is generated in decimal, so its
+points are the cleanest floats for their spellings (0.06, not 0.060000...5).
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ from pathlib import Path
 from typing import Mapping
 
 from .channels import ChannelModel, DeterministicGain, RayleighGain
-from .engine import PHI_ACTUAL, PHI_LITERAL, SCHEDULER_NAMES, SchedulerKind, SimConfig, SuConfig
-from .queueing import ArrivalProcess, Bernoulli, TruncatedPoisson
+from .engine import PHI_ACTUAL, SchedulerKind, SimConfig, SuConfig
+from .queueing import ArrivalProcess, Bernoulli, SettingError, TruncatedPoisson
 
 
 class ConfigError(ValueError):
@@ -135,6 +137,15 @@ class _Loader:
             return convert(raw.strip())
         except ValueError as err:
             self.fail(section, key, str(err))
+
+    def build(self, section: str, make, *args, **fields):
+        """make(*args, **fields); a SettingError fails at [section] <field>,
+        or at [sweep] seeds for seed and at [suK] d for delay_bound."""
+        try:
+            return make(*args, **fields)
+        except SettingError as err:
+            renamed = {"seed": ("sweep", "seeds"), "delay_bound": (section, "d")}
+            self.fail(*renamed.get(err.field, (section, err.field)), str(err))
 
     def reject_unread(self):
         sections = self.parser.sections()
@@ -237,12 +248,7 @@ def _parse_arrivals(value: str) -> ArrivalProcess:
 
 def parse_scheduler(name: str) -> SchedulerKind:
     """Scheduler name as used in configs and on the command line."""
-    canon = name.strip().lower().replace("_", "-")
-    if canon not in SCHEDULER_NAMES:
-        raise ValueError(
-            f"unknown scheduler name {name.strip()!r}; expected one of {', '.join(SCHEDULER_NAMES)}"
-        )
-    return SchedulerKind(canon)
+    return SchedulerKind(name.strip().lower().replace("_", "-"))
 
 
 def _parse_schedulers(value: str) -> list[SchedulerKind]:
@@ -258,8 +264,6 @@ def _parse_seeds(value: str) -> tuple[int, ...]:
         raise ValueError("need at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
-    if min(seeds) < 0:
-        raise ValueError("seeds must be nonnegative")
     return seeds
 
 
@@ -272,40 +276,25 @@ def load_spec(path, overrides: Mapping[tuple[str, str], str] | None = None) -> E
     (section, key) to a raw value, spelled as in the file, that replaces the
     file's value for that key under the same rules."""
     loader = _Loader(path, overrides or {})
-    # An omitted run setting takes its SimConfig default.
     n_sus = loader.value("system", "n_sus", _integer)
     if n_sus < 1:
         loader.fail("system", "n_sus", "need at least one user")
-    i_avg = loader.value("system", "i_avg", _number)
-    if i_avg <= 0:
-        loader.fail("system", "i_avg", "interference budget must be positive")
-    epsilon = loader.value("system", "epsilon", _number, default=str(SimConfig.epsilon))
-    if epsilon < 0:
-        loader.fail("system", "epsilon", "epsilon must be nonnegative")
-    max_slots = loader.value("system", "max_slots", _integer, default=str(SimConfig.max_slots))
-    check_interval = loader.value("system", "check_interval", _integer,
-                                  default=str(SimConfig.check_interval))
-    if check_interval < 1:
-        loader.fail("system", "check_interval", "check interval must be positive")
-    if max_slots < check_interval:
-        loader.fail("system", "max_slots", "max_slots must be at least check_interval")
+    # An omitted run setting takes its SimConfig default.
+    settings = {"i_avg": loader.value("system", "i_avg", _number)}
+    for key, convert in (("epsilon", _number), ("max_slots", _integer),
+                         ("check_interval", _integer), ("buffer_cap", _integer)):
+        settings[key] = loader.value("system", key, convert, default=str(getattr(SimConfig, key)))
     phi_mode = loader.value("system", "phi_mode", str.lower, default=PHI_ACTUAL)
-    if phi_mode not in (PHI_ACTUAL, PHI_LITERAL):
-        loader.fail("system", "phi_mode", f"expected actual or literal, got {phi_mode!r}")
-    buffer_cap = loader.value("system", "buffer_cap", _integer, default=str(SimConfig.buffer_cap))
-    if buffer_cap < 1:
-        loader.fail("system", "buffer_cap", "buffer cap must be positive")
 
     sus = []
     for k in range(1, n_sus + 1):
         section = f"su{k}"
         d = loader.value(section, "d", _number)
-        if d <= 0:
-            loader.fail(section, "d", "delay bound must be positive")
         arrivals = loader.value(section, "arrivals", _parse_arrivals, default="bernoulli")
         direct = loader.value(section, "direct", _parse_channel)
         interference = loader.value(section, "interference", _parse_channel)
-        sus.append(SuConfig(arrivals=arrivals, delay_bound=d, direct=direct, interference=interference))
+        sus.append(loader.build(section, SuConfig, arrivals=arrivals, delay_bound=d,
+                                direct=direct, interference=interference))
     for section in loader.parser.sections():
         if section.startswith("su") and section[2:].isdigit() and int(section[2:]) > n_sus:
             loader.fail(section, None, f"user section beyond n_sus = {n_sus}")
@@ -319,21 +308,15 @@ def load_spec(path, overrides: Mapping[tuple[str, str], str] | None = None) -> E
         loader.fail("sweep", "lambda_max", f"grid exceeds the smallest arrival cap {a_max}")
     grid = lambda_grid(lo, last, step)
     kinds = loader.value("sweep", "schedulers", _parse_schedulers)
-    schedulers = tuple(replace(kind, phi_mode=phi_mode) for kind in kinds)
     seeds = loader.value("sweep", "seeds", _parse_seeds)
     output_dir = loader.value("sweep", "output_dir", default="") or None
     loader.reject_unread()
 
-    base = SimConfig(
-        sus=tuple(sus),
-        i_avg=i_avg,
-        scheduler=schedulers[0],
-        epsilon=epsilon,
-        max_slots=max_slots,
-        check_interval=check_interval,
-        seed=seeds[0],
-        buffer_cap=buffer_cap,
-    )
+    schedulers = tuple(loader.build("system", replace, kind, phi_mode=phi_mode) for kind in kinds)
+    base = loader.build("system", SimConfig, sus=tuple(sus), scheduler=schedulers[0],
+                        seed=seeds[0], **settings)
+    for seed in seeds[1:]:  # each seed meets SimConfig's rules, not only the base's
+        loader.build("system", replace, base, seed=seed)
     return ExperimentSpec(
         base=base,
         lambda_grid=grid,

@@ -42,7 +42,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .channels import ChannelModel, DeterministicGain
-from .queueing import DEFAULT_BUFFER_CAP, ArrivalProcess, InfeasibleLoadError, SuQueue
+from .queueing import (DEFAULT_BUFFER_CAP, ArrivalProcess, InfeasibleLoadError, SettingError,
+                       SuQueue, require_integer)
 from .streams import ROLE_ARRIVALS, ROLE_DIRECT, ROLE_INTERFERENCE, substream
 
 PHI_ACTUAL = "actual"  # closing term counts the packets actually transmittable
@@ -65,9 +66,10 @@ class SchedulerKind:
 
     def __post_init__(self):
         if self.kind not in SCHEDULER_NAMES:
-            raise ValueError(f"unknown scheduler {self.kind!r}; expected one of {SCHEDULER_NAMES}")
+            raise SettingError("kind", f"unknown scheduler name {self.kind!r}; "
+                                       f"expected one of {', '.join(SCHEDULER_NAMES)}")
         if self.phi_mode not in (PHI_ACTUAL, PHI_LITERAL):
-            raise ValueError(f"unknown phi mode {self.phi_mode!r}")
+            raise SettingError("phi_mode", f"unknown phi mode {self.phi_mode!r}; expected actual or literal")
 
     @property
     def idling(self) -> bool:
@@ -110,7 +112,7 @@ class SuConfig:
 
     def __post_init__(self):
         if not 0.0 < self.delay_bound < math.inf:
-            raise ValueError(f"delay bound must be positive and finite, got {self.delay_bound!r}")
+            raise SettingError("delay_bound", f"delay bound must be positive and finite, got {self.delay_bound!r}")
 
 
 @dataclass(frozen=True)
@@ -129,21 +131,22 @@ class SimConfig:
 
     def __post_init__(self):
         if not self.sus:
-            raise ValueError("need at least one user")
+            raise SettingError("sus", "need at least one user")
+        require_integer(self, "max_slots", "check_interval", "seed", "buffer_cap")
         if not 0.0 < self.i_avg < math.inf:
-            raise ValueError(f"interference budget must be positive and finite, got {self.i_avg!r}")
-        # epsilon = 0 is allowed here: the threshold is then unreachable and
-        # the run always executes max_slots slots.
+            raise SettingError("i_avg",
+                               f"interference budget must be positive and finite, got {self.i_avg!r}")
+        # epsilon = 0 is allowed: every run then executes max_slots slots.
         if not 0.0 <= self.epsilon < math.inf:
-            raise ValueError(f"epsilon must be nonnegative and finite, got {self.epsilon!r}")
+            raise SettingError("epsilon", "epsilon must be nonnegative")
         if self.check_interval < 1:
-            raise ValueError("check interval must be positive")
+            raise SettingError("check_interval", "check interval must be positive")
         if self.max_slots < self.check_interval:
-            raise ValueError("max_slots must be at least the check interval")
+            raise SettingError("max_slots", "max_slots must be at least check_interval")
         if self.seed < 0:
-            raise ValueError("seeds must be nonnegative")
+            raise SettingError("seed", "seeds must be nonnegative")
         if self.buffer_cap < 1:
-            raise ValueError("buffer cap must be positive")
+            raise SettingError("buffer_cap", "buffer cap must be positive")
 
 
 class SuState(NamedTuple):

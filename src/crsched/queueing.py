@@ -12,6 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
+from numbers import Integral
 
 import numpy as np
 
@@ -20,6 +21,22 @@ DEFAULT_BUFFER_CAP = 10_000_000
 
 class InfeasibleLoadError(RuntimeError):
     """A queue outgrew its safety cap: the offered load cannot be served."""
+
+
+class SettingError(ValueError):
+    """A constructor refused the value of its field ``field``."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
+def require_integer(owner, *fields: str) -> None:
+    """Refuse any of owner's fields that is not an integer (a bool neither)."""
+    for field in fields:
+        value = getattr(owner, field)
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise SettingError(field, f"{field} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -64,6 +81,7 @@ class TruncatedPoisson:
     cap: int
 
     def __post_init__(self):
+        require_integer(self, "cap")
         if self.cap < 1:
             raise ValueError(f"poisson cap must be at least 1, got {self.cap!r}")
         if not 0.0 <= self.rate <= self.cap:
@@ -105,8 +123,6 @@ class SuQueue:
     __slots__ = ("arrivals", "buffer_cap", "fifo", "cumulative_departures", "departed_waiting_sum")
 
     def __init__(self, arrivals: ArrivalProcess, buffer_cap: int = DEFAULT_BUFFER_CAP):
-        if buffer_cap < 1:
-            raise ValueError("buffer cap must be positive")
         self.arrivals = arrivals
         self.buffer_cap = buffer_cap
         self.fifo: deque[int] = deque()

@@ -5,8 +5,9 @@ from decimal import Decimal
 import pytest
 
 from crsched.channels import DeterministicGain, RayleighGain
+from crsched.cli import OVERRIDES as CLI_OVERRIDES
 from crsched.config import ConfigError, _grid_last, lambda_grid, load_spec, parse_scheduler
-from crsched.engine import PHI_LITERAL, SchedulerKind, SimConfig
+from crsched.engine import PHI_LITERAL, SchedulerKind, SimConfig, SuConfig
 from crsched.queueing import Bernoulli, TruncatedPoisson
 from crsched.sweep import file_sha256
 
@@ -406,6 +407,44 @@ class TestUnknownNamesRejected:
         # would fail only once the run draws it.
         with pytest.raises(ValueError, match=message):
             build(value)
+
+
+def base_config(**kw) -> SimConfig:
+    """SimConfig with BASE's [system] settings, kw replacing some."""
+    settings = dict(sus=two_user_sus(0.1), i_avg=2.0, scheduler=SchedulerKind("proposed"),
+                    max_slots=100_000, check_interval=1000)
+    return SimConfig(**{**settings, **kw})
+
+
+@pytest.mark.parametrize("section, key, bad, build", [
+    ("system", "i_avg", "-1", lambda: base_config(i_avg=-1.0)),
+    ("system", "epsilon", "-0.5", lambda: base_config(epsilon=-0.5)),
+    ("system", "check_interval", "0", lambda: base_config(check_interval=0)),
+    ("system", "max_slots", "10", lambda: base_config(max_slots=10)),
+    ("system", "buffer_cap", "0", lambda: base_config(buffer_cap=0)),
+    ("system", "phi_mode", "rounded", lambda: SchedulerKind("proposed", "rounded")),
+    ("su1", "d", "-1",
+     lambda: SuConfig(Bernoulli(0.0), -1.0, DeterministicGain(1.0), RayleighGain(0.4))),
+    ("sweep", "seeds", "1, -1", lambda: base_config(seed=-1)),
+    ("sweep", "schedulers", "proposed, edf", lambda: SchedulerKind("edf")),
+], ids=["i_avg", "epsilon", "check_interval", "max_slots", "buffer_cap", "phi_mode", "d", "seeds",
+        "schedulers"])
+def test_range_rule_reported_from_its_constructor(tmp_path, section, key, bad, build):
+    """Each range rule lives in its constructor; the file and the command
+    line report the constructor's own message at the key."""
+    with pytest.raises(ValueError) as refused:
+        build()
+    message = f"[{section}] {key}: {refused.value}"
+    text = set_key(BASE, section, key, bad)
+    with pytest.raises(ConfigError) as exc:
+        load_spec(write_cfg(tmp_path, text))
+    assert exc.value.message == message
+    assert exc.value.line == text.splitlines().index(f"{key} = {bad}") + 1
+    if (section, key) in CLI_OVERRIDES:
+        with pytest.raises(ConfigError) as exc:
+            load_spec(write_cfg(tmp_path, BASE, name="base.cfg"), {(section, key): bad})
+        assert exc.value.override == (section, key)
+        assert exc.value.message == message
 
 
 class TestEpsilonRule:

@@ -642,11 +642,29 @@ class TestConfigValidation:
         ("buffer_cap", 0, "buffer cap must be positive"),
         ("buffer_cap", -5, "buffer cap must be positive"),
         ("seed", -1, "seeds must be nonnegative"),
+        ("check_interval", 1000.0, "check_interval must be an integer, got 1000.0"),
+        ("check_interval", True, "check_interval must be an integer, got True"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("buffer_cap", 10.5, "buffer_cap must be an integer, got 10.5"),
+        ("max_slots", 20000.5, "max_slots must be an integer, got 20000.5"),
     ])
     def test_bad_run_setting_rejected(self, field, value, message):
-        # SimConfig refuses what the config file refuses, with its message.
-        with pytest.raises(ValueError, match=message):
+        # SimConfig holds each run setting's rule and names the field it
+        # refuses; the config file reports the same message at the key.
+        with pytest.raises(ValueError, match=message) as exc:
             two_user_config(0.1, "proposed", **{field: value})
+        assert exc.value.field == field
+
+    def test_non_integer_poisson_cap_rejected(self):
+        with pytest.raises(ValueError, match="cap must be an integer, got 2.5"):
+            TruncatedPoisson(0.5, 2.5)
+
+    def test_numpy_integers_accepted(self):
+        cfg = two_user_config(0.1, "proposed", max_slots=np.int64(2000),
+                              check_interval=np.int32(1000), seed=np.int64(3),
+                              buffer_cap=np.int64(50))
+        assert Simulation(cfg).run_until_converged().slots <= 2000
+        assert TruncatedPoisson(0.5, np.int64(2)).a_max == 2
 
     def test_no_users_rejected(self):
         with pytest.raises(ValueError, match="at least one user"):
