@@ -26,6 +26,12 @@ the trailing notes below are annotations, as a comment needs its own line):
     seeds = 1                 # comma-separated, distinct, nonnegative
     output_dir = results      # optional
 
+A value takes one line, and ``=`` or ``:`` (the first on the line)
+separates key from value; keys are case-insensitive. A line that is
+indented, comes before the first section, has no separator, or repeats a
+section or a key is malformed. The file is read once; its digest is taken
+from the bytes that were parsed.
+
 Each value is read once, from ``load_spec``'s ``overrides`` (``crsched run``
 passes its flags there) or else from the file, under the same rules; an
 error names the key's file line or the override. A value's range rule lives
@@ -38,14 +44,13 @@ points are the cleanest floats for their spellings (0.06, not 0.060000...5).
 
 from __future__ import annotations
 
-import configparser
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from decimal import Decimal
 from functools import partial
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .channels import ChannelModel, DeterministicGain, RayleighGain
 from .engine import PHI_ACTUAL, SchedulerKind, SimConfig, SuConfig
@@ -66,8 +71,7 @@ class ConfigError(ValueError):
         self.override = override
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(NamedTuple):
     """A validated sweep: base run settings plus the axes to vary."""
 
     base: SimConfig
@@ -76,23 +80,6 @@ class ExperimentSpec:
     seeds: tuple[int, ...]
     output_dir: str | None
     source_sha256: str
-
-
-def _line_index(text: str) -> dict[tuple[str, str | None], int]:
-    """Map (section, key) and (section, None) to 1-based line numbers."""
-    index: dict[tuple[str, str | None], int] = {}
-    section = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith(("#", ";")):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            index[(section, None)] = lineno
-        elif "=" in line and section is not None:
-            key = line.split("=", 1)[0].strip().lower()
-            index.setdefault((section, key), lineno)
-    return index
 
 
 class _Loader:
@@ -104,16 +91,45 @@ class _Loader:
         self.overrides = dict(overrides)
         self.read: set[tuple[str, str | None]] = set()
         try:
-            text = self.path.read_text()
-        except OSError as err:
+            data = self.path.read_bytes()
+            text = data.decode()
+        except (OSError, UnicodeDecodeError) as err:
             raise ConfigError(path, None, f"cannot read config: {err}") from err
-        self.lines = _line_index(text)
-        self.parser = configparser.ConfigParser(interpolation=None)
-        try:
-            self.parser.read_string(text)
-        except configparser.Error as err:
-            lineno = getattr(err, "lineno", None)
-            raise ConfigError(path, lineno, f"malformed config: {err.message}") from err
+        self.sha256 = hashlib.sha256(data).hexdigest()
+        # (section, None) -> the header's line, (section, key) -> the key's
+        # line, in file order; (section, key) -> the key's stripped value
+        self.lines: dict[tuple[str, str | None], int] = {}
+        self.values: dict[tuple[str, str], str] = {}
+        self._scan(text)
+
+    def _scan(self, text: str) -> None:
+        """Read every [section] header and key = value (or key: value) line,
+        splitting at the first = or :. Blank lines and full-line # or ;
+        comments are skipped; any other line is malformed."""
+        section = None
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.strip()
+            if not line or line.startswith(("#", ";")):
+                continue
+            if raw[0].isspace():
+                problem = "indented line; a value takes one line"
+            elif line.startswith("[") and line.endswith("]"):
+                section, key, problem = line[1:-1].strip(), None, None
+            elif section is None:
+                problem = "line before the first [section]"
+            else:
+                eq, colon = line.find("="), line.find(":")
+                cut = eq if colon < 0 or 0 <= eq < colon else colon
+                key = line[:cut].strip().lower()
+                problem = None if cut > 0 else f"expected key = value, got {line!r}"
+            if problem is None and (section, key) in self.lines:
+                name = f"[{section}] {key}" if key else f"section [{section}]"
+                problem = f"repeated {name}, first at line {self.lines[(section, key)]}"
+            if problem is not None:
+                raise ConfigError(self.path, lineno, f"malformed config: {problem}")
+            self.lines[(section, key)] = lineno
+            if key is not None:
+                self.values[(section, key)] = line[cut + 1:].strip()
 
     def fail(self, section: str, key: str | None, message: str):
         text = f"[{section}] {key}: {message}" if key else f"[{section}]: {message}"
@@ -128,9 +144,9 @@ class _Loader:
         self.read.update({(section, None), (section, key)})
         raw = self.overrides.get((section, key))
         if raw is None:
-            if not self.parser.has_section(section):
+            if (section, None) not in self.lines:
                 raise ConfigError(self.path, None, f"missing required section [{section}]")
-            raw = self.parser.get(section, key, fallback=default)
+            raw = self.values.get((section, key), default)
         if raw is None:
             self.fail(section, key, "missing required key")
         try:
@@ -148,12 +164,7 @@ class _Loader:
             self.fail(*renamed.get(err.field, (section, err.field)), str(err))
 
     def reject_unread(self):
-        sections = self.parser.sections()
-        if self.parser.defaults():
-            self.fail(self.parser.default_section, None, "unknown section")
-        keys = [(section, None) for section in sections]
-        keys += [(section, key) for section in sections for key in self.parser.options(section)]
-        for section, key in keys + list(self.overrides):
+        for section, key in [*self.lines, *self.overrides]:
             if (section, key) not in self.read:
                 self.fail(section, key, "unknown key" if key else "unknown section")
 
@@ -295,8 +306,8 @@ def load_spec(path, overrides: Mapping[tuple[str, str], str] | None = None) -> E
         interference = loader.value(section, "interference", _parse_channel)
         sus.append(loader.build(section, SuConfig, arrivals=arrivals, delay_bound=d,
                                 direct=direct, interference=interference))
-    for section in loader.parser.sections():
-        if section.startswith("su") and section[2:].isdigit() and int(section[2:]) > n_sus:
+    for section, key in loader.lines:
+        if key is None and section.startswith("su") and section[2:].isdigit() and int(section[2:]) > n_sus:
             loader.fail(section, None, f"user section beyond n_sus = {n_sus}")
 
     lo = loader.value("sweep", "lambda_min", _grid_start)
@@ -323,5 +334,5 @@ def load_spec(path, overrides: Mapping[tuple[str, str], str] | None = None) -> E
         schedulers=schedulers,
         seeds=seeds,
         output_dir=output_dir,
-        source_sha256=file_sha256(loader.path),
+        source_sha256=loader.sha256,
     )

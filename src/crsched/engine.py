@@ -43,7 +43,7 @@ import numpy as np
 
 from .channels import ChannelModel, DeterministicGain
 from .queueing import (DEFAULT_BUFFER_CAP, ArrivalProcess, InfeasibleLoadError, SettingError,
-                       SuQueue, require_integer)
+                       SuQueue, require_instance, require_integer)
 from .streams import ROLE_ARRIVALS, ROLE_DIRECT, ROLE_INTERFERENCE, substream
 
 PHI_ACTUAL = "actual"  # closing term counts the packets actually transmittable
@@ -111,6 +111,9 @@ class SuConfig:
     interference: ChannelModel
 
     def __post_init__(self):
+        require_instance("arrivals", self.arrivals, ArrivalProcess)
+        require_instance("direct", self.direct, ChannelModel)
+        require_instance("interference", self.interference, ChannelModel)
         if not 0.0 < self.delay_bound < math.inf:
             raise SettingError("delay_bound", f"delay bound must be positive and finite, got {self.delay_bound!r}")
 
@@ -132,6 +135,9 @@ class SimConfig:
     def __post_init__(self):
         if not self.sus:
             raise SettingError("sus", "need at least one user")
+        for su in self.sus:
+            require_instance("sus", su, SuConfig, "each of sus")
+        require_instance("scheduler", self.scheduler, SchedulerKind)
         require_integer(self, "max_slots", "check_interval", "seed", "buffer_cap")
         if not 0.0 < self.i_avg < math.inf:
             raise SettingError("i_avg",
@@ -174,8 +180,7 @@ class SuState(NamedTuple):
     interference_rng: np.random.Generator
 
 
-@dataclass(frozen=True)
-class SlotTrace:
+class SlotTrace(NamedTuple):
     """Post-slot snapshot plus the slot's driving quantities."""
 
     slot: int
@@ -190,8 +195,7 @@ class SlotTrace:
     interference: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class DriftSummary:
+class DriftSummary(NamedTuple):
     """Empirical drift bound check for one run: c_total bounds the mean
     one-slot quadratic drift, which telescopes to mean_drift = (L(T) - L(0))/T
     over the T completed slots, L = (X^2 + sum_i Y_i^2 + Q_i^2)/2 and L(0) = 0;
@@ -207,8 +211,7 @@ class DriftSummary:
     jensen_bound: float
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(NamedTuple):
     converged: bool
     stability_metric: float
     avg_delays: tuple[float | None, ...]

@@ -39,6 +39,14 @@ def require_integer(owner, *fields: str) -> None:
             raise SettingError(field, f"{field} must be an integer, got {value!r}")
 
 
+def require_instance(field: str, value, kind, what: str | None = None) -> None:
+    """Refuse ``value`` (field's value, or what of it) unless it is a
+    ``kind``: a class or a union of classes."""
+    if not isinstance(value, kind):
+        names = " or ".join(k.__name__ for k in getattr(kind, "__args__", (kind,)))
+        raise SettingError(field, f"{what or field} must be {names}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Bernoulli:
     """At most one arrival per slot, with mean ``rate``."""

@@ -14,11 +14,11 @@ Empty delay cells mean no packet departed (average undefined, not zero).
 
 from __future__ import annotations
 
-import csv
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .config import ExperimentSpec, file_sha256  # file_sha256: digests of rows.csv and configs
 from .engine import RunResult, SimConfig, Simulation
@@ -38,8 +38,7 @@ FIGURES = {
 }
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     scheduler: str
     lam: float
     seed: int
@@ -146,6 +145,8 @@ def rows_header(n_sus: int) -> list[str]:
 def write_rows(rows: list[SweepRow], path) -> None:
     if not rows:
         raise ValueError("no rows to write")
+    import csv  # here and in the other row writers and readers: a run's set-up never needs it
+
     n_sus = len(rows[0].delays)
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
@@ -181,6 +182,8 @@ def _parse_row(rec: list[str], n_sus: int) -> SweepRow:
 def read_rows(path) -> list[SweepRow]:
     """The rows of a rows.csv; a malformed file raises ValueError naming
     the file and line."""
+    import csv
+
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
@@ -256,6 +259,8 @@ def emit_figures(
     are left empty where undefined. A figure whose schedulers produced no
     rows at all is omitted and noted in the manifest.
     """
+    import csv
+
     if not rows:
         raise ValueError("no rows to plot")
     out = Path(output_dir)

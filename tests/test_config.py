@@ -286,6 +286,30 @@ class TestLoadSpecValidation:
         with pytest.raises(ConfigError, match="malformed config"):
             load_spec(path)
 
+    @pytest.mark.parametrize("text, line, problem", [
+        pytest.param("n_sus = 2\n" + BASE, 1, "line before the first [section]",
+                     id="before-section"),
+        pytest.param(BASE.replace("i_avg = 2.0", "i_avg"), 3,
+                     "expected key = value, got 'i_avg'", id="no-delimiter"),
+        pytest.param(BASE.replace("d = 1.5", "d = 1.5\n  2.5"), 10,
+                     "indented line; a value takes one line", id="continuation"),
+        pytest.param(BASE + "\n[su1]\nd = 2.0\n", 27,
+                     "repeated section [su1], first at line 8", id="repeated-section"),
+        pytest.param(BASE.replace("d = 1.5", "d = 1.5\nD: 2.5"), 10,
+                     "repeated [su1] d, first at line 9", id="repeated-key"),
+    ])
+    def test_malformed_line_named(self, tmp_path, text, line, problem):
+        with pytest.raises(ConfigError) as exc:
+            load_spec(write_cfg(tmp_path, text))
+        assert exc.value.line == line
+        assert exc.value.message == f"malformed config: {problem}"
+
+    def test_colon_separated_key_carries_its_own_line(self, tmp_path):
+        path = write_cfg(tmp_path, BASE.replace("i_avg = 2.0", "i_avg: plenty"))
+        with pytest.raises(ConfigError, match="expected a number, got 'plenty'") as exc:
+            load_spec(path)
+        assert exc.value.line == 3
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
             load_spec(tmp_path / "absent.cfg")
@@ -305,7 +329,7 @@ OVERRIDES = {
 
 
 def without_source(spec):
-    return replace(spec, source_sha256="")
+    return spec._replace(source_sha256="")
 
 
 class TestOverrides:

@@ -587,7 +587,7 @@ def test_oracle_flags_a_tampered_decision():
     trace = run_slots(cfg, 500).trace
     k = next(k for k, t in enumerate(trace) if t.su is not None and k > 100)
     tampered = list(trace)
-    tampered[k] = replace(trace[k], su=1 - trace[k].su)
+    tampered[k] = trace[k]._replace(su=1 - trace[k].su)
     assert first_decision_mismatch(cfg, trace) is None
     assert first_decision_mismatch(cfg, tampered).startswith(f"slot {k}:")
 
@@ -653,6 +653,26 @@ class TestConfigValidation:
         # refuses; the config file reports the same message at the key.
         with pytest.raises(ValueError, match=message) as exc:
             two_user_config(0.1, "proposed", **{field: value})
+        assert exc.value.field == field
+
+    @pytest.mark.parametrize("build, field, message", [
+        (lambda: replace(two_user_config(0.1, "proposed"), scheduler="proposed"),
+         "scheduler", "scheduler must be SchedulerKind, got 'proposed'"),
+        (lambda: SimConfig(sus=(two_user_sus(0.1)[0], "su2"), i_avg=2.0,
+                           scheduler=SchedulerKind("proposed")),
+         "sus", "each of sus must be SuConfig, got 'su2'"),
+        (lambda: replace(two_user_sus(0.1)[0], arrivals=0.1),
+         "arrivals", "arrivals must be Bernoulli or TruncatedPoisson, got 0.1"),
+        (lambda: replace(two_user_sus(0.1)[0], direct=1.0),
+         "direct", "direct must be DeterministicGain or RayleighGain, got 1.0"),
+        (lambda: replace(two_user_sus(0.1)[0], interference="rayleigh mean=0.4"),
+         "interference", "interference must be DeterministicGain or RayleighGain"),
+    ])
+    def test_wrong_type_rejected(self, build, field, message):
+        # A value of the wrong type fails at construction, not later in the
+        # run (a scheduler name as a string once failed on its first slot).
+        with pytest.raises(ValueError, match=message) as exc:
+            build()
         assert exc.value.field == field
 
     def test_non_integer_poisson_cap_rejected(self):

@@ -69,6 +69,16 @@ def no_pool(*args, **kwargs):
     raise AssertionError("a process pool was built")
 
 
+def fresh_python(script: str, *args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run script in a new interpreter on this checkout's package. Importing
+    crsched.cli here sets OPENBLAS_NUM_THREADS, so the child gets the
+    environment without it, plus env."""
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    child_env.update(env, PYTHONPATH=str(Path(crsched.__file__).resolve().parent.parent))
+    return subprocess.run([sys.executable, "-c", script, *args], env=child_env,
+                          capture_output=True, text=True, check=True)
+
+
 @pytest.fixture(scope="module")
 def tiny_spec(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "tiny.cfg"
@@ -147,11 +157,49 @@ class TestSweep:
             "print(sorted(m for m in sys.modules\n"
             "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
         )
-        src = str(Path(crsched.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-c", script, str(cfg)], env=env,
-                              capture_output=True, text=True, check=True)
+        done = fresh_python(script, str(cfg))
         assert done.stdout == "[]\n"
+
+    def test_package_root_loads_no_numpy(self):
+        done = fresh_python(
+            "import sys\n"
+            "import crsched\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        assert done.stdout == "False\n"
+
+    def test_package_root_names_resolve_on_use(self):
+        done = fresh_python(
+            "import crsched\n"
+            "print(all(callable(getattr(crsched, name)) for name in crsched.__all__))\n"
+            "try:\n"
+            "    crsched.nope\n"
+            "except AttributeError as err:\n"
+            "    print(err)\n"
+        )
+        assert crsched.__all__ == ["RunResult", "load_spec", "parse_scheduler", "point_config",
+                                   "run_point", "run_sweep", "write_rows"]
+        assert done.stdout == "True\nmodule 'crsched' has no attribute 'nope'\n"
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_cli_import_starts_no_blas_threads(self):
+        # crsched calls no BLAS routine, so numpy's OpenBLAS starts no
+        # worker thread, however many CPUs the process may use.
+        done = fresh_python(
+            "import os\n"
+            "import crsched.cli\n"
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n"
+        )
+        assert done.stdout == "1 1\n"
+
+    def test_cli_import_keeps_a_preset_blas_thread_count(self):
+        done = fresh_python(
+            "import os\n"
+            "import crsched.cli\n"
+            "print(os.environ['OPENBLAS_NUM_THREADS'])\n",
+            OPENBLAS_NUM_THREADS="2",
+        )
+        assert done.stdout == "2\n"
 
     def test_progress_callback_sees_every_point(self, tiny_spec):
         seen = []
