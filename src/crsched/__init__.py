@@ -11,7 +11,12 @@ The names below load their module on first use, so ``import crsched``
 loads no numpy.
 """
 
+import os
 from importlib import import_module
+
+# crsched calls no BLAS routine: numpy's OpenBLAS gets one thread, not a
+# spinning worker per extra CPU. A value already in the environment is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .queueing import SettingError
+
 # Default truncation point for fading gains, as a multiple of the mean.
 # P(exceed) = exp(-25), so the truncation is statistically invisible but
 # keeps every per-slot quantity bounded.
@@ -30,9 +32,10 @@ class DeterministicGain:
         if self.cap is None:
             object.__setattr__(self, "cap", float(self.value))
         if not (math.isfinite(self.value) and math.isfinite(self.cap)):
-            raise ValueError(f"deterministic gain {self.value!r} and its cap {self.cap!r} must be finite")
+            raise SettingError("cap" if math.isfinite(self.value) else "value",
+                               f"deterministic gain {self.value!r} and its cap {self.cap!r} must be finite")
         if not 0.0 <= self.value <= self.cap:
-            raise ValueError(f"deterministic gain {self.value!r} outside [0, {self.cap!r}]")
+            raise SettingError("value", f"deterministic gain {self.value!r} outside [0, {self.cap!r}]")
 
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.full(n, self.value)
@@ -47,11 +50,11 @@ class RayleighGain:
 
     def __post_init__(self):
         if not 0.0 < self.mean < math.inf:
-            raise ValueError(f"rayleigh mean must be positive and finite, got {self.mean!r}")
+            raise SettingError("mean", f"rayleigh mean must be positive and finite, got {self.mean!r}")
         if self.cap is None:
             object.__setattr__(self, "cap", RAYLEIGH_CAP_FACTOR * self.mean)
         if not 0.0 < self.cap < math.inf:
-            raise ValueError(f"rayleigh cap must be positive and finite, got {self.cap!r}")
+            raise SettingError("cap", f"rayleigh cap must be positive and finite, got {self.cap!r}")
 
     def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.minimum(rng.exponential(self.mean, n), self.cap)

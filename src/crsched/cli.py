@@ -17,11 +17,6 @@ import os
 import sys
 from pathlib import Path
 
-# crsched calls no BLAS routine, so numpy's OpenBLAS gets one thread rather
-# than a worker per extra CPU that spins while numpy loads. Set before the
-# package imports numpy; a value already in the environment is kept.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
 from .config import ConfigError, ExperimentSpec, load_spec
 from .sweep import (
     ROWS_FILENAME,

@@ -270,9 +270,9 @@ def _parse_schedulers(value: str) -> list[SchedulerKind]:
 
 
 def _parse_seeds(value: str) -> tuple[int, ...]:
-    seeds = tuple(_integer(token.strip()) for token in value.split(",") if token.strip())
-    if not seeds:
+    if not value:
         raise ValueError("need at least one seed")
+    seeds = tuple(_integer(token.strip()) for token in value.split(","))
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
     return seeds

@@ -20,10 +20,10 @@ index scan what phi needs. Either way a slot goes:
 5. the interference accumulator X absorbs the slot's gain (0 on idle) - I_avg
 6. metrics are accumulated
 
-Simulation._advance is the only kernel and holds no trace code. A traced
-run steps it one slot at a time and builds each SlotTrace from outside,
-from the state and the slot's inputs; the observer is the only reader of
-the direct gains.
+Simulation._advance is the only kernel and holds no trace code.
+Simulation.observe steps it one slot at a time and yields each slot's
+SlotTrace, built from outside from the state and the slot's inputs; it
+keeps none, and it is the only reader of the direct gains.
 
 Y_i and X (the "virtual queues") grow when a slot violates its constraint
 and drain, down to 0, when it has room to spare; if their time-averaged
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice, repeat, takewhile
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,7 +130,6 @@ class SimConfig:
     check_interval: int = 10_000
     seed: int = 0
     buffer_cap: int = DEFAULT_BUFFER_CAP
-    trace: bool = False
 
     def __post_init__(self):
         if not self.sus:
@@ -157,21 +156,19 @@ class SimConfig:
 
 class SuState(NamedTuple):
     """One user's FIFO and delay bound, its inputs for the current block of
-    up to BLOCK slots, one entry per slot (arrival counts, direct gains,
-    their rates log2(1 + gain), the whole packets floor(rate) and
+    up to BLOCK slots, one entry per slot (arrival counts, the rates
+    log2(1 + gain) of the direct gains, the whole packets floor(rate) and
     interference gains), and the generators they are drawn from.
 
-    Each list is kept only where it is read: the direct gains in a traced
-    run, where only the observer reads them, the rates in literal phi mode;
-    otherwise it stays empty. A link with a constant gain has its lists
-    filled once from the scalar rule, when the run is set up, and never
-    redrawn; its generator is never drawn from.
+    The rates are kept only in literal phi mode, their one reader; otherwise
+    that list stays empty. A link with a constant gain has its lists filled
+    once from the scalar rule, when the run is set up, and never redrawn;
+    its generator is never drawn from.
     """
 
     queue: SuQueue
     delay_bound: float
     arrivals: list[int]
-    direct: list[float]
     rate: list[float]
     packets: list[int]
     interference: list[float]
@@ -235,13 +232,11 @@ def stability_metric(x: float, ys: Sequence[float], slots: int) -> float:
 
 class Simulation:
     """Mutable run state, with X as x and Y_i as y[i]; drive with
-    run_slot() or run_until_converged().
+    run_slot() or run_until_converged(), or watch it with observe().
 
     interference_sum adds up the interference gains charged so far.
     c_y_emp[i], the empirical Y-term of the drift constant, is the largest
-    d_i^2 n^2 + (sum W)^2 of user i. trace holds one SlotTrace per slot if
-    the config asks for it: a traced run steps the unchanged kernel,
-    _advance, one slot at a time and records each slot from outside it.
+    d_i^2 n^2 + (sum W)^2 of user i.
     """
 
     def __init__(self, config: SimConfig):
@@ -251,7 +246,7 @@ class Simulation:
         # same values in the same order as one draw per slot.
         self.sus = tuple(
             SuState(
-                SuQueue(su.arrivals, config.buffer_cap), su.delay_bound, [], [], [], [], [],
+                SuQueue(su.arrivals, config.buffer_cap), su.delay_bound, [], [], [], [],
                 substream(config.seed, i, ROLE_ARRIVALS),
                 substream(config.seed, i, ROLE_DIRECT),
                 substream(config.seed, i, ROLE_INTERFERENCE),
@@ -263,7 +258,8 @@ class Simulation:
         self.y = [0.0] * n
         self.interference_sum = 0.0
         self.c_y_emp = [0.0] * n
-        self.trace: list[SlotTrace] = []
+        # Each faded direct link's gains in the current block; observe() reads them.
+        self._direct: list[np.ndarray | None] = [None] * n
         self.slot = 0
         # The next slot's index into the inputs, and the block's length;
         # _advance draws the next block when the first reaches the second.
@@ -274,8 +270,6 @@ class Simulation:
             # hold BLOCK slots, at least as many as any block.
             if isinstance(su.direct, DeterministicGain):
                 gain = float(su.direct.value)
-                if config.trace:
-                    state.direct[:] = [gain] * BLOCK
                 if literal:
                     state.rate[:] = [transmission_rate(gain)] * BLOCK
                 state.packets[:] = [int(transmission_rate(gain))] * BLOCK
@@ -294,12 +288,10 @@ class Simulation:
             n = min(n, config.max_slots - self.slot)
         self._len = n
         literal = config.scheduler.phi_mode == PHI_LITERAL
-        for su, state in zip(config.sus, self.sus):
+        for i, (su, state) in enumerate(zip(config.sus, self.sus)):
             state.arrivals[:] = su.arrivals.counts(state.arrival_rng.random(n)).tolist()
             if not isinstance(su.direct, DeterministicGain):
-                direct = su.direct.sample_block(state.direct_rng, n)
-                if config.trace:
-                    state.direct[:] = direct.tolist()
+                direct = self._direct[i] = su.direct.sample_block(state.direct_rng, n)
                 # numpy's float64 add rounds as Python's does in transmission_rate.
                 one_plus = 1.0 + direct
                 if literal:
@@ -310,19 +302,24 @@ class Simulation:
 
     def run_slot(self) -> int | None:
         """Advance one slot; return the scheduled user, None on idle."""
-        return (self._observe if self.config.trace else self._advance)(1)
+        return self._advance(1)
 
-    def _observe(self, count: int) -> int | None:
-        """Run ``count`` >= 1 slots as _advance(1) calls, appending each slot's
-        SlotTrace; return the last one's scheduled user.
+    def observe(self, count: int) -> Iterator[SlotTrace]:
+        """Run up to ``count`` slots as _advance(1) calls, yielding each slot's
+        SlotTrace once it has run; each slot runs when its record is asked
+        for, and none is kept. A backlog that outgrows its cap raises
+        InfeasibleLoadError from the aborted slot, as run_slot() does.
 
         The kernel is watched from outside: before a slot, each user's FIFO
         head, as many packets as the slot could send, and its departure count;
         after it, the state and the slot's inputs. The served packets are the
         first of that head, then the slot's own arrivals (waiting 1 slot), as
-        many as the departure count grew by.
+        many as the departure count grew by. A faded link's direct gain is
+        read from its block as drawn, a constant link's from its model.
         """
         sus = self.sus
+        constant = [float(su.direct.value) if isinstance(su.direct, DeterministicGain) else None
+                    for su in self.config.sus]
         for _ in range(count):
             if self._pos == self._len:
                 self._fill_block()
@@ -338,13 +335,12 @@ class Simulation:
                 n = sus[best].queue.cumulative_departures - departed
                 gain = sus[best].interference[pos]
                 waits = tuple(slot + 1 - a for a in head[:n]) + (1,) * (n - len(head))
-            self.trace.append(SlotTrace(
+            yield SlotTrace(
                 slot, tuple(su.arrivals[pos] for su in sus), best, gain, waits,
                 tuple(len(su.queue.fifo) for su in sus), tuple(self.y), self.x,
-                tuple(su.direct[pos] for su in sus),
+                tuple(float(self._direct[i][pos]) if g is None else g for i, g in enumerate(constant)),
                 tuple(su.interference[pos] for su in sus),
-            ))
-        return best
+            )
 
     def _advance(self, count: int) -> int | None:
         """Run ``count`` >= 1 slots; return the last one's scheduled user.
@@ -501,10 +497,9 @@ class Simulation:
         cap ends the run too, as an unconverged result noted infeasible-load."""
         cfg = self.config
         check = cfg.check_interval
-        advance = self._observe if cfg.trace else self._advance
         try:
             while self.slot < cfg.max_slots:
-                advance(min(check - self.slot % check, cfg.max_slots - self.slot))
+                self._advance(min(check - self.slot % check, cfg.max_slots - self.slot))
                 if self.slot % check == 0:
                     metric = self.stability_metric()
                     if metric < cfg.epsilon:

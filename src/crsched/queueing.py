@@ -55,7 +55,7 @@ class Bernoulli:
 
     def __post_init__(self):
         if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"bernoulli rate must be in [0, 1], got {self.rate!r}")
+            raise SettingError("rate", f"bernoulli rate must be in [0, 1], got {self.rate!r}")
 
     @property
     def a_max(self) -> int:
@@ -91,9 +91,9 @@ class TruncatedPoisson:
     def __post_init__(self):
         require_integer(self, "cap")
         if self.cap < 1:
-            raise ValueError(f"poisson cap must be at least 1, got {self.cap!r}")
+            raise SettingError("cap", f"poisson cap must be at least 1, got {self.cap!r}")
         if not 0.0 <= self.rate <= self.cap:
-            raise ValueError(f"poisson rate must be in [0, cap={self.cap}], got {self.rate!r}")
+            raise SettingError("rate", f"poisson rate must be in [0, cap={self.cap}], got {self.rate!r}")
 
     @property
     def a_max(self) -> int:

@@ -68,10 +68,10 @@ class Staged(NamedTuple):
 
 def staged_sim(kind: str, *users: Staged, x: float = 0.0, slot: int = 0,
                phi_mode: str = PHI_ACTUAL, i_avg: float = 2.0) -> Simulation:
-    """A traced Simulation paused at ``slot`` with the given X and users.
+    """A Simulation paused at ``slot`` with the given X and users.
 
-    Nothing arrives and every gain is constant, so the next run_slot()
-    decides on exactly the preset state.
+    Nothing arrives and every gain is constant, so the next slot, stepped
+    with run_slot() or observe(1), decides on exactly the preset state.
     """
     sim = Simulation(SimConfig(
         sus=tuple(
@@ -85,7 +85,6 @@ def staged_sim(kind: str, *users: Staged, x: float = 0.0, slot: int = 0,
         ),
         i_avg=i_avg,
         scheduler=SchedulerKind(kind, phi_mode),
-        trace=True,
     ))
     sim.slot = slot
     sim.x = x

@@ -220,7 +220,6 @@ def random_small_sim_config(case_seed: int):
             max_slots=max(slots, 1),
             check_interval=max(slots, 1),
             seed=rng.getrandbits(32),
-            trace=True,
         ),
         slots,
     )

@@ -178,12 +178,10 @@ def test_criterion_5_trajectories_match_independent_resimulation():
     mismatches = []
     for case_seed in range(cases):
         config, slots = random_small_sim_config(case_seed)
-        sim = Simulation(config)
-        for _ in range(slots):
-            sim.run_slot()
+        trace = list(Simulation(config).observe(slots))
         bounds = [su.delay_bound for su in config.sus]
-        expected = resim_trajectories(sim.trace, bounds, config.i_avg)
-        for t, (q, y, x) in zip(sim.trace, expected):
+        expected = resim_trajectories(trace, bounds, config.i_avg)
+        for t, (q, y, x) in zip(trace, expected):
             if t.q != q or t.y != y or t.x != x:
                 mismatches.append(f"case {case_seed} slot {t.slot}")
                 break
@@ -204,18 +202,15 @@ def test_criterion_6_decisions_minimize_the_slot_objective(table1_spec, binding_
     ):
         config = replace(
             point_config(spec, kind, 0.4, 1),
-            trace=True,
             max_slots=slots,
             check_interval=slots,
             epsilon=0.0,
         )
-        sim = Simulation(config)
-        for _ in range(slots):
-            sim.run_slot()
-        mismatch = first_decision_mismatch(config, sim.trace)
+        trace = list(Simulation(config).observe(slots))
+        mismatch = first_decision_mismatch(config, trace)
         if mismatch is not None:
             mismatches.append(f"{label} {mismatch}")
-        checked[label] = len(sim.trace)
+        checked[label] = len(trace)
     ok = not mismatches and all(n == slots for n in checked.values())
     detail = "every decision matched the brute-force minimizer: " + ", ".join(
         f"{label} {n} slots" for label, n in checked.items()

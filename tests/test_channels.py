@@ -14,8 +14,7 @@ def rng(seed=0):
 
 
 def gain_feeds(direct, interference, seed):
-    """A traced Simulation of users with these channel models and no
-    traffic; only a traced run keeps its direct gains."""
+    """A Simulation of users with these channel models and no traffic."""
     return Simulation(SimConfig(
         sus=tuple(
             SuConfig(arrivals=Bernoulli(0.0), delay_bound=1.0, direct=g_d, interference=g)
@@ -24,19 +23,13 @@ def gain_feeds(direct, interference, seed):
         i_avg=1.0,
         scheduler=SchedulerKind("proposed"),
         seed=seed,
-        trace=True,
     ))
 
 
 def slot_gains(sim, n):
     """The (direct, interference) gain tuples of the Simulation's first n
-    slots, read from its input blocks."""
-    assert sim.config.trace, "only a traced run keeps its direct gains"
-    slots = []
-    while len(slots) < n:
-        sim._fill_block()
-        slots += zip(zip(*(su.direct for su in sim.sus)), zip(*(su.interference for su in sim.sus)))
-    return slots[:n]
+    slots, as observed."""
+    return [(t.direct, t.interference) for t in sim.observe(n)]
 
 
 class TestDeterministicGain:
@@ -143,11 +136,13 @@ class TestChannelBank:
             (RayleighGain(0.4), RayleighGain(0.2)),
             seed=3,
         )
-        sums = [0.0, 0.0]
-        for _, interference in slot_gains(sim, n):
-            sums[0] += interference[0]
-            sums[1] += interference[1]
-        for got, want in zip((sums[0] / n, sums[1] / n), (0.4, 0.2)):
+        # Read from the input blocks: observing 10^6 slots one by one is slow.
+        slots = []
+        while len(slots) < n:
+            sim._fill_block()
+            slots += zip(*(su.interference for su in sim.sus))
+        for i, want in enumerate((0.4, 0.2)):
+            got = sum(interference[i] for interference in slots[:n]) / n
             assert abs(got - want) <= 3 * want / math.sqrt(n)
 
     def test_mismatched_model_lists_rejected(self):

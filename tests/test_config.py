@@ -254,6 +254,19 @@ class TestLoadSpecValidation:
         assert exc.value.line == 25
         assert exc.value.message == "[sweep] seeds: seeds must be nonnegative"
 
+    @pytest.mark.parametrize("seeds, message", [
+        ("1,,2,", "expected an integer, got ''"),
+        ("1,", "expected an integer, got ''"),
+        (", 1", "expected an integer, got ''"),
+        ("", "need at least one seed"),
+    ])
+    def test_empty_seeds(self, tmp_path, seeds, message):
+        # An empty item is refused, as in the scheduler list, not skipped.
+        with pytest.raises(ConfigError) as exc:
+            load_spec(write_cfg(tmp_path, patched("seeds", seeds)))
+        assert exc.value.line == 25
+        assert exc.value.message == f"[sweep] seeds: {message}"
+
     def test_omitted_run_settings_take_simconfig_defaults(self, tmp_path):
         text = "".join(
             line for line in BASE.splitlines(keepends=True)

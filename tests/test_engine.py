@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from crsched.channels import DeterministicGain, RayleighGain
+from crsched.config import load_spec
 from crsched.engine import (
     BLOCK,
     PHI_ACTUAL,
@@ -12,15 +14,17 @@ from crsched.engine import (
     SchedulerKind,
     Simulation,
     SimConfig,
+    SlotTrace,
     SuConfig,
     stability_metric,
     transmission_rate,
     whole_packets,
 )
-from crsched.queueing import Bernoulli, InfeasibleLoadError, TruncatedPoisson
+from crsched.queueing import Bernoulli, InfeasibleLoadError, SettingError, TruncatedPoisson
 from crsched.streams import ROLE_DIRECT, ROLE_INTERFERENCE, substream
+from crsched.sweep import point_config
 
-from conftest import two_user_config, two_user_sus
+from conftest import shipped_config, two_user_config, two_user_sus
 from oracles import (
     first_decision_mismatch,
     lyapunov_drift_sum,
@@ -44,10 +48,26 @@ def single_user_config(**kw) -> SimConfig:
         i_avg=0.5,
         scheduler=SchedulerKind("proposed"),
         seed=0,
-        trace=True,
     )
     defaults.update(kw)
     return SimConfig(**defaults)
+
+
+def dead_channel_config(buffer_cap: int) -> SimConfig:
+    """One saturated user whose zero direct gain never carries a packet, so
+    its backlog passes buffer_cap at slot buffer_cap."""
+    return single_user_config(
+        sus=(
+            SuConfig(
+                arrivals=Bernoulli(1.0),
+                delay_bound=1.0,
+                direct=DeterministicGain(0.0),
+                interference=DeterministicGain(0.1),
+            ),
+        ),
+        i_avg=2.0,
+        buffer_cap=buffer_cap,
+    )
 
 
 def run_slots(config: SimConfig, n: int) -> Simulation:
@@ -57,9 +77,15 @@ def run_slots(config: SimConfig, n: int) -> Simulation:
     return sim
 
 
+def observe_slots(config: SimConfig, n: int) -> tuple[Simulation, list[SlotTrace]]:
+    """A Simulation of ``config`` observed for n slots, and their records."""
+    sim = Simulation(config)
+    return sim, list(sim.observe(n))
+
+
 def accumulators(sim: Simulation):
     """The run's accumulators besides X, Y and the queues."""
-    return sim.interference_sum, sim.c_y_emp, sim.trace
+    return sim.interference_sum, sim.c_y_emp
 
 
 class TestHandTrace:
@@ -72,8 +98,7 @@ class TestHandTrace:
     """
 
     def test_idling_variant(self):
-        sim = run_slots(single_user_config(), 5)
-        trace = sim.trace
+        sim, trace = observe_slots(single_user_config(), 5)
         assert [t.su for t in trace] == [0, 0, None, 0, None]
         assert [t.waiting_times for t in trace] == [(1,), (1,), (), (2, 1), ()]
         assert [t.q for t in trace] == [(0,), (0,), (1,), (0,), (1,)]
@@ -87,8 +112,7 @@ class TestHandTrace:
         # The raw-rate index is more negative, so the run never idles;
         # slot 4 lands exactly on the zero boundary and still transmits.
         cfg = single_user_config(scheduler=SchedulerKind("proposed", PHI_LITERAL))
-        sim = run_slots(cfg, 5)
-        trace = sim.trace
+        sim, trace = observe_slots(cfg, 5)
         assert [t.su for t in trace] == [0, 0, 0, 0, 0]
         assert all(t.waiting_times == (1,) for t in trace)
         assert all(t.q == (0,) for t in trace)
@@ -113,8 +137,8 @@ def test_saturated_unit_rate_steady_state():
         ),
         i_avg=10.0,
     )
-    sim = run_slots(cfg, 10)
-    for t in sim.trace:
+    sim, trace = observe_slots(cfg, 10)
+    for t in trace:
         assert t.arrivals == (1,)
         assert t.su == 0
         assert t.waiting_times == (1,)
@@ -125,21 +149,21 @@ def test_saturated_unit_rate_steady_state():
 
 
 def test_empty_system_slot_drains_interference_accumulator():
-    cfg = two_user_config(0.0, "proposed", i_avg=2.0, trace=True)
-    sim = Simulation(cfg)
+    sim = Simulation(two_user_config(0.0, "proposed", i_avg=2.0))
     sim.x = 5.0
-    assert sim.run_slot() is None
+    t, = sim.observe(1)
+    assert t.su is None
     assert sim.x == 3.0
     assert sim.sus[0].queue.average_delay() is None
-    assert sim.trace[0].arrivals == (0, 0)
+    assert t.arrivals == (0, 0)
 
 
 def test_same_seed_same_ledger():
     cfg = two_user_config(0.3, "proposed", seed=7,
-                          max_slots=10_000, check_interval=10_000, trace=True)
-    a = run_slots(cfg, 10_000)
-    b = run_slots(cfg, 10_000)
+                          max_slots=10_000, check_interval=10_000)
+    (a, a_trace), (b, b_trace) = observe_slots(cfg, 10_000), observe_slots(cfg, 10_000)
     assert accumulators(a) == accumulators(b)
+    assert a_trace == b_trace
     assert a.stability_metric() == b.stability_metric()
 
 
@@ -202,9 +226,9 @@ def test_drift_diagnostics_on_converged_run(moderate_load_run):
 def test_work_conservation(kind):
     cfg = two_user_config(0.3, kind, seed=2,
                           max_slots=2_000, check_interval=2_000,
-                          epsilon=0.0, trace=True)
-    sim = run_slots(cfg, 2_000)
-    idle_slots = [t for t in sim.trace if t.su is None]
+                          epsilon=0.0)
+    _, trace = observe_slots(cfg, 2_000)
+    idle_slots = [t for t in trace if t.su is None]
     assert idle_slots, "load should leave some genuinely empty slots"
     for t in idle_slots:
         assert sum(t.q) == 0
@@ -213,9 +237,8 @@ def test_work_conservation(kind):
 def test_interference_sum_re_adds_from_trace():
     cfg = two_user_config(0.3, "maxweight", seed=4,
                           max_slots=3_000, check_interval=3_000,
-                          epsilon=0.0, trace=True)
-    sim = run_slots(cfg, 3_000)
-    trace = sim.trace
+                          epsilon=0.0)
+    sim, trace = observe_slots(cfg, 3_000)
     # Same float addition order, so equality is exact.
     assert sim.interference_sum == sum(t.gain for t in trace)
     assert all(t.gain == 0.0 for t in trace if t.su is None)
@@ -225,12 +248,12 @@ def test_interference_sum_re_adds_from_trace():
 def test_trace_matches_independent_resimulation():
     cfg = two_user_config(0.3, "proposed", seed=3,
                           max_slots=500, check_interval=500,
-                          epsilon=0.0, trace=True)
-    sim = run_slots(cfg, 500)
+                          epsilon=0.0)
+    _, trace = observe_slots(cfg, 500)
     expected = resim_trajectories(
-        sim.trace, [su.delay_bound for su in cfg.sus], cfg.i_avg
+        trace, [su.delay_bound for su in cfg.sus], cfg.i_avg
     )
-    for t, (q, y, x) in zip(sim.trace, expected):
+    for t, (q, y, x) in zip(trace, expected):
         assert t.q == q
         assert t.y == y
         assert t.x == x
@@ -239,20 +262,7 @@ def test_trace_matches_independent_resimulation():
 def test_dead_channel_aborts_as_infeasible():
     # A zero direct gain can never carry a packet, so the backlog outgrows
     # its safety cap and the run ends with its metrics so far, noted.
-    cfg = single_user_config(
-        sus=(
-            SuConfig(
-                arrivals=Bernoulli(1.0),
-                delay_bound=1.0,
-                direct=DeterministicGain(0.0),
-                interference=DeterministicGain(0.1),
-            ),
-        ),
-        i_avg=2.0,
-        buffer_cap=50,
-        trace=False,
-    )
-    result = Simulation(cfg).run_until_converged()
+    result = Simulation(dead_channel_config(50)).run_until_converged()
     assert result.note == "infeasible-load"
     assert not result.converged
     # 50 completed slots; the 51st packet lands before the abort fires.
@@ -279,14 +289,14 @@ def multi_packet_sus(lam=0.6, direct_mean=2.0):
 @pytest.mark.parametrize("kind", ["proposed", "proposed-nonidling", "maxweight"])
 @pytest.mark.parametrize("arrivals", ["bernoulli", "poisson"])
 def test_stepped_and_converging_loops_agree(kind, arrivals):
-    # run_until_converged() advances a check interval per call, run_slot()
+    # run_until_converged() advances a check interval per call, observe()
     # one slot; both must reach the same state across three input-block
     # boundaries and a last result interval.
     slots = 3 * BLOCK + 500
     sus = multi_packet_sus() if arrivals == "poisson" else two_user_sus(0.3)
     cfg = SimConfig(sus=sus, i_avg=0.3, scheduler=SchedulerKind(kind), seed=5, epsilon=0.0,
-                    max_slots=slots, check_interval=1000, trace=True)
-    stepped = run_slots(cfg, slots)
+                    max_slots=slots, check_interval=1000)
+    stepped, trace = observe_slots(cfg, slots)
     converging = Simulation(cfg)
     result = converging.run_until_converged()
     assert result.slots == converging.slot == stepped.slot == slots
@@ -294,48 +304,93 @@ def test_stepped_and_converging_loops_agree(kind, arrivals):
     assert result.terminal_q == tuple(su.queue.backlog for su in stepped.sus)
     assert accumulators(converging) == accumulators(stepped)
     assert queue_state(converging) == queue_state(stepped)
-    trace = stepped.trace
     assert len(trace) == slots
     assert any(t.su is not None for t in trace[-500:])
     if arrivals == "poisson":
         assert any(len(t.waiting_times) > 1 for t in trace)
 
 
-@pytest.mark.parametrize("trace", [False, True])
-def test_stepping_past_max_slots_matches_a_longer_run(trace):
+@pytest.mark.parametrize("observed", [False, True])
+def test_stepping_past_max_slots_matches_a_longer_run(observed):
     # Input blocks end at max_slots only while a run is short of it, so
-    # run_slot() stepped 200 slots past max_slots goes on drawing, with
-    # blocks ending at checks, and agrees with a run that has room to spare.
+    # run_slot() or observe() stepped 200 slots past max_slots goes on
+    # drawing, with blocks ending at checks, and agrees with a run that has
+    # room to spare.
     slots = 2700
     cfg = SimConfig(sus=multi_packet_sus(), i_avg=0.3, scheduler=SchedulerKind("proposed"), seed=5,
-                    epsilon=0.0, max_slots=slots - 200, check_interval=2000, trace=trace)
-    short = run_slots(cfg, slots)
+                    epsilon=0.0, max_slots=slots - 200, check_interval=2000)
+    if observed:
+        short, trace = observe_slots(cfg, slots)
+        assert len(trace) == slots
+    else:
+        short = run_slots(cfg, slots)
     longer = run_slots(replace(cfg, max_slots=10_000), slots)
     assert (short.slot, short.x, short.y) == (longer.slot, longer.x, longer.y)
     assert accumulators(short) == accumulators(longer)
     assert queue_state(short) == queue_state(longer)
-    assert len(short.trace) == (slots if trace else 0)
 
 
 @pytest.mark.parametrize("kind", ["proposed", "proposed-nonidling", "maxweight"])
 @pytest.mark.parametrize("phi_mode", [PHI_ACTUAL, PHI_LITERAL])
 def test_tracing_does_not_change_the_run(kind, phi_mode):
-    # Only a traced run lists the departed waiting times and keeps the
-    # direct gains; the departures themselves must leave the same state
-    # either way, also beside a constant link whose inputs are filled once.
+    # Slots observed before run_until_converged(), across input blocks and
+    # into a check interval, and after it, past max_slots, leave the same
+    # state as the same slots run unobserved, also beside a constant link
+    # whose inputs are filled once.
     fading = multi_packet_sus(1.2, 3.0)
     mixed = (replace(fading[0], direct=DeterministicGain(3.0)), fading[1])
     for sus in (fading, mixed):
         cfg = SimConfig(sus=sus, i_avg=1.0, scheduler=SchedulerKind(kind, phi_mode),
                         seed=6, epsilon=0.0, max_slots=2 * BLOCK + 300, check_interval=1000)
         plain = Simulation(cfg)
-        traced = Simulation(replace(cfg, trace=True))
-        assert plain.run_until_converged() == traced.run_until_converged()
-        assert queue_state(plain) == queue_state(traced)
-        assert (plain.c_y_emp, plain.interference_sum) == (traced.c_y_emp, traced.interference_sum)
-        assert plain.trace == []
-        assert all(su.direct == [] for su in plain.sus)
-        assert any(len(t.waiting_times) > 1 for t in traced.trace)
+        plain_result = plain.run_until_converged()
+        for _ in range(500):
+            plain.run_slot()
+        observed = Simulation(cfg)
+        trace = list(observed.observe(BLOCK + 50))
+        assert observed.run_until_converged() == plain_result
+        trace += observed.observe(500)
+        assert len(trace) == BLOCK + 550
+        assert (observed.slot, observed.x, observed.y) == (plain.slot, plain.x, plain.y)
+        assert queue_state(observed) == queue_state(plain)
+        assert accumulators(observed) == accumulators(plain)
+        assert any(len(t.waiting_times) > 1 for t in trace)
+
+
+def test_observing_keeps_no_records():
+    # observe() yields each record as its slot runs and holds none, so
+    # watching 10^5 slots costs what one block and the queues cost, not
+    # ~550 B per slot (55 MB here) as a kept list of records would.
+    spec = load_spec(shipped_config("table1.cfg"))
+    cfg = replace(point_config(spec, SchedulerKind("proposed-nonidling"), 0.2, 1), epsilon=0.0)
+    sim = Simulation(cfg)
+    tracemalloc.start()
+    try:
+        for _ in sim.observe(10**5):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sim.slot == 10**5
+    assert peak <= 4 * 2**20
+
+
+def test_observed_abort_matches_stepping():
+    # The buffer overflows at slot 5000, inside the second input block:
+    # observe() raises there, as stepping run_slot() does, with the records
+    # of the completed slots yielded and the same state left.
+    cfg = dead_channel_config(5000)
+    stepped = run_slots(cfg, 5000)
+    with pytest.raises(InfeasibleLoadError, match="^backlog exceeded safety cap 5000 at slot 5000$"):
+        stepped.run_slot()
+    observed = Simulation(cfg)
+    trace = []
+    with pytest.raises(InfeasibleLoadError, match="^backlog exceeded safety cap 5000 at slot 5000$"):
+        trace.extend(observed.observe(10_000))
+    assert len(trace) == 5000 and trace[-1].q == (5000,)
+    assert (observed.slot, observed.x, observed.y) == (stepped.slot, stepped.x, stepped.y)
+    assert accumulators(observed) == accumulators(stepped)
+    assert queue_state(observed) == queue_state(stepped)
 
 
 def test_block_rates_and_packets_follow_the_scalar_rule():
@@ -343,20 +398,21 @@ def test_block_rates_and_packets_follow_the_scalar_rule():
     # they must equal the integer part of transmission_rate of each gain.
     # Only literal mode reads the raw rates, so only it keeps them, from
     # math.log2 of the same sums: they must equal transmission_rate exactly.
-    # Only a traced run keeps the direct gains to compare with.
+    # Each block's direct gains are kept as drawn, for observe().
     for phi_mode in (PHI_ACTUAL, PHI_LITERAL):
         cfg = SimConfig(sus=multi_packet_sus(), i_avg=0.3, scheduler=SchedulerKind("proposed", phi_mode),
-                        seed=8, trace=True)
+                        seed=8)
         sim = Simulation(cfg)
         for _ in range(3):
             sim._fill_block()
-            for inputs in sim.sus:
-                assert len(inputs.direct) == len(inputs.packets) == BLOCK
+            for inputs, drawn in zip(sim.sus, sim._direct):
+                direct = drawn.tolist()
+                assert len(direct) == len(inputs.packets) == BLOCK
                 if phi_mode == PHI_LITERAL:
-                    assert inputs.rate == [transmission_rate(g) for g in inputs.direct]
+                    assert inputs.rate == [transmission_rate(g) for g in direct]
                 else:
                     assert inputs.rate == []
-                assert inputs.packets == [int(transmission_rate(g)) for g in inputs.direct]
+                assert inputs.packets == [int(transmission_rate(g)) for g in direct]
                 assert set(inputs.packets) >= {0, 1, 2, 3}
 
 
@@ -389,21 +445,27 @@ def test_whole_packets_take_the_scalar_rule_at_powers_of_two():
         assert whole_packets(1.0 + drawn) == [int(transmission_rate(g)) for g in drawn.tolist()]
 
 
-@pytest.mark.parametrize("trace", [False, True])
-def test_constant_links_take_no_draws(trace):
+@pytest.mark.parametrize("observed", [False, True])
+def test_constant_links_take_no_draws(observed):
     # A constant link's inputs are computed once and its generator is never
     # drawn from, so the Rayleigh user beside it sees its own stream as before.
-    # Its raw rates are kept in literal mode only, the one reader.
+    # Its raw rates are kept in literal mode only, the one reader; observe()
+    # reads its direct gain from the model.
     slots = 3 * BLOCK
     constant = SuConfig(Bernoulli(0.3), 1.5, DeterministicGain(3.0), DeterministicGain(0.5))
     fading = multi_packet_sus()[1]
     cfg = SimConfig(sus=(constant, fading), i_avg=1.0, scheduler=SchedulerKind("proposed"),
-                    seed=3, epsilon=0.0, max_slots=slots, check_interval=BLOCK, trace=trace)
+                    seed=3, epsilon=0.0, max_slots=slots, check_interval=BLOCK)
     literal = Simulation(replace(cfg, scheduler=SchedulerKind("proposed", PHI_LITERAL))).sus[0]
     assert literal.rate == [transmission_rate(3.0)] * BLOCK
     assert literal.packets == [2] * BLOCK
     sim = Simulation(cfg)
-    sim.run_until_converged()
+    if observed:
+        trace = list(sim.observe(slots))
+        assert [t.direct for t in trace] == list(zip(
+            [3.0] * slots, fading.direct.sample_block(substream(3, 1, ROLE_DIRECT), slots).tolist()))
+    else:
+        sim.run_until_converged()
     assert sim.slot == slots
     inputs = sim.sus[0]
     for rng, role in ((inputs.direct_rng, ROLE_DIRECT), (inputs.interference_rng, ROLE_INTERFERENCE)):
@@ -411,31 +473,16 @@ def test_constant_links_take_no_draws(trace):
     assert inputs.rate == []
     assert inputs.packets == [int(transmission_rate(3.0))] * BLOCK == [2] * BLOCK
     assert inputs.interference == [0.5] * BLOCK
-    assert inputs.direct == ([3.0] * BLOCK if trace else [])
+    assert sim._direct[0] is None
     drawn = sim.sus[1].direct_rng.bit_generator.state
     assert drawn != substream(3, 1, ROLE_DIRECT).bit_generator.state
-    if trace:
-        assert [t.direct for t in sim.trace] == list(zip(
-            [3.0] * slots, fading.direct.sample_block(substream(3, 1, ROLE_DIRECT), slots).tolist()))
 
 
 def test_abort_past_the_first_block_matches_stepping():
     # The buffer overflows at slot 5000, inside the second input block and
     # inside run_until_converged's first 10,000-slot advance; stepping
     # run_slot() aborts in the same place with the same state.
-    cfg = single_user_config(
-        sus=(
-            SuConfig(
-                arrivals=Bernoulli(1.0),
-                delay_bound=1.0,
-                direct=DeterministicGain(0.0),
-                interference=DeterministicGain(0.1),
-            ),
-        ),
-        i_avg=2.0,
-        buffer_cap=5000,
-        trace=False,
-    )
+    cfg = dead_channel_config(5000)
     aborted = Simulation(cfg)
     result = aborted.run_until_converged()
     assert result.note == "infeasible-load"
@@ -493,9 +540,10 @@ class TestDriftDiagnostics:
         for case_seed in range(100):
             config, slots = random_small_sim_config(case_seed)
             sim = Simulation(config)
+            trace = list(sim.observe(slots))
             result = sim.run_until_converged()
             assert result.slots == slots
-            want = lyapunov_drift_sum(sim.trace) / slots
+            want = lyapunov_drift_sum(trace) / slots
             assert result.drift.mean_drift == pytest.approx(want, rel=1e-9), f"case {case_seed}"
 
     @pytest.mark.parametrize("arrivals, slots, terminal_q, mean_drift", [
@@ -545,7 +593,6 @@ class TestDriftDiagnostics:
             ),
             buffer_cap=1,
             seed=1,
-            trace=False,
         )
         result = Simulation(cfg).run_until_converged()
         assert result.note == "infeasible-load"
@@ -560,21 +607,21 @@ def test_objective_consistency_check_passes(kind):
     # one at max_slots; its Poisson arrivals and Rayleigh direct links send
     # several packets in a slot, some in the slot they arrive.
     unit = two_user_config(0.3, kind, seed=9, max_slots=2_000, check_interval=2_000,
-                           epsilon=0.0, trace=True)
+                           epsilon=0.0)
     multi = SimConfig(sus=multi_packet_sus(), i_avg=0.3, scheduler=SchedulerKind(kind), seed=9,
-                      max_slots=2 * BLOCK + 300, check_interval=3000, epsilon=0.0, trace=True)
+                      max_slots=2 * BLOCK + 300, check_interval=3000, epsilon=0.0)
     for cfg in (unit, multi):
-        sim = run_slots(cfg, cfg.max_slots)
-        assert len(sim.trace) == cfg.max_slots
-        assert first_decision_mismatch(cfg, sim.trace) is None
-    assert any(len(t.waiting_times) > 1 and 1 in t.waiting_times for t in sim.trace)
+        _, trace = observe_slots(cfg, cfg.max_slots)
+        assert len(trace) == cfg.max_slots
+        assert first_decision_mismatch(cfg, trace) is None
+    assert any(len(t.waiting_times) > 1 and 1 in t.waiting_times for t in trace)
 
 
 def test_decisions_match_brute_force_oracle_on_random_instances():
     for case_seed in range(100):
         config, slots = random_small_sim_config(case_seed)
-        sim = run_slots(config, slots)
-        mismatch = first_decision_mismatch(config, sim.trace)
+        _, trace = observe_slots(config, slots)
+        mismatch = first_decision_mismatch(config, trace)
         assert mismatch is None, f"case {case_seed}: {mismatch}"
 
 
@@ -583,8 +630,8 @@ def test_oracle_flags_a_tampered_decision():
     # user in the log is reported at that slot.
     cfg = two_user_config(0.3, "proposed", seed=9,
                           max_slots=500, check_interval=500,
-                          epsilon=0.0, trace=True)
-    trace = run_slots(cfg, 500).trace
+                          epsilon=0.0)
+    _, trace = observe_slots(cfg, 500)
     k = next(k for k, t in enumerate(trace) if t.su is not None and k > 100)
     tampered = list(trace)
     tampered[k] = trace[k]._replace(su=1 - trace[k].su)
@@ -599,8 +646,8 @@ def test_every_user_draws_both_gains_every_slot():
     slots = 300
     cfg = two_user_config(0.05, "proposed", seed=4,
                           max_slots=slots, check_interval=slots,
-                          epsilon=0.0, trace=True)
-    trace = run_slots(cfg, slots).trace
+                          epsilon=0.0)
+    _, trace = observe_slots(cfg, slots)
     assert any(t.q[0] == 0 for t in trace)
     for i, su in enumerate(cfg.sus):
         for role, model, logged in (
@@ -615,11 +662,12 @@ def test_drift_delay_term_re_derives_from_trace():
     # departing batches.
     cfg = two_user_config(0.3, "proposed-nonidling", seed=2,
                           max_slots=2_000, check_interval=2_000,
-                          epsilon=0.0, trace=True)
+                          epsilon=0.0)
     sim = Simulation(cfg)
+    trace = list(sim.observe(2_000))
     result = sim.run_until_converged()
     want = [0.0, 0.0]
-    for t in sim.trace:
+    for t in trace:
         if t.waiting_times:
             d = cfg.sus[t.su].delay_bound
             n = len(t.waiting_times)
@@ -674,6 +722,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=message) as exc:
             build()
         assert exc.value.field == field
+
+    @pytest.mark.parametrize("build, field, message", [
+        (lambda: Bernoulli(1.5), "rate", "bernoulli rate must be in [0, 1], got 1.5"),
+        (lambda: Bernoulli(-0.1), "rate", "bernoulli rate must be in [0, 1], got -0.1"),
+        (lambda: TruncatedPoisson(0.5, 0), "cap", "poisson cap must be at least 1, got 0"),
+        (lambda: TruncatedPoisson(3.0, 2), "rate", "poisson rate must be in [0, cap=2], got 3.0"),
+        (lambda: DeterministicGain(-0.5), "value", "deterministic gain -0.5 outside [0, -0.5]"),
+        (lambda: DeterministicGain(2.0, cap=1.0), "value", "deterministic gain 2.0 outside [0, 1.0]"),
+        (lambda: DeterministicGain(math.inf), "value",
+         "deterministic gain inf and its cap inf must be finite"),
+        (lambda: DeterministicGain(1.0, cap=math.nan), "cap",
+         "deterministic gain 1.0 and its cap nan must be finite"),
+        (lambda: RayleighGain(0.0), "mean", "rayleigh mean must be positive and finite, got 0.0"),
+        (lambda: RayleighGain(0.4, cap=-1.0), "cap", "rayleigh cap must be positive and finite, got -1.0"),
+    ])
+    def test_bad_model_parameter_rejected(self, build, field, message):
+        # The arrival processes and channel models name the field they
+        # refuse, as SimConfig does; the config file reports the message.
+        with pytest.raises(SettingError) as exc:
+            build()
+        assert (exc.value.field, str(exc.value)) == (field, message)
 
     def test_non_integer_poisson_cap_rejected(self):
         with pytest.raises(ValueError, match="cap must be an integer, got 2.5"):

@@ -117,8 +117,8 @@ def serve(sim, slot):
     """Run slot ``slot`` of a staged Simulation; return the waiting times of
     the packets that departed in it, oldest packet first."""
     sim.slot = slot
-    sim.run_slot()
-    return sim.trace[-1].waiting_times
+    t, = sim.observe(1)
+    return t.waiting_times
 
 
 def scripted_sim(arrivals, serves):
@@ -218,13 +218,13 @@ class TestAverageDelay:
         # every waiting time is exactly 1.
         sim = Simulation(SimConfig(
             sus=(SuConfig(Bernoulli(0.2), 1.5, DeterministicGain(1.0), DeterministicGain(0.4)),),
-            i_avg=2.0, scheduler=SchedulerKind(PROPOSED_NONIDLING), seed=99, trace=True,
+            i_avg=2.0, scheduler=SchedulerKind(PROPOSED_NONIDLING), seed=99,
         ))
         q = sim.sus[0].queue
-        for _ in range(10**4):
-            sim.run_slot()
+        oracle_departures = 0
+        for t in sim.observe(10**4):
             assert q.backlog == 0
-        oracle_departures = sum(t.arrivals[0] for t in sim.trace)
+            oracle_departures += t.arrivals[0]
         assert q.cumulative_departures == oracle_departures
         if oracle_departures:
             assert q.average_delay() == 1.0
@@ -247,11 +247,12 @@ class TestQueueProperties:
         sim = scripted_sim(counts, serves)
         q = sim.sus[0].queue
         levels = []
-        for _ in serves:
-            sim.run_slot()
+        logged = []
+        for t in sim.observe(len(serves)):
             levels.append(q.backlog)
+            logged.append(t.arrivals[0])
             assert q.cumulative_arrivals == q.backlog + q.cumulative_departures
-        assert [t.arrivals[0] for t in sim.trace] == counts
+        assert logged == counts
         assert levels == resim_queue_levels(counts, serves)
 
     @given(slot_script())
@@ -264,8 +265,8 @@ class TestQueueProperties:
         departed = []
         for slot, offer in enumerate(serves):
             head_arrivals = (list(q.fifo) + [slot] * counts[slot])[:offer]
-            sim.run_slot()
-            waits = sim.trace[-1].waiting_times
+            t, = sim.observe(1)
+            waits = t.waiting_times
             assert len(waits) == len(head_arrivals)
             departed.extend((a, slot, w) for a, w in zip(head_arrivals, waits))
         arrival_order = [a for a, _, _ in departed]

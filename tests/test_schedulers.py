@@ -168,21 +168,20 @@ class TestArgSelectors:
 
 class TestDecideProposed:
     def test_all_empty_idles(self):
-        sim = staged_sim(PROPOSED, Staged(), Staged())
-        assert sim.run_slot() is None
-        t = sim.trace[-1]
+        t, = staged_sim(PROPOSED, Staged(), Staged()).observe(1)
+        assert t.su is None
         assert t.waiting_times == () and t.gain == 0.0
 
     def test_argmin_selects_most_negative(self):
         # Zero accumulators make phi_i = -Q_i n_i: backlog (1, 2) against
         # rates (1, 2) scores (-1, -4).
-        sim = staged_sim(
+        t, = staged_sim(
             PROPOSED,
             Staged(fifo=(0,), direct=1.0),
             Staged(fifo=(0, 0), direct=3.0, interference=0.2),
-        )
-        assert sim.run_slot() == 1
-        assert sim.trace[-1].waiting_times == (1, 1)
+        ).observe(1)
+        assert t.su == 1
+        assert t.waiting_times == (1, 1)
 
     def test_idling_gate_under_pure_interference_pressure(self):
         # Sub-unit direct gains mean nothing can depart (n=0), so phi
@@ -199,9 +198,8 @@ class TestDecideProposed:
         # phi = 0 exactly (all accumulators zero, no departable packet):
         # the idling rule only idles on strictly positive minima. The
         # scheduled slot sends 0 packets but still charges its gain.
-        sim = staged_sim(PROPOSED, Staged(fifo=(0,), direct=0.5, interference=0.3), slot=1)
-        assert sim.run_slot() == 0
-        t = sim.trace[-1]
+        t, = staged_sim(PROPOSED, Staged(fifo=(0,), direct=0.5, interference=0.3), slot=1).observe(1)
+        assert t.su == 0
         assert t.waiting_times == ()
         assert t.q == (1,)
         assert t.gain == 0.3
@@ -222,8 +220,9 @@ class TestDecideProposed:
         # measured at the decision slot.
         sim = staged_sim(PROPOSED, Staged(fifo=(1, 2, 3), direct=3.0, interference=0.1), Staged(),
                          slot=4)
-        assert sim.run_slot() == 0
-        assert sim.trace[-1].waiting_times == (4, 3)
+        t, = sim.observe(1)
+        assert t.su == 0
+        assert t.waiting_times == (4, 3)
         assert list(sim.sus[0].queue.fifo) == [3]
 
 
@@ -241,10 +240,9 @@ class TestDecideMaxWeight:
     def test_never_idles_under_backlog(self):
         # Even when transmitting clears nothing (n=0), max-weight holds
         # the channel and is charged its interference.
-        sim = staged_sim(MAXWEIGHT, Staged(fifo=(0,), direct=0.2, interference=5.0), Staged(),
-                         slot=1)
-        assert sim.run_slot() == 0
-        t = sim.trace[-1]
+        t, = staged_sim(MAXWEIGHT, Staged(fifo=(0,), direct=0.2, interference=5.0), Staged(),
+                        slot=1).observe(1)
+        assert t.su == 0
         assert t.waiting_times == ()
         assert t.gain == 5.0
 
@@ -259,20 +257,21 @@ class TestDecideMaxWeight:
         sim._fill_block()
         sim._pos = 0
         sim.sus[0].arrivals[0] = 1
-        assert sim.run_slot() == 0
-        assert sim.trace[-1].waiting_times == (2, 1)
+        t, = sim.observe(1)
+        assert t.su == 0
+        assert t.waiting_times == (2, 1)
         queue = sim.sus[0].queue
         assert queue.backlog == 0 and queue.cumulative_departures == 2
 
     def test_all_empty_slot_charges_no_gain(self):
         sim = staged_sim(MAXWEIGHT, Staged(interference=0.0), Staged(interference=5.0), x=3.0)
-        assert sim.run_slot() is None
-        t = sim.trace[-1]
+        t, = sim.observe(1)
+        assert t.su is None
         assert t.waiting_times == () and t.gain == 0.0
         assert sim.interference_sum == 0.0
         assert sim.x == 1.0
 
     def test_batch_carries_transmittable_head_packets(self):
-        sim = staged_sim(MAXWEIGHT, Staged(fifo=(0, 1), direct=3.0), Staged(), slot=2)
-        assert sim.run_slot() == 0
-        assert sim.trace[-1].waiting_times == (3, 2)
+        t, = staged_sim(MAXWEIGHT, Staged(fifo=(0, 1), direct=3.0), Staged(), slot=2).observe(1)
+        assert t.su == 0
+        assert t.waiting_times == (3, 2)

@@ -71,7 +71,7 @@ def no_pool(*args, **kwargs):
 
 def fresh_python(script: str, *args: str, **env: str) -> subprocess.CompletedProcess:
     """Run script in a new interpreter on this checkout's package. Importing
-    crsched.cli here sets OPENBLAS_NUM_THREADS, so the child gets the
+    crsched here sets OPENBLAS_NUM_THREADS, so the child gets the
     environment without it, plus env."""
     child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     child_env.update(env, PYTHONPATH=str(Path(crsched.__file__).resolve().parent.parent))
@@ -184,13 +184,15 @@ class TestSweep:
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
     def test_cli_import_starts_no_blas_threads(self):
         # crsched calls no BLAS routine, so numpy's OpenBLAS starts no
-        # worker thread, however many CPUs the process may use.
-        done = fresh_python(
-            "import os\n"
-            "import crsched.cli\n"
-            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n"
-        )
-        assert done.stdout == "1 1\n"
+        # worker thread, however many CPUs the process may use: not under
+        # the command line, nor in a library process that loads numpy.
+        for imports in ("import crsched.cli", "import crsched; crsched.run_point"):
+            done = fresh_python(
+                "import os\n"
+                f"{imports}\n"
+                "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n"
+            )
+            assert done.stdout == "1 1\n", imports
 
     def test_cli_import_keeps_a_preset_blas_thread_count(self):
         done = fresh_python(
@@ -497,6 +499,7 @@ GRID_FLAGS = {"--lambda-min": "0.0", "--lambda-max": "0.2", "--lambda-step": "0.
     ("--seed", "sweep", "seeds", "1, 1"),
     ("--seed", "sweep", "seeds", "one"),
     ("--seed", "sweep", "seeds", "-1"),
+    ("--seed", "sweep", "seeds", "1,"),
     ("--max-slots", "system", "max_slots", "10"),
     ("--max-slots", "system", "max_slots", "1e4"),
     ("--epsilon", "system", "epsilon", "-1"),

@@ -24,8 +24,9 @@ def delay_level_after(y, d, waits):
     # Rate log2(1 + 2^n - 1) = n exactly.
     sim = staged_sim(MAXWEIGHT, Staged(fifo=fifo, y=y, d=d, direct=2.0 ** len(waits) - 1.0),
                      slot=slot)
-    assert sim.run_slot() == 0
-    assert sim.trace[-1].waiting_times == tuple(waits)
+    t, = sim.observe(1)
+    assert t.su == 0
+    assert t.waiting_times == tuple(waits)
     return sim.y[0]
 
 
