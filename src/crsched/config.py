@@ -92,7 +92,8 @@ class _Loader:
         self.read: set[tuple[str, str | None]] = set()
         try:
             data = self.path.read_bytes()
-            text = data.decode()
+            # A leading byte order mark, as some editors write, is not text.
+            text = data.decode("utf-8-sig")
         except (OSError, UnicodeDecodeError) as err:
             raise ConfigError(path, None, f"cannot read config: {err}") from err
         self.sha256 = hashlib.sha256(data).hexdigest()
@@ -170,10 +171,11 @@ class _Loader:
 
 
 def _number(raw, convert=float, kind="a number"):
-    """raw converted to a finite value, with one message for anything else."""
+    """raw converted to a finite value, with one message for anything else.
+    An int is always finite; how large it may be is the taker's rule."""
     try:
         value = convert(raw)
-        if math.isfinite(value):
+        if isinstance(value, int) or math.isfinite(value):
             return value
     except (ArithmeticError, ValueError):
         pass

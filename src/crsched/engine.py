@@ -9,7 +9,7 @@ Every user's arrivals and gains are drawn a block of slots at a time,
 backlogged or not: up to BLOCK slots, ending at the next convergence check
 or at max_slots, so a run that stops at either has drawn exactly the slots
 it ran.
-Simulation._advance sets up the decision rule's scan once per call:
+Simulation builds the decision rule's scan once, when the run is set up:
 max-weight's reads only each user's backlog Q and interference gain g, the
 index scan what phi needs. Either way a slot goes:
 
@@ -236,7 +236,7 @@ class Simulation:
 
     interference_sum adds up the interference gains charged so far.
     c_y_emp[i], the empirical Y-term of the drift constant, is the largest
-    d_i^2 n^2 + (sum W)^2 of user i.
+    d_i^2 n^2 + (sum W)^2 of user i; no decision reads it.
     """
 
     def __init__(self, config: SimConfig):
@@ -257,14 +257,23 @@ class Simulation:
         self.x = 0.0
         self.y = [0.0] * n
         self.interference_sum = 0.0
-        self.c_y_emp = [0.0] * n
+        # c_y_emp's two parts: the largest multi-packet candidate, and the
+        # longest single-packet wait (0 until one departs).
+        self._c_y_multi = [0.0] * n
+        self._w1_max = [0] * n
         # Each faded direct link's gains in the current block; observe() reads them.
         self._direct: list[np.ndarray | None] = [None] * n
+        # Each constant direct link's gain, None for a faded one.
+        self._constant_direct = tuple(float(su.direct.value) if isinstance(su.direct, DeterministicGain)
+                                      else None for su in config.sus)
         self.slot = 0
         # The next slot's index into the inputs, and the block's length;
         # _advance draws the next block when the first reaches the second.
         self._pos = self._len = 0
-        literal = config.scheduler.phi_mode == PHI_LITERAL
+        sched = config.scheduler
+        self._maxweight = maxweight = sched.kind == MAXWEIGHT
+        self._idling = sched.idling
+        self._literal = literal = sched.phi_mode == PHI_LITERAL
         for su, state in zip(config.sus, self.sus):
             # A constant link's lists come from the scalar rule, once; they
             # hold BLOCK slots, at least as many as any block.
@@ -275,6 +284,29 @@ class Simulation:
                 state.packets[:] = [int(transmission_rate(gain))] * BLOCK
             if isinstance(su.interference, DeterministicGain):
                 state.interference[:] = [float(su.interference.value)] * BLOCK
+        # Each rule scans what it reads of a user: Q and g for max-weight,
+        # what phi needs for the index policy. Its entry ends with what the
+        # departure step reads of the user, if the user is served. The lists
+        # are refilled in place, so the scan is built once.
+        self._scan = []
+        for i, su in enumerate(self.sus):
+            fifo = su.queue.fifo
+            served = (i, su.queue, fifo, su.delay_bound, su.packets, su.interference)
+            if maxweight:
+                self._scan.append((fifo, su.arrivals, su.interference, served))
+            else:
+                self._scan.append((fifo, su.arrivals, su.interference, su.packets, su.rate,
+                                   su.delay_bound, i, served))
+
+    @property
+    def c_y_emp(self) -> tuple[float, ...]:
+        """Each user's largest d_i^2 n^2 + (sum W)^2 over its departures.
+
+        A single packet's candidate d^2 + W^2 grows with W, and its rounding
+        keeps that order, so the slot loop keeps only the longest single
+        wait and its candidate is folded in here."""
+        return tuple(c if w == 0 else max(c, su.delay_bound * su.delay_bound + w * w)
+                     for c, w, su in zip(self._c_y_multi, self._w1_max, self.sus))
 
     def _fill_block(self) -> None:
         """Replace every user's drawn inputs with those of the next slots from
@@ -310,71 +342,65 @@ class Simulation:
         for, and none is kept. A backlog that outgrows its cap raises
         InfeasibleLoadError from the aborted slot, as run_slot() does.
 
-        The kernel is watched from outside: before a slot, each user's FIFO
-        head, as many packets as the slot could send, and its departure count;
-        after it, the state and the slot's inputs. The served packets are the
-        first of that head, then the slot's own arrivals (waiting 1 slot), as
-        many as the departure count grew by. A faded link's direct gain is
-        read from its block as drawn, a constant link's from its model.
+        The kernel is watched from outside: before a slot, each user's
+        departure count and waiting-time sum, and its FIFO head, as many
+        packets as the slot could send, where that is two or more; after it,
+        the state and the slot's inputs. One served packet waited what the
+        waiting-time sum grew by. Several are the first of that head, then the
+        slot's own arrivals (waiting 1 slot), as many as the departure count
+        grew by. A faded link's direct gain is read from its block as drawn,
+        a constant link's from its model.
         """
         sus = self.sus
-        constant = [float(su.direct.value) if isinstance(su.direct, DeterministicGain) else None
-                    for su in self.config.sus]
+        queues = [su.queue for su in sus]
+        constant = self._constant_direct
+        faded = None in constant
         for _ in range(count):
             if self._pos == self._len:
                 self._fill_block()
                 self._pos = 0
             slot, pos = self.slot, self._pos
-            heads = [(list(islice(su.queue.fifo, su.packets[pos])), su.queue.cumulative_departures)
-                     for su in sus]
+            before = [(q.cumulative_departures, q.departed_waiting_sum,
+                       list(islice(q.fifo, su.packets[pos])) if su.packets[pos] >= 2 and q.fifo else ())
+                      for su, q in zip(sus, queues)]
             best = self._advance(1)
             if best is None:
                 gain, waits = 0.0, ()
             else:
-                head, departed = heads[best]
-                n = sus[best].queue.cumulative_departures - departed
+                queue = queues[best]
+                departed, waited, head = before[best]
+                n = queue.cumulative_departures - departed
                 gain = sus[best].interference[pos]
-                waits = tuple(slot + 1 - a for a in head[:n]) + (1,) * (n - len(head))
+                if n == 1:
+                    waits = (queue.departed_waiting_sum - waited,)
+                else:
+                    waits = tuple(slot + 1 - a for a in head[:n]) + (1,) * (n - len(head))
             yield SlotTrace(
-                slot, tuple(su.arrivals[pos] for su in sus), best, gain, waits,
-                tuple(len(su.queue.fifo) for su in sus), tuple(self.y), self.x,
-                tuple(float(self._direct[i][pos]) if g is None else g for i, g in enumerate(constant)),
-                tuple(su.interference[pos] for su in sus),
+                slot, tuple([su.arrivals[pos] for su in sus]), best, gain, waits,
+                tuple([len(q.fifo) for q in queues]), tuple(self.y), self.x,
+                tuple([float(self._direct[i][pos]) if g is None else g for i, g in enumerate(constant)])
+                if faded else constant,
+                tuple([su.interference[pos] for su in sus]),
             )
 
-    def _advance(self, count: int) -> int | None:
-        """Run ``count`` >= 1 slots; return the last one's scheduled user.
+    def _advance(self, slots: int) -> int | None:
+        """Run ``slots`` >= 1 slots; return the last one's scheduled user.
 
         The run state lives in locals and is written back on the way out,
         also when a backlog outgrows its cap: the aborted slot then leaves
         its arrivals so far queued and changes nothing else.
         """
-        sus = self.sus
         y = self.y
-        c_y_emp = self.c_y_emp
+        c_y_multi, w1_max = self._c_y_multi, self._w1_max
         i_avg = self.config.i_avg
         buffer_cap = self.config.buffer_cap
-        sched = self.config.scheduler
-        maxweight = sched.kind == MAXWEIGHT
-        idling = sched.idling
-        literal = sched.phi_mode == PHI_LITERAL
+        scan = self._scan
+        maxweight, idling, literal = self._maxweight, self._idling, self._literal
         inf = math.inf
-        # Each rule scans what it reads of a user: Q and g for max-weight,
-        # what phi needs for the index policy. Its entry ends with what the
-        # departure step reads of the user, if the user is served.
-        scan = []
-        for i, su in enumerate(sus):
-            fifo = su.queue.fifo
-            served = (i, su.queue, fifo, su.delay_bound, su.packets, su.interference)
-            if maxweight:
-                scan.append((fifo, su.arrivals, su.interference, served))
-            else:
-                scan.append((fifo, su.arrivals, su.interference, su.packets, su.rate,
-                             su.delay_bound, i, served))
         start_v = -inf if maxweight else inf
         x, slot, pos, length = self.x, self.slot, self._pos, self._len
         interference_sum = self.interference_sum
-        end = slot + count
+        end = slot + slots
         best_served = None
         try:
             while slot < end:
@@ -383,7 +409,8 @@ class Simulation:
                     self._fill_block()
                     pos, length = 0, self._len
                 stop = min(length, pos + end - slot)
-                for pos in range(pos, stop):
+                # Arrivals are tagged with the slot, waits run to slot1 = slot + 1.
+                for pos, slot, slot1 in zip(range(pos, stop), range(slot, end), range(slot + 1, end + 1)):
                     # Ties keep the lowest index: only a strictly better value replaces it.
                     best_served = None
                     best_v = start_v
@@ -429,10 +456,12 @@ class Simulation:
                             if n > q:
                                 n = q
                             # The departing packets' waiting-time sum, an exact integer.
-                            if n < 2:
-                                w_sum = n * (slot + 1 - fifo[0])
+                            if n == 1:
+                                w_sum = slot1 - fifo[0]
+                            elif n:
+                                w_sum = n * slot1 - sum(islice(fifo, n))
                             else:
-                                w_sum = n * (slot + 1) - sum(islice(fifo, n))
+                                w_sum = 0
                             # phi = X g + Y sum(W) - (Y d + Q) r, where r is the packet
                             # count (actual mode) or the raw rate (literal mode).
                             y_i = y[i]
@@ -454,34 +483,38 @@ class Simulation:
                             best_n = packets[pos]
                             if best_n > best_q:
                                 best_n = best_q
-                        # A 0-packet slot still holds the channel and charges its gain.
-                        if best_n:
-                            # Pop the head packets in FIFO order: each adds its
-                            # waiting time W to w_sum and its excess W - d to excess.
-                            # A single packet, the only case on a unit-rate link,
-                            # skips the loop's set-up.
-                            if best_n == 1:
-                                w_sum = slot + 1 - fifo.popleft()
-                                excess = w_sum - d
-                            else:
-                                pop = fifo.popleft
-                                w_sum = 0
-                                excess = 0.0
-                                for _ in range(best_n):
-                                    w = slot + 1 - pop()
-                                    w_sum += w
-                                    excess += w - d
+                        # Pop the head packets in FIFO order: each adds its waiting
+                        # time W to the waiting sum and its excess W - d to Y. A
+                        # single packet, the only case on a unit-rate link, skips
+                        # the loop and keeps its user's longest single wait, from
+                        # which c_y_emp derives its candidate when read. A
+                        # 0-packet slot still holds the channel and charges its gain.
+                        if best_n == 1:
+                            w = slot1 - fifo.popleft()
+                            queue.cumulative_departures += 1
+                            queue.departed_waiting_sum += w
+                            y_new = y[best] + (w - d)
+                            y[best] = y_new if y_new > 0.0 else 0.0
+                            if w > w1_max[best]:
+                                w1_max[best] = w
+                        elif best_n:
+                            pop = fifo.popleft
+                            w_sum = 0
+                            excess = 0.0
+                            for _ in range(best_n):
+                                w = slot1 - pop()
+                                w_sum += w
+                                excess += w - d
                             queue.cumulative_departures += best_n
                             queue.departed_waiting_sum += w_sum
                             y_new = y[best] + excess
                             y[best] = y_new if y_new > 0.0 else 0.0
                             cand = d * d * best_n * best_n + w_sum * w_sum
-                            if cand > c_y_emp[best]:
-                                c_y_emp[best] = cand
+                            if cand > c_y_multi[best]:
+                                c_y_multi[best] = cand
                         x = x + gain - i_avg
                     x = x if x > 0.0 else 0.0
-                    slot += 1
-                pos = stop
+                slot, pos = slot1, stop
         finally:
             self.x, self.slot, self._pos = x, slot, pos
             self.interference_sum = interference_sum
@@ -518,7 +551,8 @@ class Simulation:
             a_max = float(su.arrivals.a_max)
             r_max = transmission_rate(su.direct.cap)
             c_q.append(a_max * a_max + r_max * r_max)
-        c_total = c_x + sum(c_q) + sum(self.c_y_emp)
+        c_y_emp = self.c_y_emp
+        c_total = c_x + sum(c_q) + sum(c_y_emp)
         t = self.slot
         # L after the last completed slot. An aborted slot has changed only
         # the FIFOs, by appending its arrivals, each tagged with slot t.
@@ -528,7 +562,7 @@ class Simulation:
             q = len(fifo) - sum(1 for _ in takewhile(t.__eq__, reversed(fifo)))
             level += 0.5 * (y * y + q * q)
         return DriftSummary(
-            c_x, tuple(c_q), tuple(self.c_y_emp), c_total, level / t,
+            c_x, tuple(c_q), c_y_emp, c_total, level / t,
             tuple(q / t for q in terminal_q), math.sqrt(c_total / t),
         )
 

@@ -183,21 +183,28 @@ def read_rows(path) -> list[SweepRow]:
     """The rows of a rows.csv; a malformed file raises ValueError naming
     the file and line."""
     import csv
+    import io
 
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}:1: empty file, expected the rows header")
-        n_sus = sum(1 for h in header if h.endswith("_delay"))
-        if header != rows_header(n_sus):
-            raise ValueError(f"{path}:1: unrecognized rows schema: {header}")
-        rows = []
-        for rec in reader:
-            try:
-                rows.append(_parse_row(rec, n_sus))
-            except ValueError as err:
-                raise ValueError(f"{path}:{reader.line_num}: {err}") from err
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data.count(b"\n", 0, err.start) + 1
+        raise ValueError(f"{path}:{line}: not UTF-8 text: {err.reason}, "
+                         f"byte {data[err.start]:#04x} at offset {err.start}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}:1: empty file, expected the rows header")
+    n_sus = sum(1 for h in header if h.endswith("_delay"))
+    if header != rows_header(n_sus):
+        raise ValueError(f"{path}:1: unrecognized rows schema: {header}")
+    rows = []
+    for rec in reader:
+        try:
+            rows.append(_parse_row(rec, n_sus))
+        except ValueError as err:
+            raise ValueError(f"{path}:{reader.line_num}: {err}") from err
     return rows
 
 

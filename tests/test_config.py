@@ -1,6 +1,7 @@
 import math
 from dataclasses import replace
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -81,6 +82,16 @@ class TestShippedConfigs:
         assert spec.schedulers == (SchedulerKind("proposed"), SchedulerKind("maxweight"))
         assert spec.seeds == (1,)
         assert spec.source_sha256 == file_sha256(shipped_config("table1.cfg"))
+
+    def test_byte_order_mark_is_not_part_of_the_text(self, tmp_path):
+        # Some editors start a UTF-8 file with a byte order mark; the digest
+        # stays that of the bytes as read.
+        plain = shipped_config("table1.cfg")
+        marked = tmp_path / "table1.cfg"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+        spec = load_spec(marked)
+        assert without_source(spec) == without_source(load_spec(plain))
+        assert spec.source_sha256 == file_sha256(marked) != file_sha256(plain)
 
     def test_binding_budget_variant(self):
         spec = load_spec(shipped_config("binding.cfg"))
@@ -326,6 +337,22 @@ class TestLoadSpecValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
             load_spec(tmp_path / "absent.cfg")
+
+    def test_integer_of_any_size_is_an_integer(self, tmp_path):
+        # Ints are never infinite; how large one may be is the taker's rule,
+        # and SimConfig puts no cap on max_slots.
+        huge = 10**400
+        spec = load_spec(write_cfg(tmp_path, patched("max_slots", str(huge))))
+        assert spec.base.max_slots == huge
+        by_override = load_spec(write_cfg(tmp_path, BASE, name="base.cfg"),
+                                {("system", "max_slots"): str(huge)})
+        assert by_override.base.max_slots == huge
+
+    def test_huge_negative_integer_meets_the_range_rule(self, tmp_path):
+        with pytest.raises(ConfigError) as exc:
+            load_spec(write_cfg(tmp_path, patched("max_slots", f"-{10**400}")))
+        assert exc.value.line == 5
+        assert exc.value.message == "[system] max_slots: max_slots must be at least check_interval"
 
 
 # One value for every key the command line can override.

@@ -657,24 +657,53 @@ def test_every_user_draws_both_gains_every_slot():
             assert logged == model.sample_block(substream(4, i, role), slots).tolist()
 
 
-def test_drift_delay_term_re_derives_from_trace():
+def faded_direct_config(lam: float, seed: int) -> SimConfig:
+    """two_user_config with SU-1's direct link Rayleigh faded (mean 1), so
+    that it sends 0, 1 or several packets per served slot."""
+    su1, su2 = two_user_sus(lam)
+    return SimConfig(sus=(replace(su1, direct=RayleighGain(1.0)), su2), i_avg=2.0,
+                     scheduler=SchedulerKind("proposed-nonidling"), seed=seed,
+                     max_slots=2_000, check_interval=2_000, epsilon=0.0)
+
+
+@pytest.mark.parametrize("cfg, su1_largest", [
+    (two_user_config(0.3, "proposed-nonidling", seed=2, max_slots=2_000, check_interval=2_000,
+                     epsilon=0.0), "single"),
+    (faded_direct_config(0.2, seed=2), "multi"),
+    (faded_direct_config(0.1, seed=2), "single"),
+], ids=["unit-rate", "faded-multi-largest", "faded-single-largest"])
+def test_drift_delay_term_re_derives_from_trace(cfg, su1_largest):
     # c_y_emp[i] is the largest d_i^2 n^2 + (sum W)^2 over user i's
-    # departing batches.
-    cfg = two_user_config(0.3, "proposed-nonidling", seed=2,
-                          max_slots=2_000, check_interval=2_000,
-                          epsilon=0.0)
+    # departing batches. The slot loop folds single packets in from their
+    # longest wait and multi-packet batches as they depart; on the faded
+    # points SU-1 departs both ways, and either kind may hold the largest.
     sim = Simulation(cfg)
     trace = list(sim.observe(2_000))
     result = sim.run_until_converged()
     want = [0.0, 0.0]
+    largest = {"single": 0.0, "multi": 0.0}
     for t in trace:
         if t.waiting_times:
             d = cfg.sus[t.su].delay_bound
             n = len(t.waiting_times)
             w = float(sum(t.waiting_times))
             want[t.su] = max(want[t.su], d * d * n * n + w * w)
+            if t.su == 0:
+                kind = "single" if n == 1 else "multi"
+                largest[kind] = max(largest[kind], d * d * n * n + w * w)
     assert all(c > 0.0 for c in want)
+    assert (largest["multi"] > 0.0) == isinstance(cfg.sus[0].direct, RayleighGain)
+    assert max(largest, key=largest.get) == su1_largest
     assert result.drift.c_y_emp == tuple(want)
+
+
+def test_drift_delay_term_is_zero_without_departures():
+    # A dead link is served 0-packet slots and never sends, so its user has
+    # no candidate for the drift constant's Y-term.
+    sim = run_slots(dead_channel_config(100), 50)
+    assert sim.sus[0].queue.cumulative_departures == 0
+    assert sim.interference_sum > 0.0
+    assert sim.c_y_emp == (0.0,)
 
 
 class TestConfigValidation:

@@ -284,6 +284,18 @@ class TestRowsCsv:
         assert code == 2
         assert capsys.readouterr().err == f"error: {path}:{message}\n"
 
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_non_utf8_file_exits_2_naming_the_line(self, line, tiny_rows, tmp_path, capsys):
+        path = tmp_path / ROWS_FILENAME
+        write_rows(tiny_rows, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[line - 1] = b"\xff" + lines[line - 1]
+        path.write_bytes(b"".join(lines))
+        code = cli.main(["figures", "--rows", str(path), "--out", str(tmp_path / "figs")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:{line}: not UTF-8 text: ")
+        assert not (tmp_path / "figs").exists()
+
 
 @pytest.fixture(scope="module")
 def emitted(tiny_rows, tmp_path_factory):
@@ -524,6 +536,19 @@ def test_bad_flag_fails_as_the_same_value_in_the_file(tmp_path, capsys, flag, se
     code = cli.main(args)
     assert code == 2
     assert capsys.readouterr().err == f"error: {flag}: {exc.value.message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_huge_integer_flag_meets_the_range_rule(tmp_path, capsys):
+    # Any int is an integer; SimConfig's range rule refuses this one.
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY)
+    code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--max-slots", f"-{10**400}"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --max-slots: [system] max_slots: max_slots must be at least check_interval\n"
+    )
     assert not (tmp_path / "o").exists()
 
 
