@@ -354,7 +354,6 @@ class Simulation:
         sus = self.sus
         queues = [su.queue for su in sus]
         constant = self._constant_direct
-        faded = None in constant
         for _ in range(count):
             if self._pos == self._len:
                 self._fill_block()
@@ -378,13 +377,12 @@ class Simulation:
             yield SlotTrace(
                 slot, tuple([su.arrivals[pos] for su in sus]), best, gain, waits,
                 tuple([len(q.fifo) for q in queues]), tuple(self.y), self.x,
-                tuple([float(self._direct[i][pos]) if g is None else g for i, g in enumerate(constant)])
-                if faded else constant,
+                tuple([float(self._direct[i][pos]) if g is None else g for i, g in enumerate(constant)]),
                 tuple([su.interference[pos] for su in sus]),
             )
 
-    def _advance(self, slots: int) -> int | None:
-        """Run ``slots`` >= 1 slots; return the last one's scheduled user.
+    def _advance(self, count: int) -> int | None:
+        """Run ``count`` >= 1 slots; return the last one's scheduled user.
 
         The run state lives in locals and is written back on the way out,
         also when a backlog outgrows its cap: the aborted slot then leaves
@@ -400,7 +398,7 @@ class Simulation:
         start_v = -inf if maxweight else inf
         x, slot, pos, length = self.x, self.slot, self._pos, self._len
         interference_sum = self.interference_sum
-        end = slot + slots
+        end = slot + count
         best_served = None
         try:
             while slot < end:
