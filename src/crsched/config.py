@@ -233,6 +233,8 @@ def _parse_channel(value: str) -> ChannelModel:
         name, sep, num = arg.partition("=")
         if not sep:
             raise ValueError(f"channel parameter {arg!r} is not name=value")
+        if name in params:
+            raise ValueError(f"repeated channel parameter {name!r}")
         params[name] = _number(num)
     if kind not in _CHANNELS:
         raise ValueError(f"unknown channel kind {kind!r} (expected deterministic or rayleigh)")
@@ -319,6 +321,11 @@ def load_spec(path, overrides: Mapping[tuple[str, str], str] | None = None) -> E
     # Checked before the grid is built, whose length is (max - min) / step.
     if float(last) > a_max:
         loader.fail("sweep", "lambda_max", f"grid exceeds the smallest arrival cap {a_max}")
+    for su in sus:  # a rule that depends on the rate is checked at the top one
+        try:
+            su.arrivals.with_rate(float(last))
+        except SettingError as err:
+            loader.fail("sweep", "lambda_max", str(err))
     grid = lambda_grid(lo, last, step)
     kinds = loader.value("sweep", "schedulers", _parse_schedulers)
     seeds = loader.value("sweep", "seeds", _parse_seeds)

@@ -246,7 +246,7 @@ class Simulation:
         # same values in the same order as one draw per slot.
         self.sus = tuple(
             SuState(
-                SuQueue(su.arrivals, config.buffer_cap), su.delay_bound, [], [], [], [],
+                SuQueue(su.arrivals), su.delay_bound, [], [], [], [],
                 substream(config.seed, i, ROLE_ARRIVALS),
                 substream(config.seed, i, ROLE_DIRECT),
                 substream(config.seed, i, ROLE_INTERFERENCE),
@@ -308,19 +308,22 @@ class Simulation:
         return tuple(c if w == 0 else max(c, su.delay_bound * su.delay_bound + w * w)
                      for c, w, su in zip(self._c_y_multi, self._w1_max, self.sus))
 
-    def _fill_block(self) -> None:
-        """Replace every user's drawn inputs with those of the next slots from
-        self.slot on: BLOCK of them, or fewer if the next check or max_slots
+    def _segment(self) -> int:
+        """Slots from self.slot to the next check, or to max_slots if that
         comes first. Past max_slots, reachable only by stepping run_slot(),
-        blocks end at checks alone, so none is empty."""
+        a segment ends at the next check, so none is empty."""
         config = self.config
-        check = config.check_interval
-        n = min(BLOCK, check - self.slot % check)
+        n = config.check_interval - self.slot % config.check_interval
         if self.slot < config.max_slots:
             n = min(n, config.max_slots - self.slot)
-        self._len = n
-        literal = config.scheduler.phi_mode == PHI_LITERAL
-        for i, (su, state) in enumerate(zip(config.sus, self.sus)):
+        return n
+
+    def _fill_block(self) -> None:
+        """Replace every user's drawn inputs with those of the next slots from
+        self.slot on: BLOCK of them, or fewer if the segment ends first."""
+        self._len = n = min(BLOCK, self._segment())
+        literal = self._literal
+        for i, (su, state) in enumerate(zip(self.config.sus, self.sus)):
             state.arrivals[:] = su.arrivals.counts(state.arrival_rng.random(n)).tolist()
             if not isinstance(su.direct, DeterministicGain):
                 direct = self._direct[i] = su.direct.sample_block(state.direct_rng, n)
@@ -527,11 +530,10 @@ class Simulation:
         """Run to the stopping rule or max_slots. A backlog that outgrows its
         cap ends the run too, as an unconverged result noted infeasible-load."""
         cfg = self.config
-        check = cfg.check_interval
         try:
             while self.slot < cfg.max_slots:
-                self._advance(min(check - self.slot % check, cfg.max_slots - self.slot))
-                if self.slot % check == 0:
+                self._advance(self._segment())
+                if self.slot % cfg.check_interval == 0:
                     metric = self.stability_metric()
                     if metric < cfg.epsilon:
                         return self._finalize(True, metric)

@@ -61,11 +61,8 @@ class Bernoulli:
     def a_max(self) -> int:
         return 1
 
-    def draw(self, source) -> int:
-        return 1 if source.random() < self.rate else 0
-
     def counts(self, u: np.ndarray) -> np.ndarray:
-        """draw() applied to each uniform of ``u``."""
+        """Each slot's arrival count from its uniform in ``u``: one iff u < rate."""
         return (u < self.rate).astype(int)
 
     def with_rate(self, rate: float) -> "Bernoulli":
@@ -94,20 +91,19 @@ class TruncatedPoisson:
             raise SettingError("cap", f"poisson cap must be at least 1, got {self.cap!r}")
         if not 0.0 <= self.rate <= self.cap:
             raise SettingError("rate", f"poisson rate must be in [0, cap={self.cap}], got {self.rate!r}")
+        try:
+            _truncated_poisson_cdf(self.rate, self.cap)
+        except OverflowError:
+            raise SettingError("cap", f"poisson cap {self.cap} is too large at rate {self.rate!r}: "
+                                      "its pmf overflows a float") from None
 
     @property
     def a_max(self) -> int:
         return self.cap
 
-    def draw(self, source) -> int:
-        u = source.random()
-        for k, c in enumerate(_truncated_poisson_cdf(self.rate, self.cap)):
-            if u < c:
-                return k
-        return self.cap
-
     def counts(self, u: np.ndarray) -> np.ndarray:
-        """draw() applied to each uniform of ``u``."""
+        """Each slot's arrival count from its uniform in ``u``: the first k
+        with u < cdf[k], or the cap if there is none."""
         cdf = np.array(_truncated_poisson_cdf(self.rate, self.cap))
         return np.minimum(np.searchsorted(cdf, u, side="right"), self.cap)
 
@@ -128,11 +124,10 @@ class SuQueue:
     so far are the departures plus the backlog.
     """
 
-    __slots__ = ("arrivals", "buffer_cap", "fifo", "cumulative_departures", "departed_waiting_sum")
+    __slots__ = ("arrivals", "fifo", "cumulative_departures", "departed_waiting_sum")
 
-    def __init__(self, arrivals: ArrivalProcess, buffer_cap: int = DEFAULT_BUFFER_CAP):
+    def __init__(self, arrivals: ArrivalProcess):
         self.arrivals = arrivals
-        self.buffer_cap = buffer_cap
         self.fifo: deque[int] = deque()
         self.cumulative_departures = 0
         self.departed_waiting_sum = 0
@@ -146,18 +141,10 @@ class SuQueue:
         return self.cumulative_departures + len(self.fifo)
 
     def draw_arrivals(self, slot: int, source) -> int:
-        """Draw this slot's arrivals from ``source.random()`` and admit them."""
-        return self.admit(self.arrivals.draw(source), slot)
-
-    def admit(self, n: int, slot: int) -> int:
-        """Queue n packets arriving at ``slot`` (they may depart in it); return n.
-
-        The scalar arrival path of draw_arrivals; the slot loop admits
-        arrivals itself, with the same cap check.
-        """
+        """Queue the packets arriving at ``slot``, counted by the arrival
+        process from one ``source.random()``; return their number."""
+        n = int(self.arrivals.counts(np.array(source.random())))
         self.fifo.extend(repeat(slot, n))
-        if len(self.fifo) > self.buffer_cap:
-            raise InfeasibleLoadError(f"backlog exceeded safety cap {self.buffer_cap} at slot {slot}")
         return n
 
     def average_delay(self) -> float | None:

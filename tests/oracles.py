@@ -25,6 +25,22 @@ class ScriptedSource:
         return v
 
 
+def scalar_arrivals(process, u: float) -> int:
+    """One slot's arrival count from its uniform u, by the scalar rule that
+    the block decoder ``counts`` reproduces: an arrival iff u < rate for a
+    Bernoulli process; for a truncated Poisson, the first k with u < cdf[k],
+    or the cap if there is none. The CDF is the package's own, so that only
+    the decoding is checked here."""
+    from crsched.queueing import Bernoulli, _truncated_poisson_cdf
+
+    if isinstance(process, Bernoulli):
+        return 1 if u < process.rate else 0
+    for k, c in enumerate(_truncated_poisson_cdf(process.rate, process.cap)):
+        if u < c:
+            return k
+    return process.cap
+
+
 def phi_value(q: int, y: float, d: float, x: float, g: float, w_sum: float, r: float) -> float:
     """Decision index of one backlogged user: phi = X g + Y sum(W) - (Y d + Q) r.
 

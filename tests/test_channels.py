@@ -34,8 +34,10 @@ def slot_gains(sim, n):
 
 class TestDeterministicGain:
     def test_passes_value_through_exactly(self):
-        assert DeterministicGain(1.0).sample_block(rng(), 3).tolist() == [1.0] * 3
-        assert DeterministicGain(0.0).sample_block(rng(), 3).tolist() == [0.0] * 3
+        # A run's slots see a constant link's value itself, in every slot.
+        sim = gain_feeds((DeterministicGain(0.0), DeterministicGain(0.7)),
+                         (DeterministicGain(1.0), DeterministicGain(0.0)), seed=0)
+        assert slot_gains(sim, 3) == [((0.0, 0.7), (1.0, 0.0))] * 3
 
     def test_cap_defaults_to_value(self):
         assert DeterministicGain(2.5).cap == 2.5
@@ -45,9 +47,6 @@ class TestDeterministicGain:
             DeterministicGain(2.0, cap=1.0)
         with pytest.raises(ValueError):
             DeterministicGain(-0.5)
-
-    def test_block_draws_are_constant(self):
-        assert np.array_equal(DeterministicGain(0.7).sample_block(rng(), 5), np.full(5, 0.7))
 
 
 class TestRayleighGain:

@@ -193,6 +193,16 @@ class TestLoadSpecValidation:
         with pytest.raises(ConfigError, match="rayleigh channel needs mean="):
             load_spec(path)
 
+    @pytest.mark.parametrize("key, value, name, line", [
+        ("direct", "deterministic value=1.0 value=3.0", "value", 11),
+        ("interference", "rayleigh mean=1 cap=3 cap=5", "cap", 12),
+    ])
+    def test_repeated_channel_parameter_rejected_at_its_line(self, tmp_path, key, value, name, line):
+        with pytest.raises(ConfigError) as exc:
+            load_spec(write_cfg(tmp_path, patched(key, value)))
+        assert exc.value.line == line
+        assert exc.value.message == f"[su1] {key}: repeated channel parameter {name!r}"
+
     def test_nonpositive_rayleigh_mean_carries_line(self, tmp_path):
         path = write_cfg(tmp_path, patched("interference", "rayleigh mean=0"))
         with pytest.raises(ConfigError, match="rayleigh mean must be positive") as exc:
@@ -242,6 +252,24 @@ class TestLoadSpecValidation:
         spec = load_spec(write_cfg(tmp_path, text))
         assert all(isinstance(su.arrivals, TruncatedPoisson) for su in spec.base.sus)
         assert spec.lambda_grid[-1] == pytest.approx(1.2)
+
+    def test_poisson_pmf_that_overflows_a_float_rejected_at_arrivals(self, tmp_path):
+        # 171! does not fit a float, so no rate makes the pmf up to cap 200.
+        path = write_cfg(tmp_path, patched("arrivals", "poisson cap=200"))
+        with pytest.raises(ConfigError) as exc:
+            load_spec(path)
+        assert exc.value.line == 10
+        assert exc.value.message == (
+            "[su1] arrivals: poisson cap 200 is too large at rate 0.0: its pmf overflows a float")
+
+    def test_poisson_pmf_that_overflows_at_the_top_rate_rejected_at_lambda_max(self, tmp_path):
+        # Cap 160 is fine at rate 0 but not at 150, where 150.0**160 overflows.
+        text = patched("lambda_max", "150").replace("arrivals = bernoulli", "arrivals = poisson cap=160")
+        with pytest.raises(ConfigError) as exc:
+            load_spec(write_cfg(tmp_path, text))
+        assert exc.value.line == 22
+        assert exc.value.message == (
+            "[sweep] lambda_max: poisson cap 160 is too large at rate 150.0: its pmf overflows a float")
 
     def test_duplicate_seeds(self, tmp_path):
         path = write_cfg(tmp_path, patched("seeds", "1, 2, 1"))

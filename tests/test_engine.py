@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from crsched.channels import DeterministicGain, RayleighGain
-from crsched.config import load_spec
+from crsched.config import load_spec, parse_scheduler
 from crsched.engine import (
     BLOCK,
     PHI_ACTUAL,
     PHI_LITERAL,
+    SCHEDULER_NAMES,
     SchedulerKind,
     Simulation,
     SimConfig,
@@ -268,6 +269,24 @@ def test_dead_channel_aborts_as_infeasible():
     # 50 completed slots; the 51st packet lands before the abort fires.
     assert result.slots == 50
     assert result.terminal_q == (51,)
+
+
+@pytest.mark.parametrize("kind", SCHEDULER_NAMES)
+def test_kernel_benchmark_reads_each_users_counters_after_a_run(kind):
+    # The kernel benchmark builds a shipped config's point at a fixed
+    # horizon, runs it with run_until_converged() and reads every user's
+    # cumulative arrival and departure counters; a counter that went missing
+    # would read as absent there, not fail.
+    spec = load_spec(shipped_config("table1.cfg"))
+    sched = replace(parse_scheduler(kind), phi_mode=spec.schedulers[0].phi_mode)
+    cfg = replace(point_config(spec, sched, 0.36, 1), epsilon=0.0, max_slots=spec.base.check_interval)
+    sim = Simulation(cfg)
+    result = sim.run_until_converged()
+    arrivals = [su.queue.cumulative_arrivals for su in sim.sus]
+    departures = [su.queue.cumulative_departures for su in sim.sus]
+    assert all(type(n) is int for n in arrivals + departures)
+    assert [a - d for a, d in zip(arrivals, departures)] == list(result.terminal_q)
+    assert result.slots == cfg.max_slots and min(departures) > 0
 
 
 def queue_state(sim: Simulation):
@@ -640,9 +659,10 @@ def test_oracle_flags_a_tampered_decision():
 
 
 def test_every_user_draws_both_gains_every_slot():
-    # Each link's gains come from its own (seed, user, link) substream, one
-    # draw per slot whether or not the user is backlogged, so the trace
-    # replays each stream from its start.
+    # Each faded link's gains come from its own (seed, user, link)
+    # substream, one draw per slot whether or not the user is backlogged, so
+    # the trace replays each stream from its start; a constant link gives
+    # its value in every slot.
     slots = 300
     cfg = two_user_config(0.05, "proposed", seed=4,
                           max_slots=slots, check_interval=slots,
@@ -650,11 +670,9 @@ def test_every_user_draws_both_gains_every_slot():
     _, trace = observe_slots(cfg, slots)
     assert any(t.q[0] == 0 for t in trace)
     for i, su in enumerate(cfg.sus):
-        for role, model, logged in (
-            (ROLE_DIRECT, su.direct, [t.direct[i] for t in trace]),
-            (ROLE_INTERFERENCE, su.interference, [t.interference[i] for t in trace]),
-        ):
-            assert logged == model.sample_block(substream(4, i, role), slots).tolist()
+        assert [t.direct[i] for t in trace] == [su.direct.value] * slots
+        drawn = su.interference.sample_block(substream(4, i, ROLE_INTERFERENCE), slots)
+        assert [t.interference[i] for t in trace] == drawn.tolist()
 
 
 def faded_direct_config(lam: float, seed: int) -> SimConfig:

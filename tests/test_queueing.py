@@ -7,23 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from crsched.channels import DeterministicGain
 from crsched.engine import PROPOSED_NONIDLING, SchedulerKind, SimConfig, Simulation, SuConfig
-from crsched.queueing import (
-    Bernoulli,
-    InfeasibleLoadError,
-    SuQueue,
-    TruncatedPoisson,
-    _truncated_poisson_cdf,
-)
+from crsched.queueing import Bernoulli, SettingError, SuQueue, TruncatedPoisson, _truncated_poisson_cdf
 from crsched.streams import ROLE_ARRIVALS, substream
 
 from conftest import Staged, staged_sim
-from oracles import ScriptedSource, resim_queue_levels, truncated_poisson_stats
+from oracles import ScriptedSource, resim_queue_levels, scalar_arrivals, truncated_poisson_stats
 
 
 class TestBernoulli:
     def test_zero_rate_never_arrives(self):
         src = substream(0, 0, ROLE_ARRIVALS)
-        assert all(Bernoulli(0.0).draw(src) == 0 for _ in range(100))
         assert not Bernoulli(0.0).counts(src.random(100)).any()
 
     def test_rate_outside_unit_interval_rejected(self):
@@ -34,7 +27,6 @@ class TestBernoulli:
 
     def test_rate_one_always_arrives(self):
         src = substream(0, 0, ROLE_ARRIVALS)
-        assert all(Bernoulli(1.0).draw(src) == 1 for _ in range(100))
         assert Bernoulli(1.0).counts(src.random(100)).tolist() == [1] * 100
 
     def test_empirical_mean(self):
@@ -59,18 +51,28 @@ class TestTruncatedPoisson:
         with pytest.raises(ValueError):
             TruncatedPoisson(0.1, 0)
 
+    @pytest.mark.parametrize("rate, cap", [(0.0, 171), (0.0, 200), (150.0, 160)])
+    def test_pmf_that_overflows_a_float_rejected_at_cap(self, rate, cap):
+        # 171! and 150.0**160 do not fit a float.
+        with pytest.raises(SettingError, match="pmf overflows a float") as err:
+            TruncatedPoisson(rate, cap)
+        assert err.value.field == "cap"
+
+    def test_largest_computable_pmf_accepted(self):
+        assert TruncatedPoisson(0.0, 170).cap == TruncatedPoisson(1.5, 170).cap == 170
+
     def test_with_rate_keeps_cap(self):
         assert TruncatedPoisson(0.1, 4).with_rate(0.3) == TruncatedPoisson(0.3, 4)
 
 
 def scalar_counts(process, us):
-    """draw() on each of the uniforms ``us`` in turn: the scalar law."""
-    src = ScriptedSource(us)
-    return [process.draw(src) for _ in us]
+    """The scalar rule applied to each of the uniforms ``us`` in turn."""
+    return [scalar_arrivals(process, u) for u in us]
 
 
 class TestArrivalDecoding:
-    """counts() decodes a block of uniforms exactly as draw() decodes one."""
+    """counts() decodes a block of uniforms exactly as the scalar rule
+    decodes one."""
 
     def test_bernoulli_edges(self):
         # An arrival iff u < rate: u == rate gives none.
@@ -177,13 +179,6 @@ class TestCommitDepartures:
         assert q.backlog == 1
         assert q.cumulative_departures == 0 and q.departed_waiting_sum == 0
 
-    def test_departures_then_arrival_within_one_slot(self):
-        sim = staged_queue([0, 0], 2)
-        serve(sim, 1)
-        q = sim.sus[0].queue
-        q.admit(1, 1)
-        assert q.backlog == 1
-
     def test_batch_count_must_match_waiting_times(self):
         for n in range(4):
             sim = staged_queue([0, 1, 2], n)
@@ -277,13 +272,26 @@ class TestQueueProperties:
             assert w >= 1
 
 
-def test_buffer_safety_cap_aborts():
-    q = SuQueue(Bernoulli(1.0), buffer_cap=3)
+def test_fifo_probe_queues_one_packet_per_call():
+    # The FIFO memory probe's calls: a rate-1 Bernoulli queue fed by a
+    # source whose every uniform is 0.0 queues one packet per call, tagged
+    # with its slot, and the backlog counts them.
+    q = SuQueue(Bernoulli(1.0))
     src = ScriptedSource([0.0])
-    for slot in range(3):
-        q.draw_arrivals(slot, src)
-    with pytest.raises(InfeasibleLoadError):
-        q.draw_arrivals(3, src)
+    packets = 1000
+    assert [q.draw_arrivals(slot, src) for slot in range(packets)] == [1] * packets
+    assert q.backlog == q.cumulative_arrivals == packets
+    assert list(q.fifo) == list(range(packets))
+
+
+def test_draw_arrivals_decodes_its_uniform_by_the_scalar_rule():
+    proc = TruncatedPoisson(1.7, 3)
+    us = substream(5, 0, ROLE_ARRIVALS).random(200).tolist()
+    q = SuQueue(proc)
+    src = ScriptedSource(us)
+    want = scalar_counts(proc, us)
+    assert [q.draw_arrivals(slot, src) for slot in range(len(us))] == want
+    assert q.backlog == sum(want)
 
 
 def test_fifo_memory_stays_bounded_per_queued_packet():

@@ -6,6 +6,8 @@ from crsched.engine import BLOCK, SchedulerKind, SimConfig, Simulation, SuConfig
 from crsched.queueing import TruncatedPoisson
 from crsched.streams import ROLE_ARRIVALS, ROLE_DIRECT, ROLE_INTERFERENCE, substream
 
+from oracles import scalar_arrivals
+
 
 def test_same_triple_gives_identical_stream():
     a = substream(42, 1, ROLE_DIRECT).random(1000)
@@ -56,7 +58,7 @@ def test_block_arrivals_match_scalar_draws():
         sim.slot += lengths[-1]
     assert lengths == [BLOCK, 5000 - BLOCK, BLOCK, 5000 - BLOCK, BLOCK]
     scalar = substream(7, 0, ROLE_ARRIVALS)
-    assert blocked == [cfg.sus[0].arrivals.draw(scalar) for _ in range(sum(lengths))]
+    assert blocked == [scalar_arrivals(cfg.sus[0].arrivals, scalar.random()) for _ in range(sum(lengths))]
 
 
 def test_a_run_draws_only_the_slots_it_runs():

@@ -284,6 +284,15 @@ class TestRowsCsv:
         assert code == 2
         assert capsys.readouterr().err == f"error: {path}:{message}\n"
 
+    def test_file_with_only_its_header_exits_2_naming_the_file(self, tiny_rows, tmp_path, capsys):
+        path = tmp_path / ROWS_FILENAME
+        write_rows(tiny_rows, path)
+        path.write_text(path.read_text().splitlines(keepends=True)[0])
+        code = cli.main(["figures", "--rows", str(path), "--out", str(tmp_path / "figs")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {path}: no rows to plot\n"
+        assert not (tmp_path / "figs").exists()
+
     @pytest.mark.parametrize("line", [1, 2])
     def test_non_utf8_file_exits_2_naming_the_line(self, line, tiny_rows, tmp_path, capsys):
         path = tmp_path / ROWS_FILENAME
@@ -536,6 +545,20 @@ def test_bad_flag_fails_as_the_same_value_in_the_file(tmp_path, capsys, flag, se
     code = cli.main(args)
     assert code == 2
     assert capsys.readouterr().err == f"error: {flag}: {exc.value.message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_pmf_overflow_at_the_flags_top_rate_fails_at_the_flag(tmp_path, capsys):
+    # Poisson(150) up to cap 160 overflows a float (150.0**160): the run
+    # stops at --lambda-max with the constructor's message, not a traceback.
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY.replace("arrivals = bernoulli", "arrivals = poisson cap=160"))
+    code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--lambda-min", "0.0", "--lambda-max", "150", "--lambda-step", "0.1"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: --lambda-max: [sweep] lambda_max: poisson cap 160 is too large at rate 150.0: "
+        "its pmf overflows a float\n")
     assert not (tmp_path / "o").exists()
 
 
