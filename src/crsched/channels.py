@@ -37,9 +37,6 @@ class DeterministicGain:
         if not 0.0 <= self.value <= self.cap:
             raise SettingError("value", f"deterministic gain {self.value!r} outside [0, {self.cap!r}]")
 
-    def sample_block(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.full(n, self.value)
-
 
 @dataclass(frozen=True)
 class RayleighGain:

@@ -124,8 +124,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_figures(args) -> int:
     rows = read_rows(args.rows)
-    if not rows:
-        raise ValueError(f"{args.rows}: no rows to plot")
     out = _resolve_out(args.out, None)
     emit_figures(rows, out, rows_sha256=file_sha256(args.rows))
     print(f"wrote figures to {out}")

@@ -180,8 +180,8 @@ def _parse_row(rec: list[str], n_sus: int) -> SweepRow:
 
 
 def read_rows(path) -> list[SweepRow]:
-    """The rows of a rows.csv; a malformed file raises ValueError naming
-    the file and line."""
+    """The rows of a rows.csv; a malformed file, or one with no rows,
+    raises ValueError naming the file."""
     import csv
     import io
 
@@ -205,6 +205,8 @@ def read_rows(path) -> list[SweepRow]:
             rows.append(_parse_row(rec, n_sus))
         except ValueError as err:
             raise ValueError(f"{path}:{reader.line_num}: {err}") from err
+    if not rows:
+        raise ValueError(f"{path}: no rows after the header")
     return rows
 
 

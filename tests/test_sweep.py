@@ -290,7 +290,7 @@ class TestRowsCsv:
         path.write_text(path.read_text().splitlines(keepends=True)[0])
         code = cli.main(["figures", "--rows", str(path), "--out", str(tmp_path / "figs")])
         assert code == 2
-        assert capsys.readouterr().err == f"error: {path}: no rows to plot\n"
+        assert capsys.readouterr().err == f"error: {path}: no rows after the header\n"
         assert not (tmp_path / "figs").exists()
 
     @pytest.mark.parametrize("line", [1, 2])
