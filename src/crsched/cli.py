@@ -4,7 +4,8 @@ crsched run --config table1.cfg [--schedulers a,b] [--lambda-min ... ]
 crsched figures --rows results/rows.csv --out results
 
 Each OVERRIDES flag of ``run`` replaces a config key through ``load_spec``,
-under the file's own rules; an error in its value names the flag.
+under the file's own rules; an error in its value names the flag. The flags
+given are recorded, as typed, under ``overrides`` in manifest.json.
 
 Output directory precedence: --out flag, then the CRSCHED_OUT environment
 variable, then the config's output_dir, then ./results.
@@ -63,15 +64,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_spec(args) -> ExperimentSpec:
-    """The config with the given flags applied as overrides."""
+def _load_spec(args) -> tuple[ExperimentSpec, dict]:
+    """The config with the given flags applied as overrides, and those
+    overrides, keyed by (section, key)."""
     flags = vars(args)
     grid_given = [flags[flag] is not None for flag in ("--lambda-min", "--lambda-max", "--lambda-step")]
     if any(grid_given) and not all(grid_given):
         raise ValueError("--lambda-min, --lambda-max and --lambda-step go together")
     overrides = {key: flags[flag] for key, flag in OVERRIDES.items() if flags[flag] is not None}
     try:
-        return load_spec(args.config, overrides)
+        return load_spec(args.config, overrides), overrides
     except ConfigError as err:
         if err.override is None:
             raise
@@ -85,7 +87,7 @@ def _resolve_out(flag: str | None, spec_dir: str | None) -> Path:
 def _cmd_run(args) -> int:
     if args.jobs is not None and args.jobs < 1:
         raise ValueError(f"--jobs: must be at least 1, got {args.jobs}")
-    spec = _load_spec(args)
+    spec, overrides = _load_spec(args)
     out = _resolve_out(args.out, spec.output_dir)
 
     def progress(point, result, total):
@@ -109,6 +111,7 @@ def _cmd_run(args) -> int:
         out,
         config_sha256=spec.source_sha256,
         rows_sha256=file_sha256(rows_path),
+        overrides={f"{section}.{key}": value for (section, key), value in overrides.items()},
     )
     aborted = [r for r in rows if r.note]
     print(f"wrote {rows_path} ({len(rows)} rows) and figures to {out}")

@@ -9,12 +9,14 @@ Every user's arrivals and gains are drawn a block of slots at a time,
 backlogged or not: up to BLOCK slots, ending at the next convergence check
 or at max_slots, so a run that stops at either has drawn exactly the slots
 it ran.
-Simulation builds the decision rule's scan once, when the run is set up:
-max-weight's reads only each user's backlog Q and interference gain g, the
-index scan what phi needs. Either way a slot goes:
+All three rules share one scan, built once when the run is set up: it
+admits each user's arrivals and enforces the buffer cap the same way for
+every rule, and the rules differ only in how they score a backlogged user.
+A slot goes:
 
 1. each user's arrivals join its queue (and may depart in the same slot)
-2. if backlogged, its metric is scored: the index phi, or Q/g for max-weight
+2. if backlogged, its metric is scored: Q/g for max-weight, or the index phi
+   from the fields only phi reads
 3. the chosen user's head packets depart, n = min(Q, floor(rate))
 4. its delay accumulator Y_i absorbs the departures' excess over d_i
 5. the interference accumulator X absorbs the slot's gain (0 on idle) - I_avg
@@ -160,10 +162,10 @@ class SuState(NamedTuple):
     log2(1 + gain) of the direct gains, the whole packets floor(rate) and
     interference gains), and the generators they are drawn from.
 
-    The rates are kept only in literal phi mode, their one reader; otherwise
-    that list stays empty. A link with a constant gain has its lists filled
-    once from the scalar rule, when the run is set up, and never redrawn;
-    its generator is never drawn from.
+    The rates are kept only for the index policy in literal phi mode, their
+    one reader; otherwise that list stays empty. A link with a constant gain
+    has its lists filled once from the scalar rule, when the run is set up,
+    and never redrawn; its generator is never drawn from.
     """
 
     queue: SuQueue
@@ -241,18 +243,6 @@ class Simulation:
 
     def __init__(self, config: SimConfig):
         self.config = config
-        # One substream per (user, role): a user's draws depend only on the
-        # seed and its own index. Drawn BLOCK slots at a time, they give the
-        # same values in the same order as one draw per slot.
-        self.sus = tuple(
-            SuState(
-                SuQueue(su.arrivals), su.delay_bound, [], [], [], [],
-                substream(config.seed, i, ROLE_ARRIVALS),
-                substream(config.seed, i, ROLE_DIRECT),
-                substream(config.seed, i, ROLE_INTERFERENCE),
-            )
-            for i, su in enumerate(config.sus)
-        )
         n = len(config.sus)
         self.x = 0.0
         self.y = [0.0] * n
@@ -263,9 +253,6 @@ class Simulation:
         self._w1_max = [0] * n
         # Each faded direct link's gains in the current block; observe() reads them.
         self._direct: list[np.ndarray | None] = [None] * n
-        # Each constant direct link's gain, None for a faded one.
-        self._constant_direct = tuple(float(su.direct.value) if isinstance(su.direct, DeterministicGain)
-                                      else None for su in config.sus)
         self.slot = 0
         # The next slot's index into the inputs, and the block's length;
         # _advance draws the next block when the first reaches the second.
@@ -273,30 +260,41 @@ class Simulation:
         sched = config.scheduler
         self._maxweight = maxweight = sched.kind == MAXWEIGHT
         self._idling = sched.idling
-        self._literal = literal = sched.phi_mode == PHI_LITERAL
-        for su, state in zip(config.sus, self.sus):
+        # Only phi reads the raw rates, and only in literal mode.
+        self._literal = literal = not maxweight and sched.phi_mode == PHI_LITERAL
+        # One substream per (user, role): a user's draws depend only on the
+        # seed and its own index. Drawn BLOCK slots at a time, they give the
+        # same values in the same order as one draw per slot.
+        sus, constant, self._scan = [], [], []
+        for i, su in enumerate(config.sus):
+            state = SuState(
+                SuQueue(su.arrivals), su.delay_bound, [], [], [], [],
+                substream(config.seed, i, ROLE_ARRIVALS),
+                substream(config.seed, i, ROLE_DIRECT),
+                substream(config.seed, i, ROLE_INTERFERENCE),
+            )
             # A constant link's lists come from the scalar rule, once; they
             # hold BLOCK slots, at least as many as any block.
-            if isinstance(su.direct, DeterministicGain):
-                gain = float(su.direct.value)
+            gain = float(su.direct.value) if isinstance(su.direct, DeterministicGain) else None
+            if gain is not None:
                 if literal:
                     state.rate[:] = [transmission_rate(gain)] * BLOCK
                 state.packets[:] = [int(transmission_rate(gain))] * BLOCK
             if isinstance(su.interference, DeterministicGain):
                 state.interference[:] = [float(su.interference.value)] * BLOCK
-        # Each rule scans what it reads of a user: Q and g for max-weight,
-        # what phi needs for the index policy. Its entry ends with what the
-        # departure step reads of the user, if the user is served. The lists
-        # are refilled in place, so the scan is built once.
-        self._scan = []
-        for i, su in enumerate(self.sus):
-            fifo = su.queue.fifo
-            served = (i, su.queue, fifo, su.delay_bound, su.packets, su.interference)
-            if maxweight:
-                self._scan.append((fifo, su.arrivals, su.interference, served))
-            else:
-                self._scan.append((fifo, su.arrivals, su.interference, su.packets, su.rate,
-                                   su.delay_bound, i, served))
+            # The scan reads a user's FIFO, arrivals and interference gains
+            # under every rule, then what the departure step reads of it if
+            # it is served, then what only phi reads. The lists are refilled
+            # in place, so the scan is built once.
+            fifo = state.queue.fifo
+            self._scan.append((fifo, state.arrivals, state.interference,
+                               (i, state.queue, fifo, su.delay_bound, state.packets, state.interference),
+                               (state.packets, state.rate, su.delay_bound, i)))
+            sus.append(state)
+            constant.append(gain)
+        self.sus = tuple(sus)
+        # Each constant direct link's gain, None for a faded one.
+        self._constant_direct = tuple(constant)
 
     @property
     def c_y_emp(self) -> tuple[float, ...]:
@@ -415,63 +413,49 @@ class Simulation:
                     # Ties keep the lowest index: only a strictly better value replaces it.
                     best_served = None
                     best_v = start_v
-                    if maxweight:
-                        for fifo, arrivals, interference, served in scan:
-                            # Arrivals join the tail; they may depart in this slot.
-                            a = arrivals[pos]
-                            if a:
-                                if a == 1:
-                                    fifo.append(slot)
-                                else:
-                                    fifo.extend(repeat(slot, a))
-                                q = len(fifo)
-                                if q > buffer_cap:
-                                    raise InfeasibleLoadError(
-                                        f"backlog exceeded safety cap {buffer_cap} at slot {slot}")
-                            elif fifo:
-                                q = len(fifo)
+                    for fifo, arrivals, interference, served, phi in scan:
+                        # Arrivals join the tail; they may depart in this slot.
+                        a = arrivals[pos]
+                        if a:
+                            if a == 1:
+                                fifo.append(slot)
                             else:
-                                continue
+                                fifo.extend(repeat(slot, a))
+                            q = len(fifo)
+                            if q > buffer_cap:
+                                raise InfeasibleLoadError(
+                                    f"backlog exceeded safety cap {buffer_cap} at slot {slot}")
+                        elif fifo:
+                            q = len(fifo)
+                        else:
+                            continue
+                        if maxweight:
                             g = interference[pos]
                             # An interference-free link has infinite weight.
                             v = inf if g <= 0.0 else q / g
                             if v > best_v:
                                 best_served, best_v, best_q = served, v, q
-                    else:
-                        for fifo, arrivals, interference, packets, rates, d, i, served in scan:
-                            a = arrivals[pos]
-                            if a:
-                                if a == 1:
-                                    fifo.append(slot)
-                                else:
-                                    fifo.extend(repeat(slot, a))
-                                q = len(fifo)
-                                if q > buffer_cap:
-                                    raise InfeasibleLoadError(
-                                        f"backlog exceeded safety cap {buffer_cap} at slot {slot}")
-                            elif fifo:
-                                q = len(fifo)
-                            else:
-                                continue
-                            n = packets[pos]
-                            if n > q:
-                                n = q
-                            # The departing packets' waiting-time sum, an exact integer.
-                            if n == 1:
-                                w_sum = slot1 - fifo[0]
-                            elif n:
-                                w_sum = n * slot1 - sum(islice(fifo, n))
-                            else:
-                                w_sum = 0
-                            # phi = X g + Y sum(W) - (Y d + Q) r, where r is the packet
-                            # count (actual mode) or the raw rate (literal mode).
-                            y_i = y[i]
-                            v = (x * interference[pos] + y_i * w_sum
-                                 - (y_i * d + q) * (rates[pos] if literal else n))
-                            if v < best_v:
-                                best_served, best_v, best_n = served, v, n
-                        if idling and best_v > 0.0:
-                            best_served = None
+                            continue
+                        packets, rates, d, i = phi
+                        n = packets[pos]
+                        if n > q:
+                            n = q
+                        # The departing packets' waiting-time sum, an exact integer.
+                        if n == 1:
+                            w_sum = slot1 - fifo[0]
+                        elif n:
+                            w_sum = n * slot1 - sum(islice(fifo, n))
+                        else:
+                            w_sum = 0
+                        # phi = X g + Y sum(W) - (Y d + Q) r, where r is the packet
+                        # count (actual mode) or the raw rate (literal mode).
+                        y_i = y[i]
+                        v = (x * interference[pos] + y_i * w_sum
+                             - (y_i * d + q) * (rates[pos] if literal else n))
+                        if v < best_v:
+                            best_served, best_v, best_n = served, v, n
+                    if idling and best_v > 0.0:
+                        best_served = None
 
                     if best_served is None:
                         # An idle slot charges no gain; x + 0.0 == x, as X >= 0 is never -0.0.

@@ -15,6 +15,7 @@ Empty delay cells mean no packet departed (average undefined, not zero).
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -166,9 +167,12 @@ def _parse_row(rec: list[str], n_sus: int) -> SweepRow:
     fixed, delays, note = rec[:7], rec[7:7 + n_sus], rec[7 + n_sus]
     if fixed[3] not in ("true", "false"):
         raise ValueError(f"converged must be true or false, got {fixed[3]!r}")
+    lam = float(fixed[1])
+    if not math.isfinite(lam):
+        raise ValueError(f"lambda must be finite, got {fixed[1]!r}")
     return SweepRow(
         scheduler=fixed[0],
-        lam=float(fixed[1]),
+        lam=lam,
         seed=int(fixed[2]),
         converged=fixed[3] == "true",
         slots=int(fixed[4]),
@@ -180,8 +184,9 @@ def _parse_row(rec: list[str], n_sus: int) -> SweepRow:
 
 
 def read_rows(path) -> list[SweepRow]:
-    """The rows of a rows.csv; a malformed file, or one with no rows,
-    raises ValueError naming the file."""
+    """The rows of a rows.csv; a malformed file, one with no rows, or one
+    that repeats a (scheduler, lambda, seed), raises ValueError naming the
+    file."""
     import csv
     import io
 
@@ -200,11 +205,17 @@ def read_rows(path) -> list[SweepRow]:
     if header != rows_header(n_sus):
         raise ValueError(f"{path}:1: unrecognized rows schema: {header}")
     rows = []
+    first_line: dict[tuple[str, float, int], int] = {}
     for rec in reader:
         try:
-            rows.append(_parse_row(rec, n_sus))
+            row = _parse_row(rec, n_sus)
+            first = first_line.setdefault((row.scheduler, row.lam, row.seed), reader.line_num)
+            if first != reader.line_num:
+                raise ValueError(f"scheduler {row.scheduler}, lambda {row.lam!r}, seed {row.seed} "
+                                 f"repeats line {first}")
         except ValueError as err:
             raise ValueError(f"{path}:{reader.line_num}: {err}") from err
+        rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no rows after the header")
     return rows
@@ -261,8 +272,13 @@ def emit_figures(
     output_dir,
     config_sha256: str | None = None,
     rows_sha256: str | None = None,
+    overrides: dict[str, str] | None = None,
 ) -> dict:
     """Write per-figure plot CSVs, a plot script stub, and manifest.json.
+
+    ``overrides`` maps each config key a run flag replaced, as
+    "section.key", to the value given; the manifest records it only when
+    it is non-empty, so a run from the file alone keeps the same manifest.
 
     Each figure holds one line per lambda; cells average over seeds and
     are left empty where undefined. A figure whose schedulers produced no
@@ -331,5 +347,7 @@ def emit_figures(
         "figures": manifest_figures,
         "plot_stub": PLOT_STUB_FILENAME,
     }
+    if overrides:
+        manifest["overrides"] = overrides
     (out / MANIFEST_FILENAME).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest

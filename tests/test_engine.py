@@ -54,9 +54,9 @@ def single_user_config(**kw) -> SimConfig:
     return SimConfig(**defaults)
 
 
-def dead_channel_config(buffer_cap: int) -> SimConfig:
+def dead_channel_config(buffer_cap: int, kind: str = "proposed") -> SimConfig:
     """One saturated user whose zero direct gain never carries a packet, so
-    its backlog passes buffer_cap at slot buffer_cap."""
+    its backlog passes buffer_cap at slot buffer_cap under every rule."""
     return single_user_config(
         sus=(
             SuConfig(
@@ -67,6 +67,7 @@ def dead_channel_config(buffer_cap: int) -> SimConfig:
             ),
         ),
         i_avg=2.0,
+        scheduler=SchedulerKind(kind),
         buffer_cap=buffer_cap,
     )
 
@@ -260,10 +261,11 @@ def test_trace_matches_independent_resimulation():
         assert t.x == x
 
 
-def test_dead_channel_aborts_as_infeasible():
+@pytest.mark.parametrize("kind", SCHEDULER_NAMES)
+def test_dead_channel_aborts_as_infeasible(kind):
     # A zero direct gain can never carry a packet, so the backlog outgrows
     # its safety cap and the run ends with its metrics so far, noted.
-    result = Simulation(dead_channel_config(50)).run_until_converged()
+    result = Simulation(dead_channel_config(50, kind)).run_until_converged()
     assert result.note == "infeasible-load"
     assert not result.converged
     # 50 completed slots; the 51st packet lands before the abort fires.
@@ -394,11 +396,12 @@ def test_observing_keeps_no_records():
     assert peak <= 4 * 2**20
 
 
-def test_observed_abort_matches_stepping():
+@pytest.mark.parametrize("kind", SCHEDULER_NAMES)
+def test_observed_abort_matches_stepping(kind):
     # The buffer overflows at slot 5000, inside the second input block:
     # observe() raises there, as stepping run_slot() does, with the records
     # of the completed slots yielded and the same state left.
-    cfg = dead_channel_config(5000)
+    cfg = dead_channel_config(5000, kind)
     stepped = run_slots(cfg, 5000)
     with pytest.raises(InfeasibleLoadError, match="^backlog exceeded safety cap 5000 at slot 5000$"):
         stepped.run_slot()
@@ -497,11 +500,24 @@ def test_constant_links_take_no_draws(observed):
     assert drawn != substream(3, 1, ROLE_DIRECT).bit_generator.state
 
 
-def test_abort_past_the_first_block_matches_stepping():
+def test_literal_maxweight_keeps_no_raw_rates():
+    # Only phi reads the raw rates, so max-weight keeps none in literal mode,
+    # neither for a constant link nor for a faded link's drawn block.
+    constant = SuConfig(Bernoulli(0.3), 1.5, DeterministicGain(3.0), DeterministicGain(0.5))
+    cfg = SimConfig(sus=(constant, multi_packet_sus()[1]), i_avg=1.0,
+                    scheduler=SchedulerKind("maxweight", PHI_LITERAL), seed=3)
+    sim = Simulation(cfg)
+    sim.run_slot()
+    assert len(sim.sus[1].packets) == BLOCK
+    assert [su.rate for su in sim.sus] == [[], []]
+
+
+@pytest.mark.parametrize("kind", SCHEDULER_NAMES)
+def test_abort_past_the_first_block_matches_stepping(kind):
     # The buffer overflows at slot 5000, inside the second input block and
     # inside run_until_converged's first 10,000-slot advance; stepping
     # run_slot() aborts in the same place with the same state.
-    cfg = dead_channel_config(5000)
+    cfg = dead_channel_config(5000, kind)
     aborted = Simulation(cfg)
     result = aborted.run_until_converged()
     assert result.note == "infeasible-load"

@@ -237,6 +237,12 @@ MALFORMED_ROWS = {
     "lambda-not-a-number": (
         _set_cell(1, "abc"), "2: could not convert string to float: 'abc'"
     ),
+    "lambda-not-finite": (_set_cell(1, "nan"), "2: lambda must be finite, got 'nan'"),
+    # A repeated row would count as one more seed in its figure cell.
+    "repeated-key": (
+        lambda records: records + [records[1]],
+        "14: scheduler maxweight, lambda 0.0, seed 1 repeats line 2",
+    ),
 }
 
 
@@ -405,6 +411,24 @@ class TestCli:
         manifest = json.loads((out / MANIFEST_FILENAME).read_text())
         assert manifest["config_sha256"] == file_sha256(cfg)
         assert manifest["rows_sha256"] == file_sha256(out / ROWS_FILENAME)
+        assert "overrides" not in manifest
+
+    def test_manifest_records_each_flag_as_given(self, tmp_path):
+        # The config digest covers the file alone, so the flags that changed
+        # the run are kept beside it, each value as typed.
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY)
+        out = tmp_path / "o"
+        code = cli.main(["run", "--config", str(cfg), "--out", str(out),
+                         "--schedulers", "maxweight", "--seed", "1", "--max-slots", "1000",
+                         "--phi-mode", "literal", "--epsilon", "1e-2"])
+        assert code == 0
+        manifest = json.loads((out / MANIFEST_FILENAME).read_text())
+        assert manifest["config_sha256"] == file_sha256(cfg)
+        assert manifest["overrides"] == {
+            "sweep.schedulers": "maxweight", "sweep.seeds": "1", "system.max_slots": "1000",
+            "system.phi_mode": "literal", "system.epsilon": "1e-2",
+        }
 
     def test_progress_lines_cover_every_run(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"
