@@ -14,6 +14,7 @@ variable, then the config's output_dir, then ./results.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -134,14 +135,24 @@ def _cmd_figures(args) -> int:
 
 
 def main(argv=None) -> int:
+    """Run the command in argv, or in sys.argv when argv is None, and return
+    its exit status.
+
+    Called without argv, as the console script and ``python -m crsched.cli``
+    call it, main owns the process, which ends when main returns. It then
+    freezes the collector's heap once the outputs are written, so that
+    interpreter shutdown skips the collections over numpy's tracked objects
+    (about 20 ms on a 2-core Linux host). A caller that passes argv keeps
+    its collector as it was."""
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        return _cmd_figures(args)
+        status = _cmd_run(args) if args.command == "run" else _cmd_figures(args)
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 2
+        status = 2
+    if argv is None:
+        gc.freeze()
+    return status
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .config import ExperimentSpec, file_sha256  # file_sha256: digests of rows.csv and configs
-from .engine import RunResult, SimConfig, Simulation
+from .engine import SCHEDULER_NAMES, RunResult, SimConfig, Simulation
 
 SCHEMA_VERSION = 1
 
@@ -165,6 +165,9 @@ def _parse_row(rec: list[str], n_sus: int) -> SweepRow:
     if len(rec) != n_sus + 8:
         raise ValueError(f"expected {n_sus + 8} fields, got {len(rec)}")
     fixed, delays, note = rec[:7], rec[7:7 + n_sus], rec[7 + n_sus]
+    if fixed[0] not in SCHEDULER_NAMES:
+        raise ValueError(f"unknown scheduler {fixed[0]!r}; "
+                         f"expected one of {', '.join(SCHEDULER_NAMES)}")
     if fixed[3] not in ("true", "false"):
         raise ValueError(f"converged must be true or false, got {fixed[3]!r}")
     lam = float(fixed[1])
@@ -184,9 +187,9 @@ def _parse_row(rec: list[str], n_sus: int) -> SweepRow:
 
 
 def read_rows(path) -> list[SweepRow]:
-    """The rows of a rows.csv; a malformed file, one with no rows, or one
-    that repeats a (scheduler, lambda, seed), raises ValueError naming the
-    file."""
+    """The rows of a rows.csv; a malformed file, one with no rows, one that
+    names a scheduler no sweep runs, or one that repeats a (scheduler,
+    lambda, seed), raises ValueError naming the file."""
     import csv
     import io
 

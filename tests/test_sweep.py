@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 import crsched
 from crsched import cli
 from crsched.config import ConfigError, load_spec
+from crsched.engine import SCHEDULER_NAMES
 from crsched.sweep import (
     FIGURES,
     MANIFEST_FILENAME,
@@ -238,6 +240,11 @@ MALFORMED_ROWS = {
         _set_cell(1, "abc"), "2: could not convert string to float: 'abc'"
     ),
     "lambda-not-finite": (_set_cell(1, "nan"), "2: lambda must be finite, got 'nan'"),
+    # A row under an unknown name would fall out of every figure.
+    "unknown-scheduler": (
+        _set_cell(0, "foo"),
+        "2: unknown scheduler 'foo'; expected one of proposed, proposed-nonidling, maxweight",
+    ),
     # A repeated row would count as one more seed in its figure cell.
     "repeated-key": (
         lambda records: records + [records[1]],
@@ -266,6 +273,12 @@ class TestRowsCsv:
             "scheduler,lambda,seed,converged,slots,stability_metric,"
             "interference_avg,su1_delay,su2_delay,note"
         )
+
+    def test_every_scheduler_name_loads(self, tiny_rows, tmp_path):
+        rows = [tiny_rows[0]._replace(scheduler=name) for name in SCHEDULER_NAMES]
+        path = tmp_path / ROWS_FILENAME
+        write_rows(rows, path)
+        assert read_rows(path) == rows
 
     def test_unrecognized_schema_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -398,6 +411,46 @@ def cli_run(tmp_path_factory):
 
 
 class TestCli:
+    @pytest.mark.parametrize("command", ["run", "figures"])
+    def test_in_process_command_leaves_the_heap_unfrozen(self, command, cli_run, tmp_path):
+        # main(argv) returns to a caller that goes on running, such as this
+        # test session, whose collector must keep collecting.
+        cfg, out, _ = cli_run
+        args = {
+            "run": ["run", "--config", str(cfg), "--jobs", "1"],
+            "figures": ["figures", "--rows", str(out / ROWS_FILENAME)],
+        }[command]
+        frozen = gc.get_freeze_count()
+        assert cli.main([*args, "--out", str(tmp_path / "o")]) == 0
+        assert gc.get_freeze_count() == frozen
+
+    def test_cli_import_leaves_the_collector_as_it_found_it(self):
+        done = fresh_python(
+            "import gc\n"
+            "def state():\n"
+            "    return gc.isenabled(), gc.get_threshold(), gc.get_freeze_count()\n"
+            "before = state()\n"
+            "import crsched.cli\n"
+            "print(state() == before, before[2])\n"
+        )
+        assert done.stdout == "True 0\n"
+
+    def test_module_entry_freezes_the_heap_and_writes_the_same_rows(self, cli_run, tmp_path):
+        # As python -m crsched.cli, crsched owns the process, so main freezes
+        # the heap before interpreter shutdown. The first atexit hook
+        # registered runs last, after main has returned.
+        cfg, out, _ = cli_run
+        entry = tmp_path / "entry"
+        done = fresh_python(
+            "import atexit, gc, runpy\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            "runpy.run_module('crsched.cli', run_name='__main__')\n",
+            "run", "--config", str(cfg), "--out", str(entry), "--jobs", "1",
+        )
+        assert done.stdout.endswith(f"wrote {entry / ROWS_FILENAME} (12 rows) and figures to {entry}\n"
+                                    "frozen True\n")
+        assert (entry / ROWS_FILENAME).read_bytes() == (out / ROWS_FILENAME).read_bytes()
+
     def test_run_succeeds_and_writes_outputs(self, cli_run):
         cfg, out, code = cli_run
         assert code == 0
