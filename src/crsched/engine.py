@@ -23,6 +23,12 @@ A slot goes:
 6. metrics are accumulated
 
 Simulation._advance is the only kernel and holds no trace code.
+run_lockstep holds the stopping rule. It runs Simulations that share their
+inputs one block at a time: each block is drawn once, by the first of them
+that reaches it, and every one then runs it and applies the rule.
+run_until_converged is run_lockstep with one Simulation; simulations()
+builds a group, one Simulation per rule on one config, so the rules of a
+sweep point see the same draws.
 Simulation.observe steps it one slot at a time and yields each slot's
 SlotTrace, built from outside from the state and the slot's inputs; it
 keeps none, and it is the only reader of the direct gains.
@@ -37,7 +43,7 @@ A backlog that outgrows its safety cap aborts the run as infeasible-load.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice, repeat, takewhile
 from typing import Iterator, NamedTuple, Sequence
 
@@ -76,6 +82,11 @@ class SchedulerKind:
     @property
     def idling(self) -> bool:
         return self.kind == PROPOSED
+
+    @property
+    def reads_rates(self) -> bool:
+        """Only phi reads the raw rates, and only in literal mode."""
+        return self.kind != MAXWEIGHT and self.phi_mode == PHI_LITERAL
 
 
 def transmission_rate(gamma: float) -> float:
@@ -162,10 +173,8 @@ class SuState(NamedTuple):
     log2(1 + gain) of the direct gains, the whole packets floor(rate) and
     interference gains), and the generators they are drawn from.
 
-    The rates are kept only for the index policy in literal phi mode, their
-    one reader; otherwise that list stays empty. A link with a constant gain
-    has its lists filled once from the scalar rule, when the run is set up,
-    and never redrawn; its generator is never drawn from.
+    The inputs and generators are one user's entry of an _Inputs, the same
+    objects in every Simulation that shares it.
     """
 
     queue: SuQueue
@@ -177,6 +186,47 @@ class SuState(NamedTuple):
     arrival_rng: np.random.Generator
     direct_rng: np.random.Generator
     interference_rng: np.random.Generator
+
+
+class _Inputs(NamedTuple):
+    """Every user's input lists and generators, in SuState's order, and each
+    faded direct link's gains in the current block (None for a constant
+    link), which observe() reads.
+
+    The Simulations of one config under different rules share one, so each
+    block is drawn once for all of them. The rates are kept only if one of
+    them reads them (keep_rates); otherwise those lists stay empty. A link
+    with a constant gain has its lists filled once from the scalar rule and
+    never redrawn; its generator is never drawn from.
+    """
+
+    users: tuple[tuple[list, list, list, list, np.random.Generator, np.random.Generator,
+                       np.random.Generator], ...]
+    direct: list[np.ndarray | None]
+    keep_rates: bool
+
+
+def _inputs(config: SimConfig, keep_rates: bool) -> _Inputs:
+    """Fresh inputs for config's users. One substream per (user, role): a
+    user's draws depend only on the seed and its own index. Drawn BLOCK
+    slots at a time, they give the same values in the same order as one
+    draw per slot."""
+    users = []
+    for i, su in enumerate(config.sus):
+        rate, packets, interference = [], [], []
+        # A constant link's lists hold BLOCK slots, at least as many as any block.
+        if isinstance(su.direct, DeterministicGain):
+            gain = float(su.direct.value)
+            if keep_rates:
+                rate[:] = [transmission_rate(gain)] * BLOCK
+            packets[:] = [int(transmission_rate(gain))] * BLOCK
+        if isinstance(su.interference, DeterministicGain):
+            interference[:] = [float(su.interference.value)] * BLOCK
+        users.append(([], rate, packets, interference,
+                      substream(config.seed, i, ROLE_ARRIVALS),
+                      substream(config.seed, i, ROLE_DIRECT),
+                      substream(config.seed, i, ROLE_INTERFERENCE)))
+    return _Inputs(tuple(users), [None] * len(config.sus), keep_rates)
 
 
 class SlotTrace(NamedTuple):
@@ -239,9 +289,13 @@ class Simulation:
     interference_sum adds up the interference gains charged so far.
     c_y_emp[i], the empirical Y-term of the drift constant, is the largest
     d_i^2 n^2 + (sum W)^2 of user i; no decision reads it.
+
+    Given inputs, as simulations() gives each Simulation of a group, it
+    reads and draws into lists that the whole group shares; such a group is
+    driven by run_lockstep only.
     """
 
-    def __init__(self, config: SimConfig):
+    def __init__(self, config: SimConfig, inputs: _Inputs | None = None):
         self.config = config
         n = len(config.sus)
         self.x = 0.0
@@ -251,37 +305,20 @@ class Simulation:
         # longest single-packet wait (0 until one departs).
         self._c_y_multi = [0.0] * n
         self._w1_max = [0] * n
-        # Each faded direct link's gains in the current block; observe() reads them.
-        self._direct: list[np.ndarray | None] = [None] * n
         self.slot = 0
         # The next slot's index into the inputs, and the block's length;
         # _advance draws the next block when the first reaches the second.
         self._pos = self._len = 0
         sched = config.scheduler
-        self._maxweight = maxweight = sched.kind == MAXWEIGHT
+        self._maxweight = sched.kind == MAXWEIGHT
         self._idling = sched.idling
-        # Only phi reads the raw rates, and only in literal mode.
-        self._literal = literal = not maxweight and sched.phi_mode == PHI_LITERAL
-        # One substream per (user, role): a user's draws depend only on the
-        # seed and its own index. Drawn BLOCK slots at a time, they give the
-        # same values in the same order as one draw per slot.
-        sus, constant, self._scan = [], [], []
+        self._literal = sched.reads_rates
+        if inputs is None:
+            inputs = _inputs(config, self._literal)
+        self._direct, self._keep_rates = inputs.direct, inputs.keep_rates
+        sus, self._scan = [], []
         for i, su in enumerate(config.sus):
-            state = SuState(
-                SuQueue(su.arrivals), su.delay_bound, [], [], [], [],
-                substream(config.seed, i, ROLE_ARRIVALS),
-                substream(config.seed, i, ROLE_DIRECT),
-                substream(config.seed, i, ROLE_INTERFERENCE),
-            )
-            # A constant link's lists come from the scalar rule, once; they
-            # hold BLOCK slots, at least as many as any block.
-            gain = float(su.direct.value) if isinstance(su.direct, DeterministicGain) else None
-            if gain is not None:
-                if literal:
-                    state.rate[:] = [transmission_rate(gain)] * BLOCK
-                state.packets[:] = [int(transmission_rate(gain))] * BLOCK
-            if isinstance(su.interference, DeterministicGain):
-                state.interference[:] = [float(su.interference.value)] * BLOCK
+            state = SuState(SuQueue(su.arrivals), su.delay_bound, *inputs.users[i])
             # The scan reads a user's FIFO, arrivals and interference gains
             # under every rule, then what the departure step reads of it if
             # it is served, then what only phi reads. The lists are refilled
@@ -291,10 +328,10 @@ class Simulation:
                                (i, state.queue, fifo, su.delay_bound, state.packets, state.interference),
                                (state.packets, state.rate, su.delay_bound, i)))
             sus.append(state)
-            constant.append(gain)
         self.sus = tuple(sus)
         # Each constant direct link's gain, None for a faded one.
-        self._constant_direct = tuple(constant)
+        self._constant_direct = tuple(float(su.direct.value) if isinstance(su.direct, DeterministicGain)
+                                      else None for su in config.sus)
 
     @property
     def c_y_emp(self) -> tuple[float, ...]:
@@ -318,16 +355,18 @@ class Simulation:
 
     def _fill_block(self) -> None:
         """Replace every user's drawn inputs with those of the next slots from
-        self.slot on: BLOCK of them, or fewer if the segment ends first."""
+        self.slot on: BLOCK of them, or fewer if the segment ends first.
+        Each call draws a new block, into the lists that every Simulation
+        sharing these inputs reads."""
         self._len = n = min(BLOCK, self._segment())
-        literal = self._literal
+        keep_rates = self._keep_rates
         for i, (su, state) in enumerate(zip(self.config.sus, self.sus)):
             state.arrivals[:] = su.arrivals.counts(state.arrival_rng.random(n)).tolist()
             if not isinstance(su.direct, DeterministicGain):
                 direct = self._direct[i] = su.direct.sample_block(state.direct_rng, n)
                 # numpy's float64 add rounds as Python's does in transmission_rate.
                 one_plus = 1.0 + direct
-                if literal:
+                if keep_rates:
                     state.rate[:] = map(math.log2, one_plus.tolist())
                 state.packets[:] = whole_packets(one_plus)
             if not isinstance(su.interference, DeterministicGain):
@@ -513,17 +552,7 @@ class Simulation:
     def run_until_converged(self) -> RunResult:
         """Run to the stopping rule or max_slots. A backlog that outgrows its
         cap ends the run too, as an unconverged result noted infeasible-load."""
-        cfg = self.config
-        try:
-            while self.slot < cfg.max_slots:
-                self._advance(self._segment())
-                if self.slot % cfg.check_interval == 0:
-                    metric = self.stability_metric()
-                    if metric < cfg.epsilon:
-                        return self._finalize(True, metric)
-        except InfeasibleLoadError:
-            return self._finalize(False, self.stability_metric(), note="infeasible-load")
-        return self._finalize(False, self.stability_metric())
+        return run_lockstep((self,))[0]
 
     def _drift_summary(self, terminal_q: tuple[int, ...]) -> DriftSummary:
         """Empirical drift statistics against the per-run deterministic bound."""
@@ -560,3 +589,48 @@ class Simulation:
             self.x, tuple(self.y), terminal_q,
             self._drift_summary(terminal_q) if slots else None, note,
         )
+
+
+def simulations(config: SimConfig, kinds: Sequence[SchedulerKind]) -> list[Simulation]:
+    """One Simulation of config per rule in kinds, in that order, all on one
+    set of inputs; they keep the raw rates if any of them reads them."""
+    inputs = _inputs(config, any(kind.reads_rates for kind in kinds))
+    return [Simulation(replace(config, scheduler=kind), inputs) for kind in kinds]
+
+
+def run_lockstep(sims: Sequence[Simulation]) -> list[RunResult]:
+    """Run each of sims, which share their inputs and stand at one slot, to
+    the stopping rule or max_slots, and return their results in order.
+
+    They advance together, to the end of one input block at a time. The
+    first still running draws each block, so a block is drawn once, and
+    only while a run needs it. After a block every run that ends at a
+    check tests its metric and stops once it falls below epsilon; a run
+    stops at max_slots too, and a backlog that outgrows its cap ends it as
+    an unconverged result noted infeasible-load. A block never passes a
+    check or max_slots, so every run stops where it would alone.
+    """
+    config = sims[0].config
+    results: list[RunResult | None] = [None] * len(sims)
+    running = [k for k, sim in enumerate(sims) if sim.slot < config.max_slots]
+    while running:
+        lead = sims[running[0]]
+        if lead._pos == lead._len:
+            lead._fill_block()
+            for k in running:
+                sims[k]._pos, sims[k]._len = 0, lead._len
+        count = lead._len - lead._pos
+        for k in running:
+            sim = sims[k]
+            try:
+                sim._advance(count)
+            except InfeasibleLoadError:
+                results[k] = sim._finalize(False, sim.stability_metric(), note="infeasible-load")
+                continue
+            if sim.slot % config.check_interval == 0:
+                metric = sim.stability_metric()
+                if metric < config.epsilon:
+                    results[k] = sim._finalize(True, metric)
+        running = [k for k in running if results[k] is None and sims[k].slot < config.max_slots]
+    return [sim._finalize(False, sim.stability_metric()) if result is None else result
+            for sim, result in zip(sims, results)]

@@ -1,8 +1,10 @@
 """Load-sweep orchestration and plot-data emission.
 
 One run per (scheduler, lambda, seed), every user driven at the same
-arrival rate. Rows are keyed and ordered by that triple, so output is
-independent of execution order and parallelism degree. All numeric cells
+arrival rate. The rules of one (lambda, seed) run together, on one set of
+draws (engine.run_lockstep), as one task; tasks run heaviest load first.
+Rows are keyed and ordered by the triple, so output is independent of
+execution order and parallelism degree. All numeric cells
 are written with full round-trip precision (repr), which makes reruns
 byte-comparable.
 
@@ -18,11 +20,12 @@ import json
 import math
 import os
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
 from .config import ExperimentSpec, file_sha256  # file_sha256: digests of rows.csv and configs
-from .engine import SCHEDULER_NAMES, RunResult, SimConfig, Simulation
+from .engine import SCHEDULER_NAMES, RunResult, SchedulerKind, SimConfig, Simulation, run_lockstep, simulations
 
 SCHEMA_VERSION = 1
 
@@ -73,11 +76,24 @@ def run_point(config: SimConfig) -> RunResult:
     return Simulation(config).run_until_converged()
 
 
+def run_rules(config: SimConfig, kinds: list[SchedulerKind]) -> list[RunResult]:
+    """The sweep cells of every rule in kinds at config's (lambda, seed),
+    in that order, run in lockstep on one set of draws; each result equals
+    run_point's for that rule."""
+    return run_lockstep(simulations(config, kinds))
+
+
 def sweep_results(
     spec: ExperimentSpec, jobs: int | None = None, progress=None
 ) -> list[tuple[tuple[str, float, int], RunResult]]:
     """All sweep cells in deterministic (scheduler, lambda, seed) order, run
-    in ``jobs`` processes (None: one per CPU this process may run on)."""
+    in ``jobs`` processes (None: one per CPU this process may run on).
+
+    Each task is one (lambda, seed) with every rule. Tasks run in
+    descending lambda, then ascending seed: the heaviest loads run longest,
+    so a pool that starts them last ends on them. ``progress`` sees each
+    cell as its task finishes, in that order, the rules of a task in
+    scheduler order, whatever ``jobs`` is."""
     if jobs is None:
         # os.cpu_count() counts every CPU of the host, also those this
         # process may not run on; it stands in where affinity is unknown.
@@ -88,24 +104,27 @@ def sweep_results(
     elif jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     points = sweep_points(spec)
-    kinds = {sched.kind: sched for sched in spec.schedulers}
-    configs = [point_config(spec, kinds[k], lam, seed) for k, lam, seed in points]
+    kinds = sorted(spec.schedulers, key=lambda sched: sched.kind)
+    tasks = [(lam, seed) for lam in sorted(spec.lambda_grid, reverse=True) for seed in sorted(spec.seeds)]
+    configs = [point_config(spec, kinds[0], lam, seed) for lam, seed in tasks]
 
-    def collect(results):
-        out = []
-        for point, result in zip(points, results):
-            out.append((point, result))
-            if progress is not None:
-                progress(point, result, len(points))
-        return out
+    def collect(task_results):
+        done = {}
+        for (lam, seed), results in zip(tasks, task_results):
+            for sched, result in zip(kinds, results):
+                point = (sched.kind, lam, seed)
+                done[point] = result
+                if progress is not None:
+                    progress(point, result, len(points))
+        return [(point, done[point]) for point in points]
 
     if jobs == 1 or len(configs) <= 1:
-        return collect(map(run_point, configs))
+        return collect(map(run_rules, configs, repeat(kinds)))
     # Imported here: the pool's modules cost a serial run start-up time and memory.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
-        return collect(pool.map(run_point, configs))
+        return collect(pool.map(run_rules, configs, repeat(kinds)))
 
 
 def rows_from_results(results) -> list[SweepRow]:

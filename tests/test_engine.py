@@ -17,6 +17,8 @@ from crsched.engine import (
     SimConfig,
     SlotTrace,
     SuConfig,
+    run_lockstep,
+    simulations,
     stability_metric,
     transmission_rate,
     whole_packets,
@@ -532,6 +534,56 @@ def test_abort_past_the_first_block_matches_stepping(kind):
     assert (aborted.slot, aborted.x, aborted.y) == (stepped.slot, stepped.x, stepped.y)
     assert accumulators(aborted) == accumulators(stepped)
     assert queue_state(aborted) == queue_state(stepped)
+
+
+def lockstep_group(case: str) -> tuple[SimConfig, list[SchedulerKind]]:
+    """A config and the rules of a group, in the order they run."""
+    spec = load_spec(shipped_config("table1.cfg"))
+    table1 = replace(point_config(spec, spec.schedulers[0], 0.36, 1), max_slots=30_000)
+    faded = SimConfig(sus=multi_packet_sus(), i_avg=0.3, scheduler=SchedulerKind("proposed"), seed=8,
+                      max_slots=2 * BLOCK + 1000, check_interval=3000)
+    if case == "table1":
+        # Both index rules converge at the first check, max-weight runs to max_slots.
+        return table1, [SchedulerKind(kind) for kind in sorted(SCHEDULER_NAMES)]
+    if case == "abort":
+        # The idling rule, which draws first, starves SU 1 past the buffer
+        # cap in the second block; the others run on and converge.
+        config = replace(point_config(spec, spec.schedulers[0], 0.2, 1), max_slots=30_000, buffer_cap=1000)
+        return config, [SchedulerKind(kind) for kind in SCHEDULER_NAMES]
+    if case == "literal":
+        # Max-weight draws, and reads no rates, but the index rules do.
+        return faded, [SchedulerKind(kind, PHI_LITERAL) for kind in sorted(SCHEDULER_NAMES)]
+    # Multi-packet slots; the idling rule converges at the first check, the
+    # others run to a max_slots between two checks.
+    return faded, [SchedulerKind(kind) for kind in sorted(SCHEDULER_NAMES)]
+
+
+def generator_states(sim: Simulation):
+    return [[rng.bit_generator.state for rng in su[-3:]] for su in sim.sus]
+
+
+@pytest.mark.parametrize("case", ["table1", "abort", "literal", "faded"])
+def test_lockstep_group_matches_each_rule_alone(case):
+    # Rules that share their inputs each end as they would alone, in their
+    # result and in their whole end state, and the shared generators have
+    # drawn exactly what the longest of them draws alone, stepped slot by
+    # slot to where it stopped: no block twice, and none skipped.
+    config, kinds = lockstep_group(case)
+    group = simulations(config, kinds)
+    results = run_lockstep(group)
+    alone = [Simulation(replace(config, scheduler=kind)) for kind in kinds]
+    assert results == [sim.run_until_converged() for sim in alone]
+    for together, sim in zip(group, alone):
+        assert (together.slot, together.x, together.y) == (sim.slot, sim.x, sim.y)
+        assert accumulators(together) == accumulators(sim)
+        assert queue_state(together) == queue_state(sim)
+    assert len({result.slots for result in results}) > 1
+    longest = max(alone, key=lambda sim: sim.slot)
+    stepped = run_slots(longest.config, longest.slot)
+    assert all(generator_states(sim) == generator_states(stepped) for sim in [*group, longest])
+    if case == "abort":
+        assert [result.note for result in results] == ["infeasible-load", "", ""]
+        assert BLOCK < results[0].slots < 2 * BLOCK
 
 
 class TestDriftDiagnostics:

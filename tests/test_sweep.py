@@ -206,10 +206,15 @@ class TestSweep:
         assert done.stdout == "2\n"
 
     def test_progress_callback_sees_every_point(self, tiny_spec):
+        # Points are reported as they finish: heaviest load first, then by
+        # seed, and the rules of one (lambda, seed) in scheduler order.
         seen = []
         sweep_results(tiny_spec, jobs=1,
                       progress=lambda point, result, total: seen.append((point, total)))
-        assert [p for p, _ in seen] == sweep_points(tiny_spec)
+        order = [(kind, lam, seed) for lam in (0.2, 0.1, 0.0) for seed in (1, 2)
+                 for kind in ("maxweight", "proposed")]
+        assert sorted(order) == sweep_points(tiny_spec)
+        assert [p for p, _ in seen] == order
         assert all(total == 12 for _, total in seen)
 
     def test_aborted_point_becomes_noted_result(self, tmp_path):
@@ -490,8 +495,25 @@ class TestCli:
                          "--schedulers", "maxweight", "--seed", "1"])
         assert code == 0
         lines = capsys.readouterr().out.splitlines()
-        assert sum("maxweight lambda=" in l for l in lines) == 3
-        assert lines[0].startswith("[1/3] maxweight lambda=0 seed=1:")
+        assert len(lines) == 4 and lines[3].startswith("wrote ")
+        assert [line.split(":")[0] for line in lines[:3]] == [
+            "[1/3] maxweight lambda=0.2 seed=1",
+            "[2/3] maxweight lambda=0.1 seed=1",
+            "[3/3] maxweight lambda=0 seed=1",
+        ]
+
+    def test_progress_lines_do_not_depend_on_jobs(self, tmp_path, capsys):
+        # Tasks report in the order they were submitted, so a pool prints
+        # what a serial run prints, line for line.
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(TINY)
+        out = {}
+        for jobs in ("1", "2"):
+            code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", jobs])
+            assert code == 0
+            out[jobs] = capsys.readouterr().out
+        assert out["1"] == out["2"]
+        assert len(out["1"].splitlines()) == 13
 
     def test_overrides_shrink_the_sweep(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"
