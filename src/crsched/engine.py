@@ -16,7 +16,8 @@ A slot goes:
 
 1. each user's arrivals join its queue (and may depart in the same slot)
 2. if backlogged, its metric is scored: Q/g for max-weight, or the index phi
-   from the fields only phi reads
+   from the fields only phi reads; phi's delay terms, and the head packets'
+   waiting times they need, are scored only when Y_i > 0
 3. the chosen user's head packets depart, n = min(Q, floor(rate))
 4. its delay accumulator Y_i absorbs the departures' excess over d_i
 5. the interference accumulator X absorbs the slot's gain (0 on idle) - I_avg
@@ -313,6 +314,9 @@ class Simulation:
         self._maxweight = sched.kind == MAXWEIGHT
         self._idling = sched.idling
         self._literal = sched.reads_rates
+        # Each slot's best value starts here: any weight beats it under
+        # max-weight, any index under the index policy.
+        self._start_v = -math.inf if self._maxweight else math.inf
         if inputs is None:
             inputs = _inputs(config, self._literal)
         self._direct, self._keep_rates = inputs.direct, inputs.keep_rates
@@ -435,7 +439,7 @@ class Simulation:
         scan = self._scan
         maxweight, idling, literal = self._maxweight, self._idling, self._literal
         inf = math.inf
-        start_v = -inf if maxweight else inf
+        start_v = self._start_v
         x, slot, pos, length = self.x, self.slot, self._pos, self._len
         interference_sum = self.interference_sum
         end = slot + count
@@ -479,18 +483,26 @@ class Simulation:
                         n = packets[pos]
                         if n > q:
                             n = q
-                        # The departing packets' waiting-time sum, an exact integer.
-                        if n == 1:
-                            w_sum = slot1 - fifo[0]
-                        elif n:
-                            w_sum = n * slot1 - sum(islice(fifo, n))
-                        else:
-                            w_sum = 0
                         # phi = X g + Y sum(W) - (Y d + Q) r, where r is the packet
                         # count (actual mode) or the raw rate (literal mode).
                         y_i = y[i]
-                        v = (x * interference[pos] + y_i * w_sum
-                             - (y_i * d + q) * (rates[pos] if literal else n))
+                        if y_i:
+                            # The departing packets' waiting-time sum, an exact integer.
+                            if n == 1:
+                                w_sum = slot1 - fifo[0]
+                            elif n == 2:
+                                # The commonest batch above one reads its head directly.
+                                w_sum = 2 * slot1 - fifo[0] - fifo[1]
+                            elif n:
+                                w_sum = n * slot1 - sum(islice(fifo, n))
+                            else:
+                                w_sum = 0
+                            v = (x * interference[pos] + y_i * w_sum
+                                 - (y_i * d + q) * (rates[pos] if literal else n))
+                        else:
+                            # Y = +0.0 zeroes both delay terms exactly; only the sign of
+                            # a zero phi can differ, which no comparison below sees.
+                            v = x * interference[pos] - q * (rates[pos] if literal else n)
                         if v < best_v:
                             best_served, best_v, best_n = served, v, n
                     if idling and best_v > 0.0:

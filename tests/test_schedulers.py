@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from crsched.engine import (
     MAXWEIGHT,
@@ -15,6 +15,26 @@ from crsched.engine import (
 
 from conftest import Staged, staged_sim
 from oracles import phi_value
+
+
+def expected_index_choice(kind, phi_mode, users, x, slot):
+    """The index policy's choice on a staged slot, from phi_value alone:
+    the smallest phi, ties to the lowest index; the idling rule idles when
+    that minimum is positive."""
+    scores = {}
+    for i, u in enumerate(users):
+        if not u.fifo:
+            continue
+        q = len(u.fifo)
+        rate = transmission_rate(u.direct)
+        n = min(q, math.floor(rate))
+        w_sum = float(sum(slot + 1 - a for a in u.fifo[:n]))
+        scores[i] = phi_value(q, u.y, u.d, x, u.interference, w_sum,
+                              rate if phi_mode == PHI_LITERAL else float(n))
+    best = min(scores, key=lambda i: (scores[i], i), default=None)
+    if best is not None and kind == PROPOSED and scores[best] > 0.0:
+        return None
+    return best
 
 
 def index_choice(phis, x=1.0):
@@ -224,6 +244,76 @@ class TestDecideProposed:
         assert t.su == 0
         assert t.waiting_times == (4, 3)
         assert list(sim.sus[0].queue.fifo) == [3]
+
+
+# Staged slots (X, slot, users) that take every branch of the index scoring:
+# Y_i = 0 and Y_i > 0, X = 0 and X > 0, direct gains 0.5, 1, 3 and 7 (0 to 3
+# packets), FIFOs shorter than the link's packets, an interference gain of
+# -0.0, ties, and minima above, at and below 0.
+STAGED_SLOTS = {
+    "y0-x0-one-packet": (0.0, 3, [Staged(fifo=(1, 2)), Staged(fifo=(0,), interference=0.2)]),
+    "y0-no-packet": (4.0, 1, [Staged(fifo=(0,), direct=0.5, interference=0.3),
+                              Staged(fifo=(0,), direct=0.5, interference=0.2)]),
+    "y0-packets-capped-by-fifo": (1.0, 2, [Staged(fifo=(0, 1), direct=7.0, interference=0.5),
+                                           Staged(fifo=(0, 0, 1, 1), direct=3.0, interference=1.0)]),
+    # phi_0 = 0 + 7 - (1.5 + 2) 2 = 0 < phi_1 = 1; a wrong two-packet wait sum flips it.
+    "y-two-packets": (2.0, 4, [Staged(fifo=(0, 3), y=1.0, direct=3.0, interference=0.0),
+                               Staged(fifo=(3,), direct=0.5, interference=0.5)]),
+    "y-one-packet": (1.0, 5, [Staged(fifo=(2, 3, 4), y=2.0, interference=0.5),
+                              Staged(fifo=(4,), y=0.5, direct=7.0, interference=0.6)]),
+    # phi_0 = 9 - (1.5 + 4) 3 = -7.5 < phi_1 = -6; a wrong three-packet wait sum flips it.
+    "y-three-packets": (0.0, 3, [Staged(fifo=(0, 1, 2, 3), y=1.0, direct=7.0),
+                                 Staged(fifo=(3, 3, 3), direct=3.0)]),
+    "y-two-packets-capped-by-fifo": (0.0, 3, [Staged(fifo=(1,), direct=7.0),
+                                              Staged(fifo=(0, 2), y=0.75, d=0.5, direct=7.0)]),
+    "y-no-packet": (0.0, 1, [Staged(fifo=(0,), y=3.0, direct=0.5)]),
+    "minus-zero-gain-y0": (3.0, 1, [Staged(fifo=(0,), direct=0.5, interference=-0.0)]),
+    "minus-zero-gain-x0": (0.0, 1, [Staged(fifo=(0,), direct=0.5, interference=-0.0)]),
+    "minus-zero-gain-y": (3.0, 1, [Staged(fifo=(0,), y=1.0, direct=0.5, interference=-0.0),
+                                   Staged(fifo=(0,), direct=0.5, interference=0.1)]),
+    # -0.0 from Y = 0 ties +0.0 from Y > 0, in either order.
+    "zero-tie-y0-first": (1.0, 1, [Staged(fifo=(0,), direct=0.5, interference=-0.0),
+                                   Staged(fifo=(0,), y=2.0, direct=0.5, interference=0.0)]),
+    "zero-tie-y0-second": (1.0, 1, [Staged(fifo=(0,), y=2.0, direct=0.5, interference=0.0),
+                                    Staged(fifo=(0,), direct=0.5, interference=-0.0)]),
+    "tie-y": (1.0, 2, [Staged(fifo=(1,), y=0.5), Staged(fifo=(1,), y=0.5)]),
+    "tie-y0-after-empty": (1.0, 2, [Staged(), Staged(fifo=(1,)), Staged(fifo=(1,))]),
+    "minimum-positive": (10.0, 3, [Staged(fifo=(0, 1, 2), y=0.5, d=0.5, interference=0.3),
+                                   Staged(fifo=(2,), direct=0.5, interference=0.2)]),
+}
+
+
+@pytest.mark.parametrize("kind", [PROPOSED, PROPOSED_NONIDLING])
+@pytest.mark.parametrize("phi_mode", [PHI_ACTUAL, PHI_LITERAL])
+@pytest.mark.parametrize("case", STAGED_SLOTS)
+def test_index_choice_follows_phi(case, phi_mode, kind):
+    x, slot, users = STAGED_SLOTS[case]
+    sim = staged_sim(kind, *users, x=x, slot=slot, phi_mode=phi_mode)
+    assert sim.run_slot() == expected_index_choice(kind, phi_mode, users, x, slot)
+
+
+staged_users = st.builds(
+    lambda arrivals, y, d, direct, interference: Staged(
+        fifo=tuple(sorted(arrivals)), y=y, d=d, direct=direct, interference=interference),
+    st.lists(st.integers(min_value=0, max_value=9), max_size=4),
+    st.one_of(st.sampled_from([0.0, 0.25, 1.0, 2.5]), st.floats(min_value=0.0, max_value=5.0)),
+    st.sampled_from([0.5, 1.5, 4.0]),
+    st.sampled_from([0.5, 1.0, 3.0, 7.0]),
+    st.sampled_from([-0.0, 0.0, 0.1, 0.4, 2.0]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    users=st.lists(staged_users, min_size=1, max_size=3),
+    x=st.one_of(st.sampled_from([0.0, 0.5, 2.0]), st.floats(min_value=0.0, max_value=5.0)),
+    kind=st.sampled_from([PROPOSED, PROPOSED_NONIDLING]),
+    phi_mode=st.sampled_from([PHI_ACTUAL, PHI_LITERAL]),
+)
+def test_index_choice_follows_phi_on_random_slots(users, x, kind, phi_mode):
+    # Every packet arrived by slot 9, so slot 10 gives waits of 2 to 11.
+    sim = staged_sim(kind, *users, x=x, slot=10, phi_mode=phi_mode)
+    assert sim.run_slot() == expected_index_choice(kind, phi_mode, users, x, 10)
 
 
 class TestDecideMaxWeight:
