@@ -314,9 +314,6 @@ class Simulation:
         self._maxweight = sched.kind == MAXWEIGHT
         self._idling = sched.idling
         self._literal = sched.reads_rates
-        # Each slot's best value starts here: any weight beats it under
-        # max-weight, any index under the index policy.
-        self._start_v = -math.inf if self._maxweight else math.inf
         if inputs is None:
             inputs = _inputs(config, self._literal)
         self._direct, self._keep_rates = inputs.direct, inputs.keep_rates
@@ -439,7 +436,7 @@ class Simulation:
         scan = self._scan
         maxweight, idling, literal = self._maxweight, self._idling, self._literal
         inf = math.inf
-        start_v = self._start_v
+        start_v = -inf if maxweight else inf
         x, slot, pos, length = self.x, self.slot, self._pos, self._len
         interference_sum = self.interference_sum
         end = slot + count
@@ -490,9 +487,6 @@ class Simulation:
                             # The departing packets' waiting-time sum, an exact integer.
                             if n == 1:
                                 w_sum = slot1 - fifo[0]
-                            elif n == 2:
-                                # The commonest batch above one reads its head directly.
-                                w_sum = 2 * slot1 - fifo[0] - fifo[1]
                             elif n:
                                 w_sum = n * slot1 - sum(islice(fifo, n))
                             else:
