@@ -38,8 +38,9 @@ error names the key's file line or the override. A value's range rule lives
 in the constructor that takes it (SimConfig, SuConfig, SchedulerKind, ...):
 the file reports that rule's message at the key, and checks only its own
 syntax, n_sus, the lambda grid and distinct lists. Keys and sections that
-are never read are rejected. The lambda grid is generated in decimal, so its
-points are the cleanest floats for their spellings (0.06, not 0.060000...5).
+are never read are rejected. The lambda grid is generated in exact decimal,
+so its points are the cleanest floats for their spellings (0.06, not
+0.060000...5), and a grid of two or more points must have distinct floats.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import replace
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, localcontext
 from functools import partial
 from pathlib import Path
 from typing import Mapping, NamedTuple
@@ -183,7 +184,19 @@ def _number(raw, convert=float, kind="a number"):
 
 
 _integer = partial(_number, convert=int, kind="an integer")
-_decimal = partial(_number, convert=lambda raw: Decimal(str(raw)))
+
+# Grid sums, products and whole quotients take as many digits as they need.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def _decimal(raw) -> Decimal:
+    """raw as an exact decimal whose float, finite by _number, is nonzero
+    unless raw is 0: the grid's points are floats, and exact arithmetic on
+    such values stays within a few hundred digits of their spellings."""
+    value = _number(raw, convert=lambda raw: Decimal(str(raw)))
+    if value and not float(value):
+        raise ValueError(f"expected a number within float range, got {raw!r}")
+    return value
 
 
 def _grid_start(raw) -> Decimal:
@@ -205,19 +218,29 @@ def _grid_last(lo: Decimal, hi: str | Decimal, step: Decimal) -> Decimal:
     hi = _decimal(hi)
     if hi < lo:
         raise ValueError("lambda grid is empty: max below min")
-    return lo + (hi - lo) // step * step
+    with localcontext(_EXACT):
+        return lo + (hi - lo) // step * step
+
+
+def _grid_size(lo: Decimal, last: Decimal, step: Decimal) -> int:
+    """The number of points from lo to the grid's last point, counted exactly.
+    Two or more must be distinct floats: a step wider than the float spacing
+    at the last point keeps every two neighbours apart after rounding."""
+    with localcontext(_EXACT):
+        size = int((last - lo) // step) + 1
+    spacing = math.ulp(float(last))
+    if size > 1 and step <= Decimal(spacing):
+        raise ValueError(f"lambda step must exceed the float spacing {spacing!r} at the grid's last point "
+                         f"{float(last)!r}, so that its points are distinct floats")
+    return size
 
 
 def lambda_grid(lo: str | Decimal, hi: str | Decimal, step: str | Decimal) -> tuple[float, ...]:
-    """Inclusive arithmetic grid computed in decimal for clean float values."""
+    """Inclusive arithmetic grid computed in exact decimal for clean float values."""
     step, lo = _grid_step(step), _grid_start(lo)
-    hi = _grid_last(lo, hi, step)
-    grid = []
-    v = lo
-    while v <= hi:
-        grid.append(float(v))
-        v += step
-    return tuple(grid)
+    last = _grid_last(lo, hi, step)
+    with localcontext(_EXACT):
+        return tuple(float(lo + k * step) for k in range(_grid_size(lo, last, step)))
 
 
 _CHANNELS = {"deterministic": (DeterministicGain, "value"), "rayleigh": (RayleighGain, "mean")}
@@ -317,6 +340,10 @@ def load_spec(path, overrides: Mapping[tuple[str, str], str] | None = None) -> E
     lo = loader.value("sweep", "lambda_min", _grid_start)
     step = loader.value("sweep", "lambda_step", _grid_step)
     last = loader.value("sweep", "lambda_max", lambda hi: _grid_last(lo, hi, step))
+    try:
+        _grid_size(lo, last, step)
+    except ValueError as err:
+        loader.fail("sweep", "lambda_step", str(err))
     a_max = min(su.arrivals.a_max for su in sus)
     # Checked before the grid is built, whose length is (max - min) / step.
     if float(last) > a_max:

@@ -23,10 +23,12 @@ A slot goes:
 5. the interference accumulator X absorbs the slot's gain (0 on idle) - I_avg
 6. metrics are accumulated
 
-Simulation._advance is the only kernel and holds no trace code.
+Simulation._advance is the only kernel and holds no trace code; it runs
+within the drawn block. run_slot(), observe() and run_lockstep ask
+_block_left for the slots left in it, which draws the next when none are.
 run_lockstep holds the stopping rule. It runs Simulations that share their
 inputs one block at a time: each block is drawn once, by the first of them
-that reaches it, and every one then runs it and applies the rule.
+that finds the last spent, and every one then runs it and applies the rule.
 run_until_converged is run_lockstep with one Simulation; simulations()
 builds a group, one Simulation per rule on one config, so the rules of a
 sweep point see the same draws.
@@ -189,10 +191,11 @@ class SuState(NamedTuple):
     interference_rng: np.random.Generator
 
 
-class _Inputs(NamedTuple):
-    """Every user's input lists and generators, in SuState's order, and each
+@dataclass(eq=False)
+class _Inputs:
+    """Every user's input lists and generators, in SuState's order, each
     faded direct link's gains in the current block (None for a constant
-    link), which observe() reads.
+    link), which observe() reads, and the block's first slot and length.
 
     The Simulations of one config under different rules share one, so each
     block is drawn once for all of them. The rates are kept only if one of
@@ -205,6 +208,8 @@ class _Inputs(NamedTuple):
                        np.random.Generator], ...]
     direct: list[np.ndarray | None]
     keep_rates: bool
+    start: int = 0
+    length: int = 0
 
 
 def _inputs(config: SimConfig, keep_rates: bool) -> _Inputs:
@@ -307,16 +312,13 @@ class Simulation:
         self._c_y_multi = [0.0] * n
         self._w1_max = [0] * n
         self.slot = 0
-        # The next slot's index into the inputs, and the block's length;
-        # _advance draws the next block when the first reaches the second.
-        self._pos = self._len = 0
         sched = config.scheduler
         self._maxweight = sched.kind == MAXWEIGHT
         self._idling = sched.idling
         self._literal = sched.reads_rates
         if inputs is None:
             inputs = _inputs(config, self._literal)
-        self._direct, self._keep_rates = inputs.direct, inputs.keep_rates
+        self._inputs, self._direct = inputs, inputs.direct
         sus, self._scan = [], []
         for i, su in enumerate(config.sus):
             state = SuState(SuQueue(su.arrivals), su.delay_bound, *inputs.users[i])
@@ -344,41 +346,44 @@ class Simulation:
         return tuple(c if w == 0 else max(c, su.delay_bound * su.delay_bound + w * w)
                      for c, w, su in zip(self._c_y_multi, self._w1_max, self.sus))
 
-    def _segment(self) -> int:
-        """Slots from self.slot to the next check, or to max_slots if that
-        comes first. Past max_slots, reachable only by stepping run_slot(),
-        a segment ends at the next check, so none is empty."""
-        config = self.config
+    def _fill_block(self) -> None:
+        """Draw every user's inputs for the slots from self.slot on, into the
+        lists that every Simulation sharing them reads: BLOCK slots, or fewer
+        if the next check or max_slots comes first. Past max_slots, reached
+        only by stepping run_slot() or observe(), the next check ends it."""
+        config, inputs = self.config, self._inputs
         n = config.check_interval - self.slot % config.check_interval
         if self.slot < config.max_slots:
             n = min(n, config.max_slots - self.slot)
-        return n
-
-    def _fill_block(self) -> None:
-        """Replace every user's drawn inputs with those of the next slots from
-        self.slot on: BLOCK of them, or fewer if the segment ends first.
-        Each call draws a new block, into the lists that every Simulation
-        sharing these inputs reads."""
-        self._len = n = min(BLOCK, self._segment())
-        keep_rates = self._keep_rates
-        for i, (su, state) in enumerate(zip(self.config.sus, self.sus)):
+        n = min(BLOCK, n)
+        inputs.start, inputs.length = self.slot, n
+        for i, (su, state) in enumerate(zip(config.sus, self.sus)):
             state.arrivals[:] = su.arrivals.counts(state.arrival_rng.random(n)).tolist()
             if not isinstance(su.direct, DeterministicGain):
                 direct = self._direct[i] = su.direct.sample_block(state.direct_rng, n)
                 # numpy's float64 add rounds as Python's does in transmission_rate.
                 one_plus = 1.0 + direct
-                if keep_rates:
+                if inputs.keep_rates:
                     state.rate[:] = map(math.log2, one_plus.tolist())
                 state.packets[:] = whole_packets(one_plus)
             if not isinstance(su.interference, DeterministicGain):
                 state.interference[:] = su.interference.sample_block(state.interference_rng, n).tolist()
 
+    def _block_left(self) -> int:
+        """Slots of the drawn block from self.slot on; if none are left, the
+        next block is drawn first. The only caller of _fill_block."""
+        inputs = self._inputs
+        if inputs.start + inputs.length <= self.slot:
+            self._fill_block()
+        return inputs.start + inputs.length - self.slot
+
     def run_slot(self) -> int | None:
         """Advance one slot; return the scheduled user, None on idle."""
+        self._block_left()
         return self._advance(1)
 
     def observe(self, count: int) -> Iterator[SlotTrace]:
-        """Run up to ``count`` slots as _advance(1) calls, yielding each slot's
+        """Run up to ``count`` slots as run_slot() does, yielding each slot's
         SlotTrace once it has run; each slot runs when its record is asked
         for, and none is kept. A backlog that outgrows its cap raises
         InfeasibleLoadError from the aborted slot, as run_slot() does.
@@ -396,10 +401,8 @@ class Simulation:
         queues = [su.queue for su in sus]
         constant = self._constant_direct
         for _ in range(count):
-            if self._pos == self._len:
-                self._fill_block()
-                self._pos = 0
-            slot, pos = self.slot, self._pos
+            self._block_left()
+            slot, pos = self.slot, self.slot - self._inputs.start
             before = [(q.cumulative_departures, q.departed_waiting_sum,
                        list(islice(q.fifo, su.packets[pos])) if su.packets[pos] >= 2 and q.fifo else ())
                       for su, q in zip(sus, queues)]
@@ -423,7 +426,8 @@ class Simulation:
             )
 
     def _advance(self, count: int) -> int | None:
-        """Run ``count`` >= 1 slots; return the last one's scheduled user.
+        """Run ``count`` >= 1 slots, all in the drawn block; return the last
+        one's scheduled user.
 
         The run state lives in locals and is written back on the way out,
         also when a backlog outgrows its cap: the aborted slot then leaves
@@ -437,116 +441,110 @@ class Simulation:
         maxweight, idling, literal = self._maxweight, self._idling, self._literal
         inf = math.inf
         start_v = -inf if maxweight else inf
-        x, slot, pos, length = self.x, self.slot, self._pos, self._len
+        x, slot, pos = self.x, self.slot, self.slot - self._inputs.start
         interference_sum = self.interference_sum
         end = slot + count
         best_served = None
         try:
-            while slot < end:
-                if pos == length:
-                    self.slot = slot
-                    self._fill_block()
-                    pos, length = 0, self._len
-                stop = min(length, pos + end - slot)
-                # Arrivals are tagged with the slot, waits run to slot1 = slot + 1.
-                for pos, slot, slot1 in zip(range(pos, stop), range(slot, end), range(slot + 1, end + 1)):
-                    # Ties keep the lowest index: only a strictly better value replaces it.
-                    best_served = None
-                    best_v = start_v
-                    for fifo, arrivals, interference, served, phi in scan:
-                        # Arrivals join the tail; they may depart in this slot.
-                        a = arrivals[pos]
-                        if a:
-                            if a == 1:
-                                fifo.append(slot)
-                            else:
-                                fifo.extend(repeat(slot, a))
-                            q = len(fifo)
-                            if q > buffer_cap:
-                                raise InfeasibleLoadError(
-                                    f"backlog exceeded safety cap {buffer_cap} at slot {slot}")
-                        elif fifo:
-                            q = len(fifo)
+            # Arrivals are tagged with the slot, waits run to slot1 = slot + 1.
+            for pos, slot, slot1 in zip(range(pos, pos + count), range(slot, end), range(slot + 1, end + 1)):
+                # Ties keep the lowest index: only a strictly better value replaces it.
+                best_served = None
+                best_v = start_v
+                for fifo, arrivals, interference, served, phi in scan:
+                    # Arrivals join the tail; they may depart in this slot.
+                    a = arrivals[pos]
+                    if a:
+                        if a == 1:
+                            fifo.append(slot)
                         else:
-                            continue
-                        if maxweight:
-                            g = interference[pos]
-                            # An interference-free link has infinite weight.
-                            v = inf if g <= 0.0 else q / g
-                            if v > best_v:
-                                best_served, best_v, best_q = served, v, q
-                            continue
-                        packets, rates, d, i = phi
-                        n = packets[pos]
-                        if n > q:
-                            n = q
-                        # phi = X g + Y sum(W) - (Y d + Q) r, where r is the packet
-                        # count (actual mode) or the raw rate (literal mode).
-                        y_i = y[i]
-                        if y_i:
-                            # The departing packets' waiting-time sum, an exact integer.
-                            if n == 1:
-                                w_sum = slot1 - fifo[0]
-                            elif n:
-                                w_sum = n * slot1 - sum(islice(fifo, n))
-                            else:
-                                w_sum = 0
-                            v = (x * interference[pos] + y_i * w_sum
-                                 - (y_i * d + q) * (rates[pos] if literal else n))
-                        else:
-                            # Y = +0.0 zeroes both delay terms exactly; only the sign of
-                            # a zero phi can differ, which no comparison below sees.
-                            v = x * interference[pos] - q * (rates[pos] if literal else n)
-                        if v < best_v:
-                            best_served, best_v, best_n = served, v, n
-                    if idling and best_v > 0.0:
-                        best_served = None
-
-                    if best_served is None:
-                        # An idle slot charges no gain; x + 0.0 == x, as X >= 0 is never -0.0.
-                        x -= i_avg
+                            fifo.extend(repeat(slot, a))
+                        q = len(fifo)
+                        if q > buffer_cap:
+                            raise InfeasibleLoadError(
+                                f"backlog exceeded safety cap {buffer_cap} at slot {slot}")
+                    elif fifo:
+                        q = len(fifo)
                     else:
-                        best, queue, fifo, d, packets, interference = best_served
-                        gain = interference[pos]
-                        interference_sum += gain
-                        if maxweight:
-                            best_n = packets[pos]
-                            if best_n > best_q:
-                                best_n = best_q
-                        # Pop the head packets in FIFO order: each adds its waiting
-                        # time W to the waiting sum and its excess W - d to Y. A
-                        # single packet, the only case on a unit-rate link, skips
-                        # the loop and keeps its user's longest single wait, from
-                        # which c_y_emp derives its candidate when read. A
-                        # 0-packet slot still holds the channel and charges its gain.
-                        if best_n == 1:
-                            w = slot1 - fifo.popleft()
-                            queue.cumulative_departures += 1
-                            queue.departed_waiting_sum += w
-                            y_new = y[best] + (w - d)
-                            y[best] = y_new if y_new > 0.0 else 0.0
-                            if w > w1_max[best]:
-                                w1_max[best] = w
-                        elif best_n:
-                            pop = fifo.popleft
+                        continue
+                    if maxweight:
+                        g = interference[pos]
+                        # An interference-free link has infinite weight.
+                        v = inf if g <= 0.0 else q / g
+                        if v > best_v:
+                            best_served, best_v, best_q = served, v, q
+                        continue
+                    packets, rates, d, i = phi
+                    n = packets[pos]
+                    if n > q:
+                        n = q
+                    # phi = X g + Y sum(W) - (Y d + Q) r, where r is the packet
+                    # count (actual mode) or the raw rate (literal mode).
+                    y_i = y[i]
+                    if y_i:
+                        # The departing packets' waiting-time sum, an exact integer.
+                        if n == 1:
+                            w_sum = slot1 - fifo[0]
+                        elif n:
+                            w_sum = n * slot1 - sum(islice(fifo, n))
+                        else:
                             w_sum = 0
-                            excess = 0.0
-                            for _ in range(best_n):
-                                w = slot1 - pop()
-                                w_sum += w
-                                excess += w - d
-                            queue.cumulative_departures += best_n
-                            queue.departed_waiting_sum += w_sum
-                            y_new = y[best] + excess
-                            y[best] = y_new if y_new > 0.0 else 0.0
-                            cand = d * d * best_n * best_n + w_sum * w_sum
-                            if cand > c_y_multi[best]:
-                                c_y_multi[best] = cand
-                        x = x + gain - i_avg
-                    x = x if x > 0.0 else 0.0
-                slot, pos = slot1, stop
+                        v = (x * interference[pos] + y_i * w_sum
+                             - (y_i * d + q) * (rates[pos] if literal else n))
+                    else:
+                        # Y = +0.0 zeroes both delay terms exactly; only the sign of
+                        # a zero phi can differ, which no comparison below sees.
+                        v = x * interference[pos] - q * (rates[pos] if literal else n)
+                    if v < best_v:
+                        best_served, best_v, best_n = served, v, n
+                if idling and best_v > 0.0:
+                    best_served = None
+
+                if best_served is None:
+                    # An idle slot charges no gain; x + 0.0 == x, as X >= 0 is never -0.0.
+                    x -= i_avg
+                else:
+                    best, queue, fifo, d, packets, interference = best_served
+                    gain = interference[pos]
+                    interference_sum += gain
+                    if maxweight:
+                        best_n = packets[pos]
+                        if best_n > best_q:
+                            best_n = best_q
+                    # Pop the head packets in FIFO order: each adds its waiting
+                    # time W to the waiting sum and its excess W - d to Y. A
+                    # single packet, the only case on a unit-rate link, skips
+                    # the loop and keeps its user's longest single wait, from
+                    # which c_y_emp derives its candidate when read. A
+                    # 0-packet slot still holds the channel and charges its gain.
+                    if best_n == 1:
+                        w = slot1 - fifo.popleft()
+                        queue.cumulative_departures += 1
+                        queue.departed_waiting_sum += w
+                        y_new = y[best] + (w - d)
+                        y[best] = y_new if y_new > 0.0 else 0.0
+                        if w > w1_max[best]:
+                            w1_max[best] = w
+                    elif best_n:
+                        pop = fifo.popleft
+                        w_sum = 0
+                        excess = 0.0
+                        for _ in range(best_n):
+                            w = slot1 - pop()
+                            w_sum += w
+                            excess += w - d
+                        queue.cumulative_departures += best_n
+                        queue.departed_waiting_sum += w_sum
+                        y_new = y[best] + excess
+                        y[best] = y_new if y_new > 0.0 else 0.0
+                        cand = d * d * best_n * best_n + w_sum * w_sum
+                        if cand > c_y_multi[best]:
+                            c_y_multi[best] = cand
+                    x = x + gain - i_avg
+                x = x if x > 0.0 else 0.0
+            slot = end
         finally:
-            self.x, self.slot, self._pos = x, slot, pos
+            self.x, self.slot = x, slot
             self.interference_sum = interference_sum
         return None if best_served is None else best_served[0]
 
@@ -605,8 +603,9 @@ def simulations(config: SimConfig, kinds: Sequence[SchedulerKind]) -> list[Simul
 
 
 def run_lockstep(sims: Sequence[Simulation]) -> list[RunResult]:
-    """Run each of sims, which share their inputs and stand at one slot, to
-    the stopping rule or max_slots, and return their results in order.
+    """Run each of sims, which share their inputs and stand at one slot (a
+    ValueError says if they do not), to the stopping rule or max_slots, and
+    return their results in order.
 
     They advance together, to the end of one input block at a time. The
     first still running draws each block, so a block is drawn once, and
@@ -616,20 +615,18 @@ def run_lockstep(sims: Sequence[Simulation]) -> list[RunResult]:
     an unconverged result noted infeasible-load. A block never passes a
     check or max_slots, so every run stops where it would alone.
     """
+    if any(sim._inputs is not sims[0]._inputs for sim in sims):
+        raise ValueError("run_lockstep needs Simulations that share their inputs, as simulations() builds")
+    if any(sim.slot != sims[0].slot for sim in sims):
+        raise ValueError(f"run_lockstep needs Simulations at one slot, got {[sim.slot for sim in sims]}")
     config = sims[0].config
     results: list[RunResult | None] = [None] * len(sims)
     running = [k for k, sim in enumerate(sims) if sim.slot < config.max_slots]
     while running:
-        lead = sims[running[0]]
-        if lead._pos == lead._len:
-            lead._fill_block()
-            for k in running:
-                sims[k]._pos, sims[k]._len = 0, lead._len
-        count = lead._len - lead._pos
         for k in running:
             sim = sims[k]
             try:
-                sim._advance(count)
+                sim._advance(sim._block_left())
             except InfeasibleLoadError:
                 results[k] = sim._finalize(False, sim.stability_metric(), note="infeasible-load")
                 continue

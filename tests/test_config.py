@@ -114,6 +114,8 @@ class TestLambdaGrid:
 
     def test_single_point(self):
         assert lambda_grid("0.4", "0.4", "0.02") == (0.4,)
+        # 0.1 + 1e-300 is 0.1 in 28-digit decimal: a grid summed up there never passes 0.1.
+        assert lambda_grid("0.1", "0.1", "1e-300") == (0.1,)
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError, match="step must be positive"):
@@ -122,6 +124,10 @@ class TestLambdaGrid:
             lambda_grid("0.3", "0.1", "0.1")
         with pytest.raises(ValueError, match="nonnegative"):
             lambda_grid("-0.1", "0.3", "0.1")
+        # Points that round to one float: two 1e-19 apart, and 10^29 + 1 of them.
+        for hi, step in (("0.1000000000000000001", "1e-19"), ("0.2", "1e-30")):
+            with pytest.raises(ValueError, match="so that its points are distinct floats"):
+                lambda_grid("0.1", hi, step)
 
 
 class TestParseScheduler:

@@ -617,6 +617,24 @@ def test_lockstep_group_matches_each_rule_alone(case):
         assert BLOCK < results[0].slots < 2 * BLOCK
 
 
+def test_lockstep_refuses_members_at_different_slots():
+    # A member stepped ahead would run the group's block from the wrong slot.
+    config, kinds = lockstep_group("table1")
+    group = simulations(config, kinds[:2])
+    group[1].run_slot()
+    with pytest.raises(ValueError, match=r"^run_lockstep needs Simulations at one slot, got \[0, 1\]$"):
+        run_lockstep(group)
+    assert [sim.slot for sim in group] == [0, 1]
+
+
+def test_lockstep_refuses_members_that_do_not_share_inputs():
+    config, kinds = lockstep_group("table1")
+    alone = [Simulation(replace(config, scheduler=kind)) for kind in kinds]
+    with pytest.raises(ValueError, match="share their inputs"):
+        run_lockstep(alone)
+    assert [sim.slot for sim in alone] == [0, 0, 0]
+
+
 class TestDriftDiagnostics:
     def test_interference_bound_component(self):
         sus = tuple(

@@ -128,7 +128,6 @@ def scripted_sim(arrivals, serves):
     and offers serves[t] departures."""
     sim = staged_sim(PROPOSED_NONIDLING, Staged())
     sim._fill_block()
-    sim._pos = 0
     inputs = sim.sus[0]
     inputs.arrivals[:len(arrivals)] = arrivals
     inputs.packets[:len(serves)] = serves

@@ -345,7 +345,6 @@ class TestDecideMaxWeight:
         # packet and the one arriving in this slot can go.
         sim = staged_sim(MAXWEIGHT, Staged(fifo=(0,), direct=7.0), slot=1)
         sim._fill_block()
-        sim._pos = 0
         sim.sus[0].arrivals[0] = 1
         t, = sim.observe(1)
         assert t.su == 0

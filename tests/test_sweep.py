@@ -616,6 +616,14 @@ GRID_FLAGS = {"--lambda-min": "0.0", "--lambda-max": "0.2", "--lambda-step": "0.
     ("--lambda-max", "sweep", "lambda_max", "inf"),
     ("--lambda-step", "sweep", "lambda_step", "0"),
     ("--lambda-step", "sweep", "lambda_step", "0.1x"),
+    ("--lambda-step", "sweep", "lambda_step", "1e-999999999"),
+    # Grids whose points are not distinct floats, refused before they are
+    # built: 10^29 + 1 points, past 28-digit decimal, and two points that
+    # round to one float.
+    ("--lambda-step", "sweep", "lambda_step", {"--lambda-min": "0.1", "--lambda-max": "0.2",
+                                               "--lambda-step": "1e-30"}),
+    ("--lambda-step", "sweep", "lambda_step", {"--lambda-min": "0.1", "--lambda-max": "0.1000000000000000001",
+                                               "--lambda-step": "1e-19"}),
     ("--seed", "sweep", "seeds", "1, 1"),
     ("--seed", "sweep", "seeds", "one"),
     ("--seed", "sweep", "seeds", "-1"),
@@ -627,9 +635,14 @@ GRID_FLAGS = {"--lambda-min": "0.0", "--lambda-max": "0.2", "--lambda-step": "0.
     ("--phi-mode", "system", "phi_mode", "rounded"),
 ])
 def test_bad_flag_fails_as_the_same_value_in_the_file(tmp_path, capsys, flag, section, key, bad):
-    """A flag's value passes the file's rules: same message, at the flag."""
+    """A flag's value passes the file's rules: same message, at the flag.
+    A grid row gives all three grid values, as flags or keys."""
+    values = bad if isinstance(bad, dict) else {flag: bad}
+    text = TINY
+    for name, value in values.items():
+        text = set_key(text, section, key if name == flag else name[2:].replace("-", "_"), value)
     bad_cfg = tmp_path / "bad.cfg"
-    bad_cfg.write_text(set_key(TINY, section, key, bad))
+    bad_cfg.write_text(text)
     with pytest.raises(ConfigError) as exc:
         load_spec(bad_cfg)
     assert exc.value.line is not None
@@ -637,7 +650,7 @@ def test_bad_flag_fails_as_the_same_value_in_the_file(tmp_path, capsys, flag, se
 
     cfg = tmp_path / "tiny.cfg"
     cfg.write_text(TINY)
-    flags = {**GRID_FLAGS, flag: bad} if flag in GRID_FLAGS else {flag: bad}
+    flags = {**GRID_FLAGS, **values} if flag in GRID_FLAGS else values
     args = ["run", "--config", str(cfg), "--out", str(tmp_path / "o")]
     for name, value in flags.items():
         args += [name, value]
