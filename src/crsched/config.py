@@ -188,6 +188,8 @@ _integer = partial(_number, convert=int, kind="an integer")
 # Grid sums, products and whole quotients take as many digits as they need.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
+MAX_GRID_POINTS = 10**6  # a lambda grid holds at most this many points
+
 
 def _decimal(raw) -> Decimal:
     """raw as an exact decimal whose float, finite by _number, is nonzero
@@ -225,13 +227,16 @@ def _grid_last(lo: Decimal, hi: str | Decimal, step: Decimal) -> Decimal:
 def _grid_size(lo: Decimal, last: Decimal, step: Decimal) -> int:
     """The number of points from lo to the grid's last point, counted exactly.
     Two or more must be distinct floats: a step wider than the float spacing
-    at the last point keeps every two neighbours apart after rounding."""
+    at the last point keeps every two neighbours apart after rounding. At
+    most MAX_GRID_POINTS are allowed."""
     with localcontext(_EXACT):
         size = int((last - lo) // step) + 1
     spacing = math.ulp(float(last))
     if size > 1 and step <= Decimal(spacing):
         raise ValueError(f"lambda step must exceed the float spacing {spacing!r} at the grid's last point "
                          f"{float(last)!r}, so that its points are distinct floats")
+    if size > MAX_GRID_POINTS:
+        raise ValueError(f"lambda grid has {size} points, more than the {MAX_GRID_POINTS} allowed")
     return size
 
 
@@ -340,10 +345,6 @@ def load_spec(path, overrides: Mapping[tuple[str, str], str] | None = None) -> E
     lo = loader.value("sweep", "lambda_min", _grid_start)
     step = loader.value("sweep", "lambda_step", _grid_step)
     last = loader.value("sweep", "lambda_max", lambda hi: _grid_last(lo, hi, step))
-    try:
-        _grid_size(lo, last, step)
-    except ValueError as err:
-        loader.fail("sweep", "lambda_step", str(err))
     a_max = min(su.arrivals.a_max for su in sus)
     # Checked before the grid is built, whose length is (max - min) / step.
     if float(last) > a_max:
@@ -353,6 +354,10 @@ def load_spec(path, overrides: Mapping[tuple[str, str], str] | None = None) -> E
             su.arrivals.with_rate(float(last))
         except SettingError as err:
             loader.fail("sweep", "lambda_max", str(err))
+    try:
+        _grid_size(lo, last, step)
+    except ValueError as err:
+        loader.fail("sweep", "lambda_step", str(err))
     grid = lambda_grid(lo, last, step)
     kinds = loader.value("sweep", "schedulers", _parse_schedulers)
     seeds = loader.value("sweep", "seeds", _parse_seeds)

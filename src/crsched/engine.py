@@ -9,9 +9,9 @@ Every user's arrivals and gains are drawn a block of slots at a time,
 backlogged or not: up to BLOCK slots, ending at the next convergence check
 or at max_slots, so a run that stops at either has drawn exactly the slots
 it ran.
-All three rules share one scan, built once when the run is set up: it
-admits each user's arrivals and enforces the buffer cap the same way for
-every rule, and the rules differ only in how they score a backlogged user.
+All three rules share one scan: it admits each user's arrivals and
+enforces the buffer cap the same way for every rule, and the rules differ
+only in how they score a backlogged user.
 A slot goes:
 
 1. each user's arrivals join its queue (and may depart in the same slot)
@@ -23,9 +23,14 @@ A slot goes:
 5. the interference accumulator X absorbs the slot's gain (0 on idle) - I_avg
 6. metrics are accumulated
 
-Simulation._advance is the only kernel and holds no trace code; it runs
-within the drawn block. run_slot(), observe() and run_lockstep ask
-_block_left for the slots left in it, which draws the next when none are.
+Simulation._advance runs the only kernel, which holds no trace code and
+runs within the drawn block. The kernel is generated from one template,
+_KERNEL, once per (user count, rule) in a process: the scan is written out
+once per user, whose lists are bound to locals once per call, and the
+rule's scoring, its start value and the idling test are chosen when the
+text is built, so a slot neither loops over the users nor tests the rule.
+run_slot(), observe() and run_lockstep ask _block_left for the slots left
+in the drawn block, which draws the next when none are.
 run_lockstep holds the stopping rule. It runs Simulations that share their
 inputs one block at a time: each block is drawn once, by the first of them
 that finds the last spent, and every one then runs it and applies the rule.
@@ -45,9 +50,12 @@ A backlog that outgrows its safety cap aborts the run as infeasible-load.
 
 from __future__ import annotations
 
+import linecache
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import islice, repeat, takewhile
+from string import Template
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -288,6 +296,165 @@ def stability_metric(x: float, ys: Sequence[float], slots: int) -> float:
     return (x + sum(ys)) / ((len(ys) + 1) * slots)
 
 
+# The slot kernel, as text. Each $name is filled when a kernel is built,
+# with a user index or one of the fragments below, never with text from a
+# config: the scan is written out once per user with the rule's scoring in
+# it, so a slot neither loops over the users nor branches on the rule.
+_KERNEL = """\
+def _advance(self, count):
+    y = self.y
+    c_y_multi, w1_max = self._c_y_multi, self._w1_max
+    i_avg = self.config.i_avg
+    buffer_cap = self.config.buffer_cap
+    scan = self._scan
+$bind
+    inf = math.inf
+    x, slot, pos = self.x, self.slot, self.slot - self._inputs.start
+    interference_sum = self.interference_sum
+    end = slot + count
+    best_served = None
+    try:
+        # Arrivals are tagged with the slot, waits run to slot1 = slot + 1.
+        for pos, slot, slot1 in zip(range(pos, pos + count), range(slot, end), range(slot + 1, end + 1)):
+            # Ties keep the lowest index: only a strictly better value replaces it.
+            best_served = None
+            best_v = $start
+$scan
+$idle
+            if best_served is None:
+                # An idle slot charges no gain; x + 0.0 == x, as X >= 0 is never -0.0.
+                x -= i_avg
+            else:
+                best, queue, fifo, d, packets, interference = best_served
+                gain = interference[pos]
+                interference_sum += gain
+$count
+                # Pop the head packets in FIFO order: each adds its waiting
+                # time W to the waiting sum and its excess W - d to Y. A
+                # single packet, the only case on a unit-rate link, skips
+                # the loop and keeps its user's longest single wait, from
+                # which c_y_emp derives its candidate when read. A
+                # 0-packet slot still holds the channel and charges its gain.
+                if best_n == 1:
+                    w = slot1 - fifo.popleft()
+                    queue.cumulative_departures += 1
+                    queue.departed_waiting_sum += w
+                    y_new = y[best] + (w - d)
+                    y[best] = y_new if y_new > 0.0 else 0.0
+                    if w > w1_max[best]:
+                        w1_max[best] = w
+                elif best_n:
+                    pop = fifo.popleft
+                    w_sum = 0
+                    excess = 0.0
+                    for _ in range(best_n):
+                        w = slot1 - pop()
+                        w_sum += w
+                        excess += w - d
+                    queue.cumulative_departures += best_n
+                    queue.departed_waiting_sum += w_sum
+                    y_new = y[best] + excess
+                    y[best] = y_new if y_new > 0.0 else 0.0
+                    cand = d * d * best_n * best_n + w_sum * w_sum
+                    if cand > c_y_multi[best]:
+                        c_y_multi[best] = cand
+                x = x + gain - i_avg
+            x = x if x > 0.0 else 0.0
+        slot = end
+    finally:
+        self.x, self.slot = x, slot
+        self.interference_sum = interference_sum
+    return None if best_served is None else best_served[0]
+"""
+
+# User $i's entry of Simulation._scan, bound to its locals once per call.
+_BIND = """\
+    fifo$i, arrivals$i, interference$i, packets$i, rates$i, d$i, served$i = scan[$i]"""
+
+# User $i's turn in a slot: its arrivals join the tail, and may depart in
+# this slot; then, if it is backlogged, the rule scores it.
+_USER = """\
+            a = arrivals$i[pos]
+            if a:
+                if a == 1:
+                    fifo$i.append(slot)
+                else:
+                    fifo$i.extend(repeat(slot, a))
+                if len(fifo$i) > buffer_cap:
+                    raise InfeasibleLoadError(f"backlog exceeded safety cap {buffer_cap} at slot {slot}")
+            if fifo$i:
+                q = len(fifo$i)
+$score"""
+
+# Max-weight serves the largest Q/g.
+_SCORE_WEIGHT = """\
+                g = interference$i[pos]
+                # An interference-free link has infinite weight.
+                v = inf if g <= 0.0 else q / g
+                if v > best_v:
+                    best_served, best_v, best_q = served$i, v, q"""
+
+# The index policy serves the smallest phi = X g + Y sum(W) - (Y d + Q) r,
+# where r is the packet count n (actual mode) or the raw rate (literal mode).
+_SCORE_PHI = """\
+                n = packets$i[pos]
+                if n > q:
+                    n = q
+                y_i = y[$i]
+                if y_i:
+                    # The departing packets' waiting-time sum, an exact integer.
+                    if n == 1:
+                        w_sum = slot1 - fifo$i[0]
+                    elif n:
+                        w_sum = n * slot1 - sum(islice(fifo$i, n))
+                    else:
+                        w_sum = 0
+                    v = (x * interference$i[pos] + y_i * w_sum
+                         - (y_i * d$i + q) * $rate)
+                else:
+                    # Y = +0.0 zeroes both delay terms exactly; only the sign of
+                    # a zero phi can differ, which no comparison below sees.
+                    v = x * interference$i[pos] - q * $rate
+                if v < best_v:
+                    best_served, best_v, best_n = served$i, v, n"""
+
+# The idling index policy idles when even the smallest phi is positive.
+_IDLE = """\
+            if best_v > 0.0:
+                best_served = None"""
+
+# Max-weight sends as many packets as the link carries and the queue holds.
+_COUNT_WEIGHT = """\
+                best_n = packets[pos]
+                if best_n > best_q:
+                    best_n = best_q"""
+
+
+@lru_cache(maxsize=32)
+def _kernel(users: int, kind: SchedulerKind):
+    """Simulation._advance's kernel for ``users`` users under ``kind``,
+    compiled from _KERNEL. Its source is entered into linecache, so that a
+    traceback shows its lines."""
+    maxweight = kind.kind == MAXWEIGHT
+    if maxweight:
+        score = _SCORE_WEIGHT
+    else:
+        score = Template(_SCORE_PHI).safe_substitute(rate="rates$i[pos]" if kind.reads_rates else "n")
+    user = Template(_USER).safe_substitute(score=score)
+    source = Template(_KERNEL).substitute(
+        bind="\n".join(Template(_BIND).substitute(i=i) for i in range(users)),
+        start="-inf" if maxweight else "inf",
+        scan="\n".join(Template(user).substitute(i=i) for i in range(users)),
+        idle=_IDLE if kind.idling else "",
+        count=_COUNT_WEIGHT if maxweight else "",
+    )
+    filename = f"<crsched kernel: {kind.kind}/{kind.phi_mode}, {users} user{'s' if users > 1 else ''}>"
+    namespace = {"math": math, "repeat": repeat, "islice": islice, "InfeasibleLoadError": InfeasibleLoadError}
+    exec(compile(source, filename, "exec"), namespace)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return namespace["_advance"]
+
+
 class Simulation:
     """Mutable run state, with X as x and Y_i as y[i]; drive with
     run_slot() or run_until_converged(), or watch it with observe().
@@ -312,24 +479,19 @@ class Simulation:
         self._c_y_multi = [0.0] * n
         self._w1_max = [0] * n
         self.slot = 0
-        sched = config.scheduler
-        self._maxweight = sched.kind == MAXWEIGHT
-        self._idling = sched.idling
-        self._literal = sched.reads_rates
         if inputs is None:
-            inputs = _inputs(config, self._literal)
+            inputs = _inputs(config, config.scheduler.reads_rates)
         self._inputs, self._direct = inputs, inputs.direct
+        self._kernel = _kernel(n, config.scheduler)
         sus, self._scan = [], []
         for i, su in enumerate(config.sus):
             state = SuState(SuQueue(su.arrivals), su.delay_bound, *inputs.users[i])
-            # The scan reads a user's FIFO, arrivals and interference gains
-            # under every rule, then what the departure step reads of it if
-            # it is served, then what only phi reads. The lists are refilled
-            # in place, so the scan is built once.
+            # What the kernel binds to user i's locals once per call: the
+            # lists are refilled in place, so the scan is built once.
             fifo = state.queue.fifo
-            self._scan.append((fifo, state.arrivals, state.interference,
-                               (i, state.queue, fifo, su.delay_bound, state.packets, state.interference),
-                               (state.packets, state.rate, su.delay_bound, i)))
+            served = (i, state.queue, fifo, su.delay_bound, state.packets, state.interference)
+            self._scan.append((fifo, state.arrivals, state.interference, state.packets, state.rate,
+                               su.delay_bound, served))
             sus.append(state)
         self.sus = tuple(sus)
         # Each constant direct link's gain, None for a faded one.
@@ -429,124 +591,12 @@ class Simulation:
         """Run ``count`` >= 1 slots, all in the drawn block; return the last
         one's scheduled user.
 
-        The run state lives in locals and is written back on the way out,
-        also when a backlog outgrows its cap: the aborted slot then leaves
-        its arrivals so far queued and changes nothing else.
+        This is the kernel built for this run's rule and user count. The run
+        state lives in its locals and is written back on the way out, also
+        when a backlog outgrows its cap: the aborted slot then leaves its
+        arrivals so far queued and changes nothing else.
         """
-        y = self.y
-        c_y_multi, w1_max = self._c_y_multi, self._w1_max
-        i_avg = self.config.i_avg
-        buffer_cap = self.config.buffer_cap
-        scan = self._scan
-        maxweight, idling, literal = self._maxweight, self._idling, self._literal
-        inf = math.inf
-        start_v = -inf if maxweight else inf
-        x, slot, pos = self.x, self.slot, self.slot - self._inputs.start
-        interference_sum = self.interference_sum
-        end = slot + count
-        best_served = None
-        try:
-            # Arrivals are tagged with the slot, waits run to slot1 = slot + 1.
-            for pos, slot, slot1 in zip(range(pos, pos + count), range(slot, end), range(slot + 1, end + 1)):
-                # Ties keep the lowest index: only a strictly better value replaces it.
-                best_served = None
-                best_v = start_v
-                for fifo, arrivals, interference, served, phi in scan:
-                    # Arrivals join the tail; they may depart in this slot.
-                    a = arrivals[pos]
-                    if a:
-                        if a == 1:
-                            fifo.append(slot)
-                        else:
-                            fifo.extend(repeat(slot, a))
-                        q = len(fifo)
-                        if q > buffer_cap:
-                            raise InfeasibleLoadError(
-                                f"backlog exceeded safety cap {buffer_cap} at slot {slot}")
-                    elif fifo:
-                        q = len(fifo)
-                    else:
-                        continue
-                    if maxweight:
-                        g = interference[pos]
-                        # An interference-free link has infinite weight.
-                        v = inf if g <= 0.0 else q / g
-                        if v > best_v:
-                            best_served, best_v, best_q = served, v, q
-                        continue
-                    packets, rates, d, i = phi
-                    n = packets[pos]
-                    if n > q:
-                        n = q
-                    # phi = X g + Y sum(W) - (Y d + Q) r, where r is the packet
-                    # count (actual mode) or the raw rate (literal mode).
-                    y_i = y[i]
-                    if y_i:
-                        # The departing packets' waiting-time sum, an exact integer.
-                        if n == 1:
-                            w_sum = slot1 - fifo[0]
-                        elif n:
-                            w_sum = n * slot1 - sum(islice(fifo, n))
-                        else:
-                            w_sum = 0
-                        v = (x * interference[pos] + y_i * w_sum
-                             - (y_i * d + q) * (rates[pos] if literal else n))
-                    else:
-                        # Y = +0.0 zeroes both delay terms exactly; only the sign of
-                        # a zero phi can differ, which no comparison below sees.
-                        v = x * interference[pos] - q * (rates[pos] if literal else n)
-                    if v < best_v:
-                        best_served, best_v, best_n = served, v, n
-                if idling and best_v > 0.0:
-                    best_served = None
-
-                if best_served is None:
-                    # An idle slot charges no gain; x + 0.0 == x, as X >= 0 is never -0.0.
-                    x -= i_avg
-                else:
-                    best, queue, fifo, d, packets, interference = best_served
-                    gain = interference[pos]
-                    interference_sum += gain
-                    if maxweight:
-                        best_n = packets[pos]
-                        if best_n > best_q:
-                            best_n = best_q
-                    # Pop the head packets in FIFO order: each adds its waiting
-                    # time W to the waiting sum and its excess W - d to Y. A
-                    # single packet, the only case on a unit-rate link, skips
-                    # the loop and keeps its user's longest single wait, from
-                    # which c_y_emp derives its candidate when read. A
-                    # 0-packet slot still holds the channel and charges its gain.
-                    if best_n == 1:
-                        w = slot1 - fifo.popleft()
-                        queue.cumulative_departures += 1
-                        queue.departed_waiting_sum += w
-                        y_new = y[best] + (w - d)
-                        y[best] = y_new if y_new > 0.0 else 0.0
-                        if w > w1_max[best]:
-                            w1_max[best] = w
-                    elif best_n:
-                        pop = fifo.popleft
-                        w_sum = 0
-                        excess = 0.0
-                        for _ in range(best_n):
-                            w = slot1 - pop()
-                            w_sum += w
-                            excess += w - d
-                        queue.cumulative_departures += best_n
-                        queue.departed_waiting_sum += w_sum
-                        y_new = y[best] + excess
-                        y[best] = y_new if y_new > 0.0 else 0.0
-                        cand = d * d * best_n * best_n + w_sum * w_sum
-                        if cand > c_y_multi[best]:
-                            c_y_multi[best] = cand
-                    x = x + gain - i_avg
-                x = x if x > 0.0 else 0.0
-            slot = end
-        finally:
-            self.x, self.slot = x, slot
-            self.interference_sum = interference_sum
-        return None if best_served is None else best_served[0]
+        return self._kernel(self, count)
 
     def stability_metric(self) -> float:
         if self.slot == 0:

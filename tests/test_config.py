@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from crsched.channels import DeterministicGain, RayleighGain
+from crsched import cli
 from crsched.cli import OVERRIDES as CLI_OVERRIDES
 from crsched.config import ConfigError, _grid_last, lambda_grid, load_spec, parse_scheduler
 from crsched.engine import PHI_LITERAL, SchedulerKind, SimConfig, SuConfig
@@ -241,6 +242,26 @@ class TestLoadSpecValidation:
             load_spec(write_cfg(tmp_path, text))
         assert exc.value.line == 22
         assert exc.value.message == "[sweep] lambda_max: grid exceeds the smallest arrival cap 1"
+
+    def test_grid_of_too_many_points_is_refused_before_building_it(self, tmp_path, monkeypatch, capsys):
+        # 10^15 + 1 distinct floats, all within the Bernoulli cap: refused by
+        # their count, in the file and as flags, with one message.
+        def no_grid(*args):
+            raise AssertionError("lambda_grid called")
+
+        monkeypatch.setattr("crsched.config.lambda_grid", no_grid)
+        text = set_key(set_key(set_key(BASE, "sweep", "lambda_min", "0"), "sweep", "lambda_max", "1"),
+                       "sweep", "lambda_step", "1e-15")
+        message = f"[sweep] lambda_step: lambda grid has {10**15 + 1} points, more than the 1000000 allowed"
+        with pytest.raises(ConfigError) as exc:
+            load_spec(write_cfg(tmp_path, text))
+        assert exc.value.line == 23
+        assert exc.value.message == message
+        code = cli.main(["run", "--config", str(write_cfg(tmp_path, BASE)), "--out", str(tmp_path / "o"),
+                         "--lambda-min", "0", "--lambda-max", "1", "--lambda-step", "1e-15"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --lambda-step: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("lo, hi, step", [
         ("0.1", "0.3", "0.1"), ("0.02", "0.4", "0.02"), ("0.05", "0.35", "0.1"),

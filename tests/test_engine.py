@@ -1,4 +1,5 @@
 import math
+import traceback
 import tracemalloc
 from dataclasses import replace
 
@@ -304,6 +305,29 @@ def test_dead_channel_aborts_as_infeasible(kind):
     # 50 completed slots; the 51st packet lands before the abort fires.
     assert result.slots == 50
     assert result.terminal_q == (51,)
+
+
+def test_one_kernel_per_user_count_and_rule():
+    # Simulations of one user count, rule and phi mode share one kernel;
+    # every other (user count, rule, phi mode) gets its own.
+    cfg = two_user_config(0.2, "proposed")
+    kinds = [SchedulerKind(name, mode) for name in SCHEDULER_NAMES for mode in (PHI_ACTUAL, PHI_LITERAL)]
+    kernels = [Simulation(replace(cfg, scheduler=kind))._kernel for kind in kinds]
+    assert [Simulation(replace(cfg, scheduler=kind, seed=7))._kernel for kind in kinds] == kernels
+    one_user = Simulation(replace(cfg, sus=cfg.sus[:1]))._kernel
+    assert len({id(kernel) for kernel in kernels + [one_user]}) == len(kinds) + 1
+    assert [sim._kernel for sim in simulations(cfg, kinds[:2])] == kernels[:2]
+
+
+def test_abort_traceback_shows_the_kernel_source():
+    # The kernel is compiled from generated text; linecache holds that text,
+    # so a traceback shows the line that raised.
+    sim = run_slots(dead_channel_config(5), 5)
+    with pytest.raises(InfeasibleLoadError) as exc:
+        sim.run_slot()
+    text = "".join(traceback.format_exception(exc.value))
+    assert 'File "<crsched kernel: proposed/actual, 1 user>", line ' in text
+    assert 'raise InfeasibleLoadError(f"backlog exceeded safety cap {buffer_cap} at slot {slot}")' in text
 
 
 @pytest.mark.parametrize("kind", SCHEDULER_NAMES)

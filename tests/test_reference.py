@@ -101,7 +101,7 @@ def reference_link(model):
 @settings(max_examples=40, deadline=None)
 @given(
     users=st.lists(st.tuples(st.floats(0.5, 6.0), st.sampled_from([None, 1, 2, 3, 4]), gains, gains),
-                   min_size=1, max_size=4),
+                   min_size=1, max_size=6),
     lam=st.floats(0.0, 1.0),
     rule=st.sampled_from([("proposed", "actual"), ("proposed", "literal"),
                           ("proposed-nonidling", "actual"), ("proposed-nonidling", "literal"),
@@ -114,7 +114,8 @@ def reference_link(model):
 def test_random_populations_equal_the_reference_loop(users, lam, rule, i_avg, check, checks, seed):
     # Small random populations: Bernoulli or truncated-Poisson arrivals at
     # one shared rate, constant or faded links, any rule and phi mode, and
-    # checks that fall inside input blocks and across their ends.
+    # checks that fall inside input blocks and across their ends. Each user
+    # count up to 6 runs its own kernel text.
     sus = tuple(
         SuConfig(Bernoulli(lam) if cap is None else TruncatedPoisson(lam, cap), d, direct, interference)
         for d, cap, direct, interference in users
