@@ -25,10 +25,14 @@ A slot goes:
 
 Simulation._advance runs the only kernel, which holds no trace code and
 runs within the drawn block. The kernel is generated from one template,
-_KERNEL, once per (user count, rule) in a process: the scan is written out
+_KERNEL, once per (rule, user shapes) in a process: the scan is written out
 once per user, whose lists are bound to locals once per call, and the
 rule's scoring, its start value and the idling test are chosen when the
 text is built, so a slot neither loops over the users nor tests the rule.
+A user's shape says whether its direct link is a constant one-packet link
+and whether at most one packet arrives in a slot. A unit-link user's scan
+reads no packet count, a single-arrival user's admission tests no count,
+and when every link is a unit link a departure is the head packet alone.
 run_slot(), observe() and run_lockstep ask _block_left for the slots left
 in the drawn block, which draws the next when none are.
 run_lockstep holds the stopping rule. It runs Simulations that share their
@@ -52,6 +56,7 @@ from __future__ import annotations
 
 import linecache
 import math
+import textwrap
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import islice, repeat, takewhile
@@ -328,36 +333,7 @@ $idle
                 best, queue, fifo, d, packets, interference = best_served
                 gain = interference[pos]
                 interference_sum += gain
-$count
-                # Pop the head packets in FIFO order: each adds its waiting
-                # time W to the waiting sum and its excess W - d to Y. A
-                # single packet, the only case on a unit-rate link, skips
-                # the loop and keeps its user's longest single wait, from
-                # which c_y_emp derives its candidate when read. A
-                # 0-packet slot still holds the channel and charges its gain.
-                if best_n == 1:
-                    w = slot1 - fifo.popleft()
-                    queue.cumulative_departures += 1
-                    queue.departed_waiting_sum += w
-                    y_new = y[best] + (w - d)
-                    y[best] = y_new if y_new > 0.0 else 0.0
-                    if w > w1_max[best]:
-                        w1_max[best] = w
-                elif best_n:
-                    pop = fifo.popleft
-                    w_sum = 0
-                    excess = 0.0
-                    for _ in range(best_n):
-                        w = slot1 - pop()
-                        w_sum += w
-                        excess += w - d
-                    queue.cumulative_departures += best_n
-                    queue.departed_waiting_sum += w_sum
-                    y_new = y[best] + excess
-                    y[best] = y_new if y_new > 0.0 else 0.0
-                    cand = d * d * best_n * best_n + w_sum * w_sum
-                    if cand > c_y_multi[best]:
-                        c_y_multi[best] = cand
+$depart
                 x = x + gain - i_avg
             x = x if x > 0.0 else 0.0
         slot = end
@@ -374,17 +350,26 @@ _BIND = """\
 # User $i's turn in a slot: its arrivals join the tail, and may depart in
 # this slot; then, if it is backlogged, the rule scores it.
 _USER = """\
-            a = arrivals$i[pos]
-            if a:
-                if a == 1:
-                    fifo$i.append(slot)
-                else:
-                    fifo$i.extend(repeat(slot, a))
+$admit
                 if len(fifo$i) > buffer_cap:
                     raise InfeasibleLoadError(f"backlog exceeded safety cap {buffer_cap} at slot {slot}")
             if fifo$i:
                 q = len(fifo$i)
 $score"""
+
+# A slot's arrivals, any number of them.
+_ADMIT_BATCHED = """\
+            a = arrivals$i[pos]
+            if a:
+                if a == 1:
+                    fifo$i.append(slot)
+                else:
+                    fifo$i.extend(repeat(slot, a))"""
+
+# At most one packet arrives in a slot.
+_ADMIT_SINGLE = """\
+            if arrivals$i[pos]:
+                fifo$i.append(slot)"""
 
 # Max-weight serves the largest Q/g.
 _SCORE_WEIGHT = """\
@@ -392,36 +377,89 @@ _SCORE_WEIGHT = """\
                 # An interference-free link has infinite weight.
                 v = inf if g <= 0.0 else q / g
                 if v > best_v:
-                    best_served, best_v, best_q = served$i, v, q"""
+                    $pick"""
 
 # The index policy serves the smallest phi = X g + Y sum(W) - (Y d + Q) r,
 # where r is the packet count n (actual mode) or the raw rate (literal mode).
+# On a unit link n is 1: the count is not read and the factor n is dropped,
+# which is exact, as v * 1 == v for every float v and q * 1 == q.
 _SCORE_PHI = """\
-                n = packets$i[pos]
-                if n > q:
-                    n = q
+$count
                 y_i = y[$i]
                 if y_i:
                     # The departing packets' waiting-time sum, an exact integer.
+$wait
+                    v = (x * interference$i[pos] + y_i * w_sum
+                         - (y_i * d$i + q)$rate)
+                else:
+                    # Y = +0.0 zeroes both delay terms exactly; only the sign of
+                    # a zero phi can differ, which no comparison below sees.
+                    v = x * interference$i[pos] - q$rate
+                if v < best_v:
+                    $pick"""
+
+# The packets a link carries this slot, as many as the queue holds.
+_COUNT_LISTED = """\
+                n = packets$i[pos]
+                if n > q:
+                    n = q"""
+
+_WAIT_LISTED = """\
                     if n == 1:
                         w_sum = slot1 - fifo$i[0]
                     elif n:
                         w_sum = n * slot1 - sum(islice(fifo$i, n))
                     else:
-                        w_sum = 0
-                    v = (x * interference$i[pos] + y_i * w_sum
-                         - (y_i * d$i + q) * $rate)
-                else:
-                    # Y = +0.0 zeroes both delay terms exactly; only the sign of
-                    # a zero phi can differ, which no comparison below sees.
-                    v = x * interference$i[pos] - q * $rate
-                if v < best_v:
-                    best_served, best_v, best_n = served$i, v, n"""
+                        w_sum = 0"""
+
+_WAIT_UNIT = """\
+                    w_sum = slot1 - fifo$i[0]"""
 
 # The idling index policy idles when even the smallest phi is positive.
 _IDLE = """\
             if best_v > 0.0:
                 best_served = None"""
+
+# The head packet departs: its waiting time W joins the waiting sum and its
+# excess W - d joins Y, and its user keeps its longest single wait, from
+# which c_y_emp derives its candidate when read.
+_POP_ONE = """\
+                w = slot1 - fifo.popleft()
+                queue.cumulative_departures += 1
+                queue.departed_waiting_sum += w
+                y_new = y[best] + (w - d)
+                y[best] = y_new if y_new > 0.0 else 0.0
+                if w > w1_max[best]:
+                    w1_max[best] = w"""
+
+# The departure when some link may carry other than one packet: best_n
+# packets, counted by the rule when it scored the user or, for max-weight,
+# here.
+_DEPART_LISTED = """\
+$count
+                # Pop the head packets in FIFO order: each adds its waiting
+                # time W to the waiting sum and its excess W - d to Y. A
+                # single packet, the only case on a unit-rate link, skips
+                # the loop and keeps its user's longest single wait, from
+                # which c_y_emp derives its candidate when read. A
+                # 0-packet slot still holds the channel and charges its gain.
+                if best_n == 1:
+$pop_one
+                elif best_n:
+                    pop = fifo.popleft
+                    w_sum = 0
+                    excess = 0.0
+                    for _ in range(best_n):
+                        w = slot1 - pop()
+                        w_sum += w
+                        excess += w - d
+                    queue.cumulative_departures += best_n
+                    queue.departed_waiting_sum += w_sum
+                    y_new = y[best] + excess
+                    y[best] = y_new if y_new > 0.0 else 0.0
+                    cand = d * d * best_n * best_n + w_sum * w_sum
+                    if cand > c_y_multi[best]:
+                        c_y_multi[best] = cand"""
 
 # Max-weight sends as many packets as the link carries and the queue holds.
 _COUNT_WEIGHT = """\
@@ -430,25 +468,71 @@ _COUNT_WEIGHT = """\
                     best_n = best_q"""
 
 
+class _UserShape(NamedTuple):
+    """What a user's kernel text depends on besides the rule: whether its
+    direct link is a constant one that carries exactly one packet a slot,
+    and whether at most one packet arrives in a slot. Such a user's scan
+    reads no packet counts, and its admission tests no count."""
+
+    unit_link: bool
+    single_arrival: bool
+
+    @classmethod
+    def of(cls, su: SuConfig) -> "_UserShape":
+        return cls(isinstance(su.direct, DeterministicGain)
+                   and int(transmission_rate(float(su.direct.value))) == 1,
+                   su.arrivals.a_max == 1)
+
+    def __str__(self) -> str:
+        return f"{'unit' if self.unit_link else 'listed'}/{'single' if self.single_arrival else 'batched'}"
+
+
 @lru_cache(maxsize=32)
-def _kernel(users: int, kind: SchedulerKind):
-    """Simulation._advance's kernel for ``users`` users under ``kind``,
-    compiled from _KERNEL. Its source is entered into linecache, so that a
-    traceback shows its lines."""
+def _kernel(shapes: tuple[_UserShape, ...], kind: SchedulerKind):
+    """Simulation._advance's kernel for users of the given shapes, in order,
+    under ``kind``, compiled from _KERNEL. When every link is a unit link,
+    every departure is the head packet alone, and no packet count is kept.
+    Its source is entered into linecache under a name that tells the
+    shapes apart, so that a traceback shows its lines."""
     maxweight = kind.kind == MAXWEIGHT
-    if maxweight:
-        score = _SCORE_WEIGHT
+    all_unit = all(shape.unit_link for shape in shapes)
+    users = []
+    for i, shape in enumerate(shapes):
+        # A better candidate records what its departure needs: the packet
+        # count, or for max-weight the backlog it is cut to at departure,
+        # unless every departure is a single packet.
+        if all_unit:
+            pick = "best_served, best_v = served$i, v"
+        elif maxweight:
+            pick = "best_served, best_v, best_q = served$i, v, q"
+        else:
+            pick = f"best_served, best_v, best_n = served$i, v, {1 if shape.unit_link else 'n'}"
+        if maxweight:
+            score = Template(_SCORE_WEIGHT).safe_substitute(pick=pick)
+        else:
+            rate = " * rates$i[pos]" if kind.reads_rates else "" if shape.unit_link else " * n"
+            score = Template(_SCORE_PHI).safe_substitute(
+                count="" if shape.unit_link else _COUNT_LISTED,
+                wait=_WAIT_UNIT if shape.unit_link else _WAIT_LISTED,
+                rate=rate, pick=pick)
+        user = Template(_USER).safe_substitute(
+            admit=_ADMIT_SINGLE if shape.single_arrival else _ADMIT_BATCHED, score=score)
+        users.append(Template(user).substitute(i=i))
+    if all_unit:
+        depart = _POP_ONE
     else:
-        score = Template(_SCORE_PHI).safe_substitute(rate="rates$i[pos]" if kind.reads_rates else "n")
-    user = Template(_USER).safe_substitute(score=score)
+        depart = Template(_DEPART_LISTED).substitute(count=_COUNT_WEIGHT if maxweight else "",
+                                                     pop_one=textwrap.indent(_POP_ONE, "    "))
     source = Template(_KERNEL).substitute(
-        bind="\n".join(Template(_BIND).substitute(i=i) for i in range(users)),
+        bind="\n".join(Template(_BIND).substitute(i=i) for i in range(len(shapes))),
         start="-inf" if maxweight else "inf",
-        scan="\n".join(Template(user).substitute(i=i) for i in range(users)),
+        scan="\n".join(users),
         idle=_IDLE if kind.idling else "",
-        count=_COUNT_WEIGHT if maxweight else "",
+        depart=depart,
     )
-    filename = f"<crsched kernel: {kind.kind}/{kind.phi_mode}, {users} user{'s' if users > 1 else ''}>"
+    count = len(shapes)
+    filename = (f"<crsched kernel: {kind.kind}/{kind.phi_mode}, {count} user{'s' if count > 1 else ''}: "
+                f"{', '.join(map(str, shapes))}>")
     namespace = {"math": math, "repeat": repeat, "islice": islice, "InfeasibleLoadError": InfeasibleLoadError}
     exec(compile(source, filename, "exec"), namespace)
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
@@ -482,7 +566,7 @@ class Simulation:
         if inputs is None:
             inputs = _inputs(config, config.scheduler.reads_rates)
         self._inputs, self._direct = inputs, inputs.direct
-        self._kernel = _kernel(n, config.scheduler)
+        self._kernel = _kernel(tuple(map(_UserShape.of, config.sus)), config.scheduler)
         sus, self._scan = [], []
         for i, su in enumerate(config.sus):
             state = SuState(SuQueue(su.arrivals), su.delay_bound, *inputs.users[i])
@@ -591,7 +675,7 @@ class Simulation:
         """Run ``count`` >= 1 slots, all in the drawn block; return the last
         one's scheduled user.
 
-        This is the kernel built for this run's rule and user count. The run
+        This is the kernel built for this run's rule and user shapes. The run
         state lives in its locals and is written back on the way out, also
         when a backlog outgrows its cap: the aborted slot then leaves its
         arrivals so far queued and changes nothing else.

@@ -1,7 +1,9 @@
+import linecache
 import math
 import traceback
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,16 +309,54 @@ def test_dead_channel_aborts_as_infeasible(kind):
     assert result.terminal_q == (51,)
 
 
-def test_one_kernel_per_user_count_and_rule():
-    # Simulations of one user count, rule and phi mode share one kernel;
-    # every other (user count, rule, phi mode) gets its own.
+def kernel_source(sim: Simulation) -> str:
+    """The text sim's kernel was compiled from, as linecache holds it."""
+    return "".join(linecache.getlines(sim._kernel.__code__.co_filename))
+
+
+def test_one_kernel_per_user_shape_and_rule():
+    # Simulations of one user shape, rule and phi mode share one kernel;
+    # every other (user shapes, rule, phi mode) gets its own, under its own
+    # name in linecache, so that no kernel's source replaces another's.
     cfg = two_user_config(0.2, "proposed")
     kinds = [SchedulerKind(name, mode) for name in SCHEDULER_NAMES for mode in (PHI_ACTUAL, PHI_LITERAL)]
     kernels = [Simulation(replace(cfg, scheduler=kind))._kernel for kind in kinds]
     assert [Simulation(replace(cfg, scheduler=kind, seed=7))._kernel for kind in kinds] == kernels
-    one_user = Simulation(replace(cfg, sus=cfg.sus[:1]))._kernel
-    assert len({id(kernel) for kernel in kernels + [one_user]}) == len(kinds) + 1
+    same_shape = tuple(replace(su, arrivals=Bernoulli(0.4), delay_bound=3.0, interference=RayleighGain(0.9),
+                               direct=DeterministicGain(2.5)) for su in cfg.sus)
+    assert Simulation(replace(cfg, sus=same_shape))._kernel is kernels[0]
     assert [sim._kernel for sim in simulations(cfg, kinds[:2])] == kernels[:2]
+    faded = replace(cfg, sus=tuple(replace(su, direct=RayleighGain(1.0)) for su in cfg.sus))
+    others = [
+        replace(cfg, sus=cfg.sus[:1]),
+        faded,
+        replace(cfg, sus=tuple(replace(su, arrivals=TruncatedPoisson(0.2, 2)) for su in cfg.sus)),
+        replace(cfg, sus=(cfg.sus[0], faded.sus[1])),
+        replace(cfg, sus=(faded.sus[0], cfg.sus[1])),
+    ]
+    sims = [Simulation(other) for other in others]
+    built = kernels + [sim._kernel for sim in sims]
+    assert len({id(kernel) for kernel in built}) == len(built)
+    assert len({kernel.__code__.co_filename for kernel in built}) == len(built)
+    # The unit-link kernel's source is still its own after the faded one's.
+    assert "packets0[pos]" not in kernel_source(Simulation(cfg))
+    assert "packets0[pos]" in kernel_source(sims[1])
+
+
+def test_unit_link_kernels_read_no_packet_counts():
+    # table1.cfg gives every user a one-packet constant link and Bernoulli
+    # arrivals, so its kernels read no packet counts, test no arrival count
+    # and keep no departure count; the faded fading-seeds users take the
+    # listed path. Identical outputs would not show a fall back to it.
+    table1 = load_spec(shipped_config("table1.cfg"))
+    fading = load_spec(str(Path(__file__).resolve().parent.parent / "bench" / "fading-seeds.cfg"))
+    for kind in (SchedulerKind(name, mode) for name in SCHEDULER_NAMES for mode in (PHI_ACTUAL, PHI_LITERAL)):
+        unit = kernel_source(Simulation(point_config(table1, kind, 0.2, 1)))
+        assert not any(text in unit for text in ("packets0[pos]", "packets[pos]", "a == 1", "best_n"))
+        listed = kernel_source(Simulation(point_config(fading, kind, 0.2, 1)))
+        # Max-weight reads the served user's count at departure, phi each user's.
+        assert ("packets[pos]" if kind.kind == "maxweight" else "packets0[pos]") in listed
+        assert "a == 1" in listed and "best_n" in listed
 
 
 def test_abort_traceback_shows_the_kernel_source():
@@ -326,7 +366,7 @@ def test_abort_traceback_shows_the_kernel_source():
     with pytest.raises(InfeasibleLoadError) as exc:
         sim.run_slot()
     text = "".join(traceback.format_exception(exc.value))
-    assert 'File "<crsched kernel: proposed/actual, 1 user>", line ' in text
+    assert 'File "<crsched kernel: proposed/actual, 1 user: listed/single>", line ' in text
     assert 'raise InfeasibleLoadError(f"backlog exceeded safety cap {buffer_cap} at slot {slot}")' in text
 
 

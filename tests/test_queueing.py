@@ -124,9 +124,17 @@ def serve(sim, slot):
 
 
 def scripted_sim(arrivals, serves):
-    """A one-user staged Simulation whose slot t admits arrivals[t] packets
-    and offers serves[t] departures."""
-    sim = staged_sim(PROPOSED_NONIDLING, Staged())
+    """A one-user Simulation whose slot t admits arrivals[t] packets and
+    offers serves[t] departures. The kernel reads both from its input lists
+    only for a user that may take several arrivals in a slot, on a link
+    other than a one-packet constant one: truncated-Poisson arrivals with a
+    cap over every count, and a zero direct gain, whose packet counts are
+    then replaced."""
+    sim = Simulation(SimConfig(
+        sus=(SuConfig(TruncatedPoisson(0.0, max(2, *arrivals)), 1.5, DeterministicGain(0.0),
+                      DeterministicGain(0.4)),),
+        i_avg=2.0, scheduler=SchedulerKind(PROPOSED_NONIDLING),
+    ))
     sim._fill_block()
     inputs = sim.sus[0]
     inputs.arrivals[:len(arrivals)] = arrivals

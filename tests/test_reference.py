@@ -8,6 +8,7 @@ packet counts and its decision and update rules from the raw streams up.
 """
 
 import importlib.util
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -86,10 +87,19 @@ def test_literal_runs_equal_the_reference_loop(scheduler):
     assert got == want
 
 
+# Constant gains at the edges of a one-packet link: log2(1 + gamma) is 1 at
+# 1.0, and its integer part stays 1 up to just below 3.0, which carries 2.
+UNIT_GAINS = (1.0, 2.0, math.nextafter(3.0, 0.0))
+
 gains = st.one_of(
     st.builds(DeterministicGain, st.floats(0.0, 20.0)),
+    st.builds(DeterministicGain, st.sampled_from(UNIT_GAINS + (3.0,))),
     st.builds(RayleighGain, st.floats(0.01, 8.0)),
 )
+
+RULES = [("proposed", "actual"), ("proposed", "literal"),
+         ("proposed-nonidling", "actual"), ("proposed-nonidling", "literal"),
+         ("maxweight", "actual")]
 
 
 def reference_link(model):
@@ -98,24 +108,10 @@ def reference_link(model):
     return ("rayleigh", model.mean, model.cap)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    users=st.lists(st.tuples(st.floats(0.5, 6.0), st.sampled_from([None, 1, 2, 3, 4]), gains, gains),
-                   min_size=1, max_size=6),
-    lam=st.floats(0.0, 1.0),
-    rule=st.sampled_from([("proposed", "actual"), ("proposed", "literal"),
-                          ("proposed-nonidling", "actual"), ("proposed-nonidling", "literal"),
-                          ("maxweight", "actual")]),
-    i_avg=st.floats(0.05, 3.0),
-    check=st.integers(50, 2500),
-    checks=st.integers(1, 4),
-    seed=st.integers(0, 2**32),
-)
-def test_random_populations_equal_the_reference_loop(users, lam, rule, i_avg, check, checks, seed):
-    # Small random populations: Bernoulli or truncated-Poisson arrivals at
-    # one shared rate, constant or faded links, any rule and phi mode, and
-    # checks that fall inside input blocks and across their ends. Each user
-    # count up to 6 runs its own kernel text.
+def run_population(users, lam, rule, i_avg, check, checks, seed):
+    """An engine run and a reference run of users, each a (delay bound,
+    truncated-Poisson cap or None for Bernoulli, direct link, interference
+    link), as two dicts keyed alike."""
     sus = tuple(
         SuConfig(Bernoulli(lam) if cap is None else TruncatedPoisson(lam, cap), d, direct, interference)
         for d, cap, direct, interference in users
@@ -130,5 +126,39 @@ def test_random_populations_equal_the_reference_loop(users, lam, rule, i_avg, ch
         "check_interval": check,
         "literal_phi": rule[1] == "literal",
     }
-    got, want = run_both(cfg, system, lam)
+    return run_both(cfg, system, lam)
+
+
+@pytest.mark.parametrize("users", [1, 2])
+@pytest.mark.parametrize("rule", RULES, ids="/".join)
+@pytest.mark.parametrize("gain", (0.0,) + UNIT_GAINS + (3.0,))
+def test_constant_links_at_the_unit_edges_equal_the_reference_loop(gain, rule, users):
+    # A one-packet constant link with at most one arrival a slot runs the
+    # kernel that reads no packet counts; 0.0 and 3.0 carry 0 and 2 packets
+    # and run the listed one. The second user, a unit link with batched
+    # arrivals, makes the kernel mixed unless the first is a unit link too.
+    population = [(1.5, None, DeterministicGain(gain), RayleighGain(0.4)),
+                  (3.0, 2, DeterministicGain(1.0), RayleighGain(0.2))][:users]
+    got, want = run_population(population, 0.3, rule, 0.2, 1000, 3, 11)
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    users=st.lists(st.tuples(st.floats(0.5, 6.0), st.sampled_from([None, 1, 2, 3, 4]), gains, gains),
+                   min_size=1, max_size=6),
+    lam=st.floats(0.0, 1.0),
+    rule=st.sampled_from(RULES),
+    i_avg=st.floats(0.05, 3.0),
+    check=st.integers(50, 2500),
+    checks=st.integers(1, 4),
+    seed=st.integers(0, 2**32),
+)
+def test_random_populations_equal_the_reference_loop(users, lam, rule, i_avg, check, checks, seed):
+    # Small random populations: Bernoulli or truncated-Poisson arrivals at
+    # one shared rate, constant or faded links, any rule and phi mode, and
+    # checks that fall inside input blocks and across their ends. Each user
+    # count up to 6, and each mix of unit and other links, runs its own
+    # kernel text.
+    got, want = run_population(users, lam, rule, i_avg, check, checks, seed)
     assert got == want
