@@ -314,7 +314,7 @@ def kernel_source(sim: Simulation) -> str:
     return "".join(linecache.getlines(sim._kernel.__code__.co_filename))
 
 
-def test_one_kernel_per_user_shape_and_rule():
+def test_one_kernel_per_user_count_and_rule():
     # Simulations of one user shape, rule and phi mode share one kernel;
     # every other (user shapes, rule, phi mode) gets its own, under its own
     # name in linecache, so that no kernel's source replaces another's.

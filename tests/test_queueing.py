@@ -125,13 +125,12 @@ def serve(sim, slot):
 
 def scripted_sim(arrivals, serves):
     """A one-user Simulation whose slot t admits arrivals[t] packets and
-    offers serves[t] departures. The kernel reads both from its input lists
-    only for a user that may take several arrivals in a slot, on a link
-    other than a one-packet constant one: truncated-Poisson arrivals with a
-    cap over every count, and a zero direct gain, whose packet counts are
-    then replaced."""
+    offers serves[t] departures, scripted into its input lists. Its kernel
+    counts both from those lists, as it does for truncated-Poisson arrivals
+    with a cap over every count and a zero direct gain, whose packet counts
+    the script replaces; it would not on a one-packet constant link."""
     sim = Simulation(SimConfig(
-        sus=(SuConfig(TruncatedPoisson(0.0, max(2, *arrivals)), 1.5, DeterministicGain(0.0),
+        sus=(SuConfig(TruncatedPoisson(0.0, max([2, *arrivals])), 1.5, DeterministicGain(0.0),
                       DeterministicGain(0.4)),),
         i_avg=2.0, scheduler=SchedulerKind(PROPOSED_NONIDLING),
     ))
