@@ -25,14 +25,21 @@ A slot goes:
 
 Simulation._advance runs the only kernel, which holds no trace code and
 runs within the drawn block. The kernel is generated from one template,
-_KERNEL, once per (rule, user shapes) in a process: the scan is written out
-once per user, whose lists are bound to locals once per call, and the
-rule's scoring, its start value and the idling test are chosen when the
-text is built, so a slot neither loops over the users nor tests the rule.
+_KERNEL, once per (rule, user shapes) in a process: the scan and the
+departure are written out once per user, and the rule's scoring, its start
+value and the idling test are chosen when the text is built, so a slot
+neither loops over the users nor tests the rule.
+Each user's state lives in the kernel's locals for a call: its lists, its
+Y_i, its c_y_emp parts and its backlog, a count taken from the FIFO once
+per call and kept by admission and departure from then on, so no slot
+calls len(). A slot's choice is the user's index alone, and the departure
+written out for that user works on its locals. On the way out, also when a
+backlog outgrows its cap, the state of each user that departed in the call
+is written back; no other user's has changed.
 A user's shape says whether its direct link is a constant one-packet link
 and whether at most one packet arrives in a slot. A unit-link user's scan
-reads no packet count, a single-arrival user's admission tests no count,
-and when every link is a unit link a departure is the head packet alone.
+reads no packet count and its departure is its head packet alone, and a
+single-arrival user's admission tests no count.
 run_slot(), observe() and run_lockstep ask _block_left for the slots left
 in the drawn block, which draws the next when none are.
 run_lockstep holds the stopping rule. It runs Simulations that share their
@@ -60,6 +67,7 @@ import textwrap
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import islice, repeat, takewhile
+from operator import itemgetter
 from string import Template
 from typing import Iterator, NamedTuple, Sequence
 
@@ -303,10 +311,17 @@ def stability_metric(x: float, ys: Sequence[float], slots: int) -> float:
 
 # The slot kernel, as text. Each $name is filled when a kernel is built,
 # with a user index or one of the fragments below, never with text from a
-# config: the scan is written out once per user with the rule's scoring in
-# it, so a slot neither loops over the users nor branches on the rule.
+# config: the scan and the departure are written out once per user with the
+# rule's scoring in them, so a slot neither loops over the users nor
+# branches on the rule.
 _KERNEL = """\
 def _advance(self, count):
+    # The slot iterator comes first: tracemalloc finds the line of each
+    # allocation by scanning the function's line table from its start.
+    x, slot, pos = self.x, self.slot, self.slot - self._inputs.start
+    end = slot + count
+    # Arrivals are tagged with the slot, waits run to slot1 = slot + 1.
+    slots = zip(range(pos, pos + count), range(slot, end), range(slot + 1, end + 1))
     y = self.y
     c_y_multi, w1_max = self._c_y_multi, self._w1_max
     i_avg = self.config.i_avg
@@ -314,47 +329,55 @@ def _advance(self, count):
     scan = self._scan
 $bind
     inf = math.inf
-    x, slot, pos = self.x, self.slot, self.slot - self._inputs.start
     interference_sum = self.interference_sum
-    end = slot + count
-    best_served = None
+    best = None
     try:
-        # Arrivals are tagged with the slot, waits run to slot1 = slot + 1.
-        for pos, slot, slot1 in zip(range(pos, pos + count), range(slot, end), range(slot + 1, end + 1)):
+        for pos, slot, slot1 in slots:
             # Ties keep the lowest index: only a strictly better value replaces it.
-            best_served = None
+            best = None
             best_v = $start
 $scan
 $idle
-            if best_served is None:
+            if best is None:
                 # An idle slot charges no gain; x + 0.0 == x, as X >= 0 is never -0.0.
                 x -= i_avg
-            else:
-                best, queue, fifo, d, packets, interference = best_served
-                gain = interference[pos]
-                interference_sum += gain
 $depart
-                x = x + gain - i_avg
             x = x if x > 0.0 else 0.0
         slot = end
     finally:
         self.x, self.slot = x, slot
         self.interference_sum = interference_sum
-    return None if best_served is None else best_served[0]
+$write
+    return best
 """
 
-# User $i's entry of Simulation._scan, bound to its locals once per call.
+# User $i's state, bound to locals once per call: its entry of
+# Simulation._scan, its Y, its c_y_emp parts, and its backlog, counted
+# here and kept by the kernel from then on. Its departures and their
+# waiting-time sum in this call start at 0.
 _BIND = """\
-    fifo$i, arrivals$i, interference$i, packets$i, rates$i, d$i, served$i = scan[$i]"""
+    fifo$i, arrivals$i, interference$i, packets$i, rates$i, d$i = scan[$i]
+    y$i, w1_max$i, c_y_multi$i = y[$i], w1_max[$i], c_y_multi[$i]
+    q$i = len(fifo$i)
+    departures$i = waited$i = 0"""
+
+# User $i's state changes only when it departs, so only then is it written
+# back, on every way out: a slot whose backlog outgrew its cap has changed
+# nothing by then but the FIFOs, whose counts the next call takes afresh.
+_WRITE = """\
+        if departures$i:
+            y[$i], w1_max[$i], c_y_multi[$i] = y$i, w1_max$i, c_y_multi$i
+            queue = self.sus[$i].queue
+            queue.cumulative_departures += departures$i
+            queue.departed_waiting_sum += waited$i"""
 
 # User $i's turn in a slot: its arrivals join the tail, and may depart in
 # this slot; then, if it is backlogged, the rule scores it.
 _USER = """\
 $admit
-                if len(fifo$i) > buffer_cap:
+                if q$i > buffer_cap:
                     raise InfeasibleLoadError(f"backlog exceeded safety cap {buffer_cap} at slot {slot}")
-            if fifo$i:
-                q = len(fifo$i)
+            if q$i:
 $score"""
 
 # A slot's arrivals, any number of them.
@@ -364,18 +387,20 @@ _ADMIT_BATCHED = """\
                 if a == 1:
                     fifo$i.append(slot)
                 else:
-                    fifo$i.extend(repeat(slot, a))"""
+                    fifo$i.extend(repeat(slot, a))
+                q$i += a"""
 
 # At most one packet arrives in a slot.
 _ADMIT_SINGLE = """\
             if arrivals$i[pos]:
-                fifo$i.append(slot)"""
+                fifo$i.append(slot)
+                q$i += 1"""
 
 # Max-weight serves the largest Q/g.
 _SCORE_WEIGHT = """\
                 g = interference$i[pos]
                 # An interference-free link has infinite weight.
-                v = inf if g <= 0.0 else q / g
+                v = inf if g <= 0.0 else q$i / g
                 if v > best_v:
                     $pick"""
 
@@ -385,24 +410,23 @@ _SCORE_WEIGHT = """\
 # which is exact, as v * 1 == v for every float v and q * 1 == q.
 _SCORE_PHI = """\
 $count
-                y_i = y[$i]
-                if y_i:
+                if y$i:
                     # The departing packets' waiting-time sum, an exact integer.
 $wait
-                    v = (x * interference$i[pos] + y_i * w_sum
-                         - (y_i * d$i + q)$rate)
+                    v = (x * interference$i[pos] + y$i * w_sum
+                         - (y$i * d$i + q$i)$rate)
                 else:
                     # Y = +0.0 zeroes both delay terms exactly; only the sign of
                     # a zero phi can differ, which no comparison below sees.
-                    v = x * interference$i[pos] - q$rate
+                    v = x * interference$i[pos] - q$i$rate
                 if v < best_v:
                     $pick"""
 
 # The packets a link carries this slot, as many as the queue holds.
 _COUNT_LISTED = """\
                 n = packets$i[pos]
-                if n > q:
-                    n = q"""
+                if n > q$i:
+                    n = q$i"""
 
 _WAIT_LISTED = """\
                     if n == 1:
@@ -418,54 +442,66 @@ _WAIT_UNIT = """\
 # The idling index policy idles when even the smallest phi is positive.
 _IDLE = """\
             if best_v > 0.0:
-                best_served = None"""
+                best = None"""
+
+# User $i's departure, after the idle test: $test is "elif best == $i" or,
+# for the last user, "else". Its gain is charged whether or not a packet
+# goes.
+_DEPART = """\
+            $test:
+                gain = interference$i[pos]
+                interference_sum += gain
+$pop
+                x = x + gain - i_avg"""
 
 # The head packet departs: its waiting time W joins the waiting sum and its
 # excess W - d joins Y, and its user keeps its longest single wait, from
 # which c_y_emp derives its candidate when read.
 _POP_ONE = """\
-                w = slot1 - fifo.popleft()
-                queue.cumulative_departures += 1
-                queue.departed_waiting_sum += w
-                y_new = y[best] + (w - d)
-                y[best] = y_new if y_new > 0.0 else 0.0
-                if w > w1_max[best]:
-                    w1_max[best] = w"""
+                w = slot1 - fifo$i.popleft()
+                q$i -= 1
+                departures$i += 1
+                waited$i += w
+                y_new = y$i + (w - d$i)
+                y$i = y_new if y_new > 0.0 else 0.0
+                if w > w1_max$i:
+                    w1_max$i = w"""
 
-# The departure when some link may carry other than one packet: best_n
+# The departure on a link that may carry other than one packet: best_n
 # packets, counted by the rule when it scored the user or, for max-weight,
 # here.
 _DEPART_LISTED = """\
 $count
                 # Pop the head packets in FIFO order: each adds its waiting
                 # time W to the waiting sum and its excess W - d to Y. A
-                # single packet, the only case on a unit-rate link, skips
-                # the loop and keeps its user's longest single wait, from
-                # which c_y_emp derives its candidate when read. A
-                # 0-packet slot still holds the channel and charges its gain.
+                # single packet skips the loop and keeps its user's longest
+                # single wait, from which c_y_emp derives its candidate when
+                # read. A 0-packet slot still holds the channel and charges
+                # its gain.
                 if best_n == 1:
 $pop_one
                 elif best_n:
-                    pop = fifo.popleft
+                    pop = fifo$i.popleft
                     w_sum = 0
                     excess = 0.0
                     for _ in range(best_n):
                         w = slot1 - pop()
                         w_sum += w
-                        excess += w - d
-                    queue.cumulative_departures += best_n
-                    queue.departed_waiting_sum += w_sum
-                    y_new = y[best] + excess
-                    y[best] = y_new if y_new > 0.0 else 0.0
-                    cand = d * d * best_n * best_n + w_sum * w_sum
-                    if cand > c_y_multi[best]:
-                        c_y_multi[best] = cand"""
+                        excess += w - d$i
+                    q$i -= best_n
+                    departures$i += best_n
+                    waited$i += w_sum
+                    y_new = y$i + excess
+                    y$i = y_new if y_new > 0.0 else 0.0
+                    cand = d$i * d$i * best_n * best_n + w_sum * w_sum
+                    if cand > c_y_multi$i:
+                        c_y_multi$i = cand"""
 
 # Max-weight sends as many packets as the link carries and the queue holds.
 _COUNT_WEIGHT = """\
-                best_n = packets[pos]
-                if best_n > best_q:
-                    best_n = best_q"""
+                best_n = packets$i[pos]
+                if best_n > q$i:
+                    best_n = q$i"""
 
 
 class _UserShape(NamedTuple):
@@ -490,23 +526,17 @@ class _UserShape(NamedTuple):
 @lru_cache(maxsize=32)
 def _kernel(shapes: tuple[_UserShape, ...], kind: SchedulerKind):
     """Simulation._advance's kernel for users of the given shapes, in order,
-    under ``kind``, compiled from _KERNEL. When every link is a unit link,
-    every departure is the head packet alone, and no packet count is kept.
+    under ``kind``, compiled from _KERNEL. A unit-link user's departure is
+    its head packet alone, and no packet count is kept for it.
     Its source is entered into linecache under a name that tells the
     shapes apart, so that a traceback shows its lines."""
     maxweight = kind.kind == MAXWEIGHT
-    all_unit = all(shape.unit_link for shape in shapes)
-    users = []
+    last = len(shapes) - 1
+    users, departures = [], []
     for i, shape in enumerate(shapes):
-        # A better candidate records what its departure needs: the packet
-        # count, or for max-weight the backlog it is cut to at departure,
-        # unless every departure is a single packet.
-        if all_unit:
-            pick = "best_served, best_v = served$i, v"
-        elif maxweight:
-            pick = "best_served, best_v, best_q = served$i, v, q"
-        else:
-            pick = f"best_served, best_v, best_n = served$i, v, {1 if shape.unit_link else 'n'}"
+        # A better candidate records what its departure needs beyond its
+        # index: the packet count phi scored a listed link with.
+        pick = "best, best_v = $i, v" if maxweight or shape.unit_link else "best, best_v, best_n = $i, v, n"
         if maxweight:
             score = Template(_SCORE_WEIGHT).safe_substitute(pick=pick)
         else:
@@ -518,17 +548,20 @@ def _kernel(shapes: tuple[_UserShape, ...], kind: SchedulerKind):
         user = Template(_USER).safe_substitute(
             admit=_ADMIT_SINGLE if shape.single_arrival else _ADMIT_BATCHED, score=score)
         users.append(Template(user).substitute(i=i))
-    if all_unit:
-        depart = _POP_ONE
-    else:
-        depart = Template(_DEPART_LISTED).substitute(count=_COUNT_WEIGHT if maxweight else "",
-                                                     pop_one=textwrap.indent(_POP_ONE, "    "))
+        if shape.unit_link:
+            pop = _POP_ONE
+        else:
+            pop = Template(_DEPART_LISTED).safe_substitute(count=_COUNT_WEIGHT if maxweight else "",
+                                                           pop_one=textwrap.indent(_POP_ONE, "    "))
+        departure = Template(_DEPART).safe_substitute(test="else" if i == last else "elif best == $i", pop=pop)
+        departures.append(Template(departure).substitute(i=i))
     source = Template(_KERNEL).substitute(
         bind="\n".join(Template(_BIND).substitute(i=i) for i in range(len(shapes))),
         start="-inf" if maxweight else "inf",
         scan="\n".join(users),
         idle=_IDLE if kind.idling else "",
-        depart=depart,
+        depart="\n".join(departures),
+        write="\n".join(Template(_WRITE).substitute(i=i) for i in range(len(shapes))),
     )
     count = len(shapes)
     filename = (f"<crsched kernel: {kind.kind}/{kind.phi_mode}, {count} user{'s' if count > 1 else ''}: "
@@ -542,6 +575,13 @@ def _kernel(shapes: tuple[_UserShape, ...], kind: SchedulerKind):
 class Simulation:
     """Mutable run state, with X as x and Y_i as y[i]; drive with
     run_slot() or run_until_converged(), or watch it with observe().
+
+    Each call of the kernel (_advance) binds the state to its locals, counts
+    each backlog once from its FIFO, and writes back Y_i, c_y_emp's parts
+    and the queue counters of each user that departed in the call; X, the
+    slot and interference_sum are written back on every call. Between calls
+    the state lives here alone, so a FIFO or Y_i staged between calls is
+    what the next call starts from.
 
     interference_sum adds up the interference gains charged so far.
     c_y_emp[i], the empirical Y-term of the drift constant, is the largest
@@ -572,10 +612,8 @@ class Simulation:
             state = SuState(SuQueue(su.arrivals), su.delay_bound, *inputs.users[i])
             # What the kernel binds to user i's locals once per call: the
             # lists are refilled in place, so the scan is built once.
-            fifo = state.queue.fifo
-            served = (i, state.queue, fifo, su.delay_bound, state.packets, state.interference)
-            self._scan.append((fifo, state.arrivals, state.interference, state.packets, state.rate,
-                               su.delay_bound, served))
+            self._scan.append((state.queue.fifo, state.arrivals, state.interference, state.packets,
+                               state.rate, su.delay_bound))
             sus.append(state)
         self.sus = tuple(sus)
         # Each constant direct link's gain, None for a faded one.
@@ -634,42 +672,64 @@ class Simulation:
         for, and none is kept. A backlog that outgrows its cap raises
         InfeasibleLoadError from the aborted slot, as run_slot() does.
 
-        The kernel is watched from outside: before a slot, each user's
-        departure count and waiting-time sum, and its FIFO head, as many
-        packets as the slot could send, where that is two or more; after it,
-        the state and the slot's inputs. One served packet waited what the
-        waiting-time sum grew by. Several are the first of that head, then the
-        slot's own arrivals (waiting 1 slot), as many as the departure count
-        grew by. A faded link's direct gain is read from its block as drawn,
-        a constant link's from its model.
+        The kernel is watched from outside. One user departs in a slot, so
+        each user's departure count and waiting-time sum are kept in two
+        lists, and after a slot only the served user's entries are read
+        again (all of them when the Simulation was advanced elsewhere
+        between two records). Before a slot, the FIFO head is copied, as
+        many packets as the slot could send, only where that is two or
+        more; after it, the state and the slot's inputs are read. One served packet waited what the
+        waiting-time sum grew by. Several are the first of that head, then
+        the slot's own arrivals (waiting 1 slot), as many as the departure
+        count grew by. A faded link's direct gain is read from its block as
+        drawn, a constant link's from its model.
         """
         sus = self.sus
         queues = [su.queue for su in sus]
+        fifos = [queue.fifo for queue in queues]
+        arrivals = [su.arrivals for su in sus]
+        interference = [su.interference for su in sus]
         constant = self._constant_direct
+        faded = None in constant
+
+        # A record is built in a short function of its own, as tracemalloc
+        # finds the line of each allocation by scanning the line table of
+        # its function from the start.
+        def record(slot: int, pos: int, best: int | None, gain: float, waits: tuple[int, ...]) -> SlotTrace:
+            at = itemgetter(pos)
+            direct = (tuple([float(self._direct[i][pos]) if g is None else g for i, g in enumerate(constant)])
+                      if faded else constant)
+            return SlotTrace(slot, tuple(map(at, arrivals)), best, gain, waits, tuple(map(len, fifos)),
+                             tuple(self.y), self.x, direct, tuple(map(at, interference)))
+
+        # The users whose packet counts the kernel reads: all but unit links.
+        listed = [(i, su.packets, su.queue.fifo) for i, (su, config) in enumerate(zip(sus, self.config.sus))
+                  if not _UserShape.of(config).unit_link]
+        heads: list[list[int] | None] = [None] * len(sus)
+        after = None
         for _ in range(count):
             self._block_left()
             slot, pos = self.slot, self.slot - self._inputs.start
-            before = [(q.cumulative_departures, q.departed_waiting_sum,
-                       list(islice(q.fifo, su.packets[pos])) if su.packets[pos] >= 2 and q.fifo else ())
-                      for su, q in zip(sus, queues)]
+            if slot != after:
+                departed = [queue.cumulative_departures for queue in queues]
+                waited = [queue.departed_waiting_sum for queue in queues]
+            for i, packets, fifo in listed:
+                n = packets[pos]
+                heads[i] = list(islice(fifo, n)) if n >= 2 and fifo else None
             best = self._advance(1)
+            after = self.slot
             if best is None:
-                gain, waits = 0.0, ()
+                yield record(slot, pos, best, 0.0, ())
+                continue
+            queue = queues[best]
+            n = queue.cumulative_departures - departed[best]
+            if n == 1:
+                waits = (queue.departed_waiting_sum - waited[best],)
             else:
-                queue = queues[best]
-                departed, waited, head = before[best]
-                n = queue.cumulative_departures - departed
-                gain = sus[best].interference[pos]
-                if n == 1:
-                    waits = (queue.departed_waiting_sum - waited,)
-                else:
-                    waits = tuple(slot + 1 - a for a in head[:n]) + (1,) * (n - len(head))
-            yield SlotTrace(
-                slot, tuple([su.arrivals[pos] for su in sus]), best, gain, waits,
-                tuple([len(q.fifo) for q in queues]), tuple(self.y), self.x,
-                tuple([float(self._direct[i][pos]) if g is None else g for i, g in enumerate(constant)]),
-                tuple([su.interference[pos] for su in sus]),
-            )
+                head = heads[best] or ()
+                waits = tuple(slot + 1 - a for a in head[:n]) + (1,) * (n - len(head))
+            departed[best], waited[best] = queue.cumulative_departures, queue.departed_waiting_sum
+            yield record(slot, pos, best, interference[best][pos], waits)
 
     def _advance(self, count: int) -> int | None:
         """Run ``count`` >= 1 slots, all in the drawn block; return the last

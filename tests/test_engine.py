@@ -3,6 +3,7 @@ import math
 import traceback
 import tracemalloc
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -343,20 +344,30 @@ def test_one_kernel_per_user_count_and_rule():
     assert "packets0[pos]" in kernel_source(sims[1])
 
 
+def slot_loop(source: str) -> str:
+    """The text of a kernel's slot loop: from its for line to finally:."""
+    return source[source.index("        for pos, slot, slot1 in "):source.index("    finally:")]
+
+
 def test_unit_link_kernels_read_no_packet_counts():
     # table1.cfg gives every user a one-packet constant link and Bernoulli
     # arrivals, so its kernels read no packet counts, test no arrival count
     # and keep no departure count; the faded fading-seeds users take the
     # listed path. Identical outputs would not show a fall back to it.
+    # Every kernel keeps each backlog as a count in a local and writes each
+    # user's departure out on its locals, so no slot calls len() or unpacks
+    # a served user's tuple.
     table1 = load_spec(shipped_config("table1.cfg"))
     fading = load_spec(str(Path(__file__).resolve().parent.parent / "bench" / "fading-seeds.cfg"))
     for kind in (SchedulerKind(name, mode) for name in SCHEDULER_NAMES for mode in (PHI_ACTUAL, PHI_LITERAL)):
         unit = kernel_source(Simulation(point_config(table1, kind, 0.2, 1)))
         assert not any(text in unit for text in ("packets0[pos]", "packets[pos]", "a == 1", "best_n"))
         listed = kernel_source(Simulation(point_config(fading, kind, 0.2, 1)))
-        # Max-weight reads the served user's count at departure, phi each user's.
-        assert ("packets[pos]" if kind.kind == "maxweight" else "packets0[pos]") in listed
+        # Max-weight reads user 0's count in its departure, phi in its scan.
+        assert "packets0[pos]" in listed
         assert "a == 1" in listed and "best_n" in listed
+        for source in (unit, listed):
+            assert not any(text in slot_loop(source) for text in ("len(", "served"))
 
 
 def test_abort_traceback_shows_the_kernel_source():
@@ -368,6 +379,30 @@ def test_abort_traceback_shows_the_kernel_source():
     text = "".join(traceback.format_exception(exc.value))
     assert 'File "<crsched kernel: proposed/actual, 1 user: listed/single>", line ' in text
     assert 'raise InfeasibleLoadError(f"backlog exceeded safety cap {buffer_cap} at slot {slot}")' in text
+
+
+@pytest.mark.parametrize("kind", SCHEDULER_NAMES)
+def test_each_call_counts_the_backlog_afresh(kind):
+    # The kernel counts each FIFO once per call and keeps that count from
+    # then on, so packets staged between calls, as staged_sim stages them,
+    # count. With buffer_cap - 1 queued, one arrival a slot and a dead link,
+    # the next call's second slot passes the cap: a count started at 0, or
+    # kept from the calls before, would pass it dozens of slots later.
+    cap = 50
+    cfg = dead_channel_config(cap, kind)
+    called, stepped = run_slots(cfg, 3), run_slots(cfg, 3)
+    for sim in (called, stepped):
+        sim.sus[0].queue.fifo.extend(repeat(sim.slot - 1, cap - 1 - len(sim.sus[0].queue.fifo)))
+    result = called.run_until_converged()
+    assert result.note == "infeasible-load"
+    assert result.slots == called.slot == 4
+    assert result.terminal_q == (cap + 1,)
+    stepped.run_slot()
+    with pytest.raises(InfeasibleLoadError, match=f"^backlog exceeded safety cap {cap} at slot 4$"):
+        stepped.run_slot()
+    assert (called.slot, called.x, called.y) == (stepped.slot, stepped.x, stepped.y)
+    assert accumulators(called) == accumulators(stepped)
+    assert queue_state(called) == queue_state(stepped)
 
 
 @pytest.mark.parametrize("kind", SCHEDULER_NAMES)
@@ -473,6 +508,22 @@ def test_tracing_does_not_change_the_run(kind, phi_mode):
         assert queue_state(observed) == queue_state(plain)
         assert accumulators(observed) == accumulators(plain)
         assert any(len(t.waiting_times) > 1 for t in trace)
+
+
+def test_records_hold_when_the_run_advances_between_them():
+    # observe() keeps each user's departure count and waiting-time sum from
+    # one record to the next, and reads them afresh when the Simulation was
+    # advanced elsewhere in between, so each record still shows the
+    # departures of its own slot alone.
+    cfg = SimConfig(sus=multi_packet_sus(), i_avg=0.3, scheduler=SchedulerKind("proposed-nonidling"), seed=5)
+    whole = list(Simulation(cfg).observe(2000))
+    sim = Simulation(cfg)
+    every_other = []
+    for record in sim.observe(1000):
+        every_other.append(record)
+        sim.run_slot()
+    assert every_other == whole[::2]
+    assert any(len(t.waiting_times) > 1 for t in every_other)
 
 
 def test_observing_keeps_no_records():
