@@ -26,7 +26,6 @@ _EXPORTS = {
     "load_spec": "config",
     "parse_scheduler": "config",
     "point_config": "sweep",
-    "run_point": "sweep",
     "run_sweep": "sweep",
     "write_rows": "sweep",
 }

@@ -23,16 +23,17 @@ A slot goes:
 5. the interference accumulator X absorbs the slot's gain (0 on idle) - I_avg
 6. metrics are accumulated
 
-Simulation._advance runs the only kernel, which holds no trace code and
-runs within the drawn block. The kernel is generated from one template,
+run_slot(), observe() and run_lockstep call the only kernel, as
+self._kernel(self, count); it holds no trace code and runs within the
+drawn block. The kernel is generated from one template,
 _KERNEL, once per (rule, user shapes) in a process: the scan and the
 departure are written out once per user, and the rule's scoring, its start
 value and the idling test are chosen when the text is built, so a slot
 neither loops over the users nor tests the rule.
-Each user's state lives in the kernel's locals for a call: its lists, its
-Y_i, its c_y_emp parts and its backlog, a count taken from the FIFO once
-per call and kept by admission and departure from then on, so no slot
-calls len(). A slot's choice is the user's index alone, and the departure
+Each user's state lives in the kernel's locals for a call: its SuState,
+bound whole, its Y_i, its c_y_emp parts and its backlog, a count taken
+from the FIFO once per call and kept by admission and departure from then
+on, so no slot calls len(). A slot's choice is the user's index alone, and the departure
 written out for that user works on its locals. On the way out, also when a
 backlog outgrows its cap, the state of each user that departed in the call
 is written back; no other user's has changed.
@@ -67,7 +68,6 @@ import textwrap
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import islice, repeat, takewhile
-from operator import itemgetter
 from string import Template
 from typing import Iterator, NamedTuple, Sequence
 
@@ -192,13 +192,13 @@ class SimConfig:
 
 
 class SuState(NamedTuple):
-    """One user's FIFO and delay bound, its inputs for the current block of
-    up to BLOCK slots, one entry per slot (arrival counts, the rates
+    """One user's FIFO and delay bound and its inputs for the current block
+    of up to BLOCK slots, one entry per slot: arrival counts, the rates
     log2(1 + gain) of the direct gains, the whole packets floor(rate) and
-    interference gains), and the generators they are drawn from.
+    interference gains. The kernel binds it whole, once per call.
 
-    The inputs and generators are one user's entry of an _Inputs, the same
-    objects in every Simulation that shares it.
+    The input lists are one user's entry of an _Inputs, the same objects in
+    every Simulation that shares it.
     """
 
     queue: SuQueue
@@ -207,16 +207,14 @@ class SuState(NamedTuple):
     rate: list[float]
     packets: list[int]
     interference: list[float]
-    arrival_rng: np.random.Generator
-    direct_rng: np.random.Generator
-    interference_rng: np.random.Generator
 
 
 @dataclass(eq=False)
 class _Inputs:
-    """Every user's input lists and generators, in SuState's order, each
-    faded direct link's gains in the current block (None for a constant
-    link), which observe() reads, and the block's first slot and length.
+    """Every user's input lists, in SuState's order, and the generators of
+    its arrivals, direct and interference gains, each faded direct link's
+    gains in the current block (None for a constant link), which observe()
+    reads, and the block's first slot and length.
 
     The Simulations of one config under different rules share one, so each
     block is drawn once for all of them. The rates are kept only if one of
@@ -225,8 +223,8 @@ class _Inputs:
     never redrawn; its generator is never drawn from.
     """
 
-    users: tuple[tuple[list, list, list, list, np.random.Generator, np.random.Generator,
-                       np.random.Generator], ...]
+    users: tuple[tuple[list, list, list, list], ...]
+    rngs: tuple[tuple[np.random.Generator, np.random.Generator, np.random.Generator], ...]
     direct: list[np.ndarray | None]
     keep_rates: bool
     start: int = 0
@@ -238,7 +236,7 @@ def _inputs(config: SimConfig, keep_rates: bool) -> _Inputs:
     user's draws depend only on the seed and its own index. Drawn BLOCK
     slots at a time, they give the same values in the same order as one
     draw per slot."""
-    users = []
+    users, rngs = [], []
     for i, su in enumerate(config.sus):
         rate, packets, interference = [], [], []
         # A constant link's lists hold BLOCK slots, at least as many as any block.
@@ -249,11 +247,10 @@ def _inputs(config: SimConfig, keep_rates: bool) -> _Inputs:
             packets[:] = [int(transmission_rate(gain))] * BLOCK
         if isinstance(su.interference, DeterministicGain):
             interference[:] = [float(su.interference.value)] * BLOCK
-        users.append(([], rate, packets, interference,
-                      substream(config.seed, i, ROLE_ARRIVALS),
-                      substream(config.seed, i, ROLE_DIRECT),
-                      substream(config.seed, i, ROLE_INTERFERENCE)))
-    return _Inputs(tuple(users), [None] * len(config.sus), keep_rates)
+        users.append(([], rate, packets, interference))
+        rngs.append((substream(config.seed, i, ROLE_ARRIVALS), substream(config.seed, i, ROLE_DIRECT),
+                     substream(config.seed, i, ROLE_INTERFERENCE)))
+    return _Inputs(tuple(users), tuple(rngs), [None] * len(config.sus), keep_rates)
 
 
 class SlotTrace(NamedTuple):
@@ -315,7 +312,7 @@ def stability_metric(x: float, ys: Sequence[float], slots: int) -> float:
 # rule's scoring in them, so a slot neither loops over the users nor
 # branches on the rule.
 _KERNEL = """\
-def _advance(self, count):
+def kernel(self, count):
     # The slot iterator comes first: tracemalloc finds the line of each
     # allocation by scanning the function's line table from its start.
     x, slot, pos = self.x, self.slot, self.slot - self._inputs.start
@@ -326,7 +323,7 @@ def _advance(self, count):
     c_y_multi, w1_max = self._c_y_multi, self._w1_max
     i_avg = self.config.i_avg
     buffer_cap = self.config.buffer_cap
-    scan = self._scan
+    sus = self.sus
 $bind
     inf = math.inf
     interference_sum = self.interference_sum
@@ -351,12 +348,13 @@ $write
     return best
 """
 
-# User $i's state, bound to locals once per call: its entry of
-# Simulation._scan, its Y, its c_y_emp parts, and its backlog, counted
-# here and kept by the kernel from then on. Its departures and their
-# waiting-time sum in this call start at 0.
+# User $i's state, bound to locals once per call: its SuState, its FIFO,
+# its Y, its c_y_emp parts, and its backlog, counted here and kept by the
+# kernel from then on. Its departures and their waiting-time sum in this
+# call start at 0.
 _BIND = """\
-    fifo$i, arrivals$i, interference$i, packets$i, rates$i, d$i = scan[$i]
+    queue$i, d$i, arrivals$i, rates$i, packets$i, interference$i = sus[$i]
+    fifo$i = queue$i.fifo
     y$i, w1_max$i, c_y_multi$i = y[$i], w1_max[$i], c_y_multi[$i]
     q$i = len(fifo$i)
     departures$i = waited$i = 0"""
@@ -367,9 +365,8 @@ _BIND = """\
 _WRITE = """\
         if departures$i:
             y[$i], w1_max[$i], c_y_multi[$i] = y$i, w1_max$i, c_y_multi$i
-            queue = self.sus[$i].queue
-            queue.cumulative_departures += departures$i
-            queue.departed_waiting_sum += waited$i"""
+            queue$i.cumulative_departures += departures$i
+            queue$i.departed_waiting_sum += waited$i"""
 
 # User $i's turn in a slot: its arrivals join the tail, and may depart in
 # this slot; then, if it is backlogged, the rule scores it.
@@ -525,11 +522,17 @@ class _UserShape(NamedTuple):
 
 @lru_cache(maxsize=32)
 def _kernel(shapes: tuple[_UserShape, ...], kind: SchedulerKind):
-    """Simulation._advance's kernel for users of the given shapes, in order,
-    under ``kind``, compiled from _KERNEL. A unit-link user's departure is
-    its head packet alone, and no packet count is kept for it.
+    """The kernel for users of the given shapes, in order, under ``kind``,
+    compiled from _KERNEL. A unit-link user's departure is its head packet
+    alone, and no packet count is kept for it.
     Its source is entered into linecache under a name that tells the
-    shapes apart, so that a traceback shows its lines."""
+    shapes apart, so that a traceback shows its lines.
+
+    kernel(sim, count) runs ``count`` >= 1 slots of sim, all in the drawn
+    block, and returns the last one's scheduled user. The run state lives
+    in its locals and is written back on the way out, also when a backlog
+    outgrows its cap: the aborted slot then leaves its arrivals so far
+    queued and changes nothing else."""
     maxweight = kind.kind == MAXWEIGHT
     last = len(shapes) - 1
     users, departures = [], []
@@ -569,14 +572,15 @@ def _kernel(shapes: tuple[_UserShape, ...], kind: SchedulerKind):
     namespace = {"math": math, "repeat": repeat, "islice": islice, "InfeasibleLoadError": InfeasibleLoadError}
     exec(compile(source, filename, "exec"), namespace)
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    return namespace["_advance"]
+    return namespace["kernel"]
 
 
 class Simulation:
     """Mutable run state, with X as x and Y_i as y[i]; drive with
     run_slot() or run_until_converged(), or watch it with observe().
 
-    Each call of the kernel (_advance) binds the state to its locals, counts
+    sus holds one SuState per user, the one record of its queue and inputs.
+    Each call of the kernel binds every SuState whole to its locals, counts
     each backlog once from its FIFO, and writes back Y_i, c_y_emp's parts
     and the queue counters of each user that departed in the call; X, the
     slot and interference_sum are written back on every call. Between calls
@@ -605,17 +609,13 @@ class Simulation:
         self.slot = 0
         if inputs is None:
             inputs = _inputs(config, config.scheduler.reads_rates)
-        self._inputs, self._direct = inputs, inputs.direct
-        self._kernel = _kernel(tuple(map(_UserShape.of, config.sus)), config.scheduler)
-        sus, self._scan = [], []
-        for i, su in enumerate(config.sus):
-            state = SuState(SuQueue(su.arrivals), su.delay_bound, *inputs.users[i])
-            # What the kernel binds to user i's locals once per call: the
-            # lists are refilled in place, so the scan is built once.
-            self._scan.append((state.queue.fifo, state.arrivals, state.interference, state.packets,
-                               state.rate, su.delay_bound))
-            sus.append(state)
-        self.sus = tuple(sus)
+        self._inputs = inputs
+        self._shapes = tuple(map(_UserShape.of, config.sus))
+        # A plain function kept on the instance, called as self._kernel(self,
+        # count): a method bound to self would make a reference cycle.
+        self._kernel = _kernel(self._shapes, config.scheduler)
+        self.sus = tuple(SuState(SuQueue(su.arrivals), su.delay_bound, *lists)
+                         for su, lists in zip(config.sus, inputs.users))
         # Each constant direct link's gain, None for a faded one.
         self._constant_direct = tuple(float(su.direct.value) if isinstance(su.direct, DeterministicGain)
                                       else None for su in config.sus)
@@ -641,17 +641,18 @@ class Simulation:
             n = min(n, config.max_slots - self.slot)
         n = min(BLOCK, n)
         inputs.start, inputs.length = self.slot, n
-        for i, (su, state) in enumerate(zip(config.sus, self.sus)):
-            state.arrivals[:] = su.arrivals.counts(state.arrival_rng.random(n)).tolist()
+        for i, (su, state, (arrival_rng, direct_rng, interference_rng)) in enumerate(
+                zip(config.sus, self.sus, inputs.rngs)):
+            state.arrivals[:] = su.arrivals.counts(arrival_rng.random(n)).tolist()
             if not isinstance(su.direct, DeterministicGain):
-                direct = self._direct[i] = su.direct.sample_block(state.direct_rng, n)
+                direct = inputs.direct[i] = su.direct.sample_block(direct_rng, n)
                 # numpy's float64 add rounds as Python's does in transmission_rate.
                 one_plus = 1.0 + direct
                 if inputs.keep_rates:
                     state.rate[:] = map(math.log2, one_plus.tolist())
                 state.packets[:] = whole_packets(one_plus)
             if not isinstance(su.interference, DeterministicGain):
-                state.interference[:] = su.interference.sample_block(state.interference_rng, n).tolist()
+                state.interference[:] = su.interference.sample_block(interference_rng, n).tolist()
 
     def _block_left(self) -> int:
         """Slots of the drawn block from self.slot on; if none are left, the
@@ -664,7 +665,7 @@ class Simulation:
     def run_slot(self) -> int | None:
         """Advance one slot; return the scheduled user, None on idle."""
         self._block_left()
-        return self._advance(1)
+        return self._kernel(self, 1)
 
     def observe(self, count: int) -> Iterator[SlotTrace]:
         """Run up to ``count`` slots as run_slot() does, yielding each slot's
@@ -678,33 +679,39 @@ class Simulation:
         again (all of them when the Simulation was advanced elsewhere
         between two records). Before a slot, the FIFO head is copied, as
         many packets as the slot could send, only where that is two or
-        more; after it, the state and the slot's inputs are read. One served packet waited what the
+        more; after it, the state is read. One served packet waited what the
         waiting-time sum grew by. Several are the first of that head, then
         the slot's own arrivals (waiting 1 slot), as many as the departure
-        count grew by. A faded link's direct gain is read from its block as
-        drawn, a constant link's from its model.
+        count grew by. The slot's inputs are read from zips over the users'
+        lists, taken afresh at each block and after an advance elsewhere, so
+        each record's per-user fields are tuples built at their size. A
+        faded link's direct gain is read from its block as drawn, a
+        constant link's from its model.
         """
         sus = self.sus
         queues = [su.queue for su in sus]
         fifos = [queue.fifo for queue in queues]
-        arrivals = [su.arrivals for su in sus]
-        interference = [su.interference for su in sus]
-        constant = self._constant_direct
-        faded = None in constant
+        constant, drawn = self._constant_direct, self._inputs.direct
+
+        def rows_from(pos: int) -> Iterator[tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]]:
+            # Each slot's arrivals, direct and interference gains, from pos to
+            # the block's end; a memoryview of the drawn gains yields floats.
+            direct = (zip(*(repeat(g) if g is not None else memoryview(drawn[i])[pos:]
+                            for i, g in enumerate(constant))) if None in constant else repeat(constant))
+            return zip(zip(*(islice(su.arrivals, pos, None) for su in sus)), direct,
+                       zip(*(islice(su.interference, pos, None) for su in sus)))
 
         # A record is built in a short function of its own, as tracemalloc
         # finds the line of each allocation by scanning the line table of
         # its function from the start.
-        def record(slot: int, pos: int, best: int | None, gain: float, waits: tuple[int, ...]) -> SlotTrace:
-            at = itemgetter(pos)
-            direct = (tuple([float(self._direct[i][pos]) if g is None else g for i, g in enumerate(constant)])
-                      if faded else constant)
-            return SlotTrace(slot, tuple(map(at, arrivals)), best, gain, waits, tuple(map(len, fifos)),
-                             tuple(self.y), self.x, direct, tuple(map(at, interference)))
+        def record(slot: int, best: int | None, waits: tuple[int, ...]) -> SlotTrace:
+            arrived, direct, charged = next(rows)
+            return SlotTrace(slot, arrived, best, 0.0 if best is None else charged[best], waits,
+                             tuple(map(len, fifos)), tuple(self.y), self.x, direct, charged)
 
         # The users whose packet counts the kernel reads: all but unit links.
-        listed = [(i, su.packets, su.queue.fifo) for i, (su, config) in enumerate(zip(sus, self.config.sus))
-                  if not _UserShape.of(config).unit_link]
+        listed = [(i, su.packets, su.queue.fifo) for i, (su, shape) in enumerate(zip(sus, self._shapes))
+                  if not shape.unit_link]
         heads: list[list[int] | None] = [None] * len(sus)
         after = None
         for _ in range(count):
@@ -713,13 +720,15 @@ class Simulation:
             if slot != after:
                 departed = [queue.cumulative_departures for queue in queues]
                 waited = [queue.departed_waiting_sum for queue in queues]
+            if slot != after or not pos:
+                rows = rows_from(pos)
             for i, packets, fifo in listed:
                 n = packets[pos]
                 heads[i] = list(islice(fifo, n)) if n >= 2 and fifo else None
-            best = self._advance(1)
+            best = self._kernel(self, 1)
             after = self.slot
             if best is None:
-                yield record(slot, pos, best, 0.0, ())
+                yield record(slot, best, ())
                 continue
             queue = queues[best]
             n = queue.cumulative_departures - departed[best]
@@ -729,18 +738,7 @@ class Simulation:
                 head = heads[best] or ()
                 waits = tuple(slot + 1 - a for a in head[:n]) + (1,) * (n - len(head))
             departed[best], waited[best] = queue.cumulative_departures, queue.departed_waiting_sum
-            yield record(slot, pos, best, interference[best][pos], waits)
-
-    def _advance(self, count: int) -> int | None:
-        """Run ``count`` >= 1 slots, all in the drawn block; return the last
-        one's scheduled user.
-
-        This is the kernel built for this run's rule and user shapes. The run
-        state lives in its locals and is written back on the way out, also
-        when a backlog outgrows its cap: the aborted slot then leaves its
-        arrivals so far queued and changes nothing else.
-        """
-        return self._kernel(self, count)
+            yield record(slot, best, waits)
 
     def stability_metric(self) -> float:
         if self.slot == 0:
@@ -820,7 +818,7 @@ def run_lockstep(sims: Sequence[Simulation]) -> list[RunResult]:
         for k in running:
             sim = sims[k]
             try:
-                sim._advance(sim._block_left())
+                sim._kernel(sim, sim._block_left())
             except InfeasibleLoadError:
                 results[k] = sim._finalize(False, sim.stability_metric(), note="infeasible-load")
                 continue

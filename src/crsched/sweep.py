@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .config import ExperimentSpec, file_sha256  # file_sha256: digests of rows.csv and configs
-from .engine import SCHEDULER_NAMES, RunResult, SchedulerKind, SimConfig, Simulation, run_lockstep, simulations
+from .engine import SCHEDULER_NAMES, RunResult, SchedulerKind, SimConfig, run_lockstep, simulations
 
 SCHEMA_VERSION = 1
 
@@ -71,15 +71,11 @@ def sweep_points(spec: ExperimentSpec) -> list[tuple[str, float, int]]:
     )
 
 
-def run_point(config: SimConfig) -> RunResult:
-    """One sweep cell; an infeasible-load abort returns as a noted result."""
-    return Simulation(config).run_until_converged()
-
-
 def run_rules(config: SimConfig, kinds: list[SchedulerKind]) -> list[RunResult]:
     """The sweep cells of every rule in kinds at config's (lambda, seed),
     in that order, run in lockstep on one set of draws; each result equals
-    run_point's for that rule."""
+    that of Simulation(config).run_until_converged() for that rule. An
+    infeasible-load abort returns as a noted result."""
     return run_lockstep(simulations(config, kinds))
 
 

@@ -15,7 +15,7 @@ import pytest
 from crsched import cli
 from crsched.channels import RayleighGain
 from crsched.config import load_spec
-from crsched.engine import SchedulerKind, Simulation
+from crsched.engine import SchedulerKind, Simulation, run_lockstep, simulations
 from crsched.queueing import Bernoulli, TruncatedPoisson
 from crsched.sweep import (
     MANIFEST_FILENAME,
@@ -25,7 +25,6 @@ from crsched.sweep import (
     file_sha256,
     point_config,
     rows_from_results,
-    run_point,
     sweep_results,
     write_rows,
 )
@@ -93,7 +92,7 @@ def binding_results(binding_spec):
     """All three policies at the top of the grid under the tight budget."""
     out = {}
     for sched in binding_spec.schedulers:
-        out[sched.kind] = run_point(point_config(binding_spec, sched, 0.4, 1))
+        out[sched.kind] = Simulation(point_config(binding_spec, sched, 0.4, 1)).run_until_converged()
     return out
 
 
@@ -261,6 +260,29 @@ def test_criterion_7_drift_stays_under_its_bound(lib_results):
             f"where SU-1 is starved (see README, Known limitation)"
         )
     assert report(7, ok, detail), detail
+
+
+def test_starvation_sets_in_after_the_first_check(table1_spec):
+    # Starvation is absorbing, and a row shows it only if it set in before
+    # the run's first check (README, Known limitation). At lambda 0.14,
+    # seed 1, the shipped run converges clean at its first check, yet run
+    # on with epsilon 0 the idling rule starves SU-1 from about slot 14,100.
+    # On table1's unit links a rule that sends at most one packet a slot
+    # has at least the non-idling rule's total backlog on the same draws,
+    # and the difference is exactly the departures it withheld.
+    idling = table1_spec.schedulers[0]
+    assert idling.kind == "proposed"
+    cfg = point_config(table1_spec, idling, 0.14, 1)
+    shipped = Simulation(cfg).run_until_converged()
+    assert (shipped.converged, shipped.slots, shipped.terminal_q) == (True, 10_000, (0, 0))
+
+    def withheld(slots: int) -> int:
+        kinds = [idling, replace(idling, kind="proposed-nonidling")]
+        held, sent = run_lockstep(simulations(replace(cfg, epsilon=0.0, max_slots=slots), kinds))
+        return sum(held.terminal_q) - sum(sent.terminal_q)
+
+    assert withheld(10_000) == 0
+    assert withheld(15_000) >= 20  # 122 as measured
 
 
 def test_criterion_8_cli_and_library_sweeps_are_byte_identical(cli_out, lib_out):

@@ -575,7 +575,7 @@ def test_block_rates_and_packets_follow_the_scalar_rule():
         sim = Simulation(cfg)
         for _ in range(3):
             sim._fill_block()
-            for inputs, drawn in zip(sim.sus, sim._direct):
+            for inputs, drawn in zip(sim.sus, sim._inputs.direct):
                 direct = drawn.tolist()
                 assert len(direct) == len(inputs.packets) == BLOCK
                 if phi_mode == PHI_LITERAL:
@@ -638,13 +638,13 @@ def test_constant_links_take_no_draws(observed):
         sim.run_until_converged()
     assert sim.slot == slots
     inputs = sim.sus[0]
-    for rng, role in ((inputs.direct_rng, ROLE_DIRECT), (inputs.interference_rng, ROLE_INTERFERENCE)):
+    for rng, role in zip(sim._inputs.rngs[0][1:], (ROLE_DIRECT, ROLE_INTERFERENCE)):
         assert rng.bit_generator.state == substream(3, 0, role).bit_generator.state
     assert inputs.rate == []
     assert inputs.packets == [int(transmission_rate(3.0))] * BLOCK == [2] * BLOCK
     assert inputs.interference == [0.5] * BLOCK
-    assert sim._direct[0] is None
-    drawn = sim.sus[1].direct_rng.bit_generator.state
+    assert sim._inputs.direct[0] is None
+    drawn = sim._inputs.rngs[1][1].bit_generator.state
     assert drawn != substream(3, 1, ROLE_DIRECT).bit_generator.state
 
 
@@ -705,7 +705,7 @@ def lockstep_group(case: str) -> tuple[SimConfig, list[SchedulerKind]]:
 
 
 def generator_states(sim: Simulation):
-    return [[rng.bit_generator.state for rng in su[-3:]] for su in sim.sus]
+    return [[rng.bit_generator.state for rng in rngs] for rngs in sim._inputs.rngs]
 
 
 @pytest.mark.parametrize("case", ["table1", "abort", "literal", "faded"])

@@ -76,12 +76,12 @@ def test_a_run_draws_only_the_slots_it_runs():
         sim = Simulation(cfg)
         result = sim.run_until_converged()
         assert (result.converged, result.slots) == (epsilon > 0.0, slots)
-        for i, (su, state) in enumerate(zip(sus, sim.sus)):
+        for i, (su, (arrival_rng, direct_rng, interference_rng)) in enumerate(zip(sus, sim._inputs.rngs)):
             arrivals = substream(1, i, ROLE_ARRIVALS)
             arrivals.random(slots)
-            assert state.arrival_rng.bit_generator.state == arrivals.bit_generator.state
-            for model, rng, role in ((su.direct, state.direct_rng, ROLE_DIRECT),
-                                     (su.interference, state.interference_rng, ROLE_INTERFERENCE)):
+            assert arrival_rng.bit_generator.state == arrivals.bit_generator.state
+            for model, rng, role in ((su.direct, direct_rng, ROLE_DIRECT),
+                                     (su.interference, interference_rng, ROLE_INTERFERENCE)):
                 fresh = substream(1, i, role)
                 model.sample_block(fresh, slots)
                 assert rng.bit_generator.state == fresh.bit_generator.state

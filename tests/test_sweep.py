@@ -11,7 +11,7 @@ import pytest
 import crsched
 from crsched import cli
 from crsched.config import ConfigError, load_spec
-from crsched.engine import SCHEDULER_NAMES
+from crsched.engine import SCHEDULER_NAMES, Simulation
 from crsched.sweep import (
     FIGURES,
     MANIFEST_FILENAME,
@@ -21,7 +21,6 @@ from crsched.sweep import (
     file_sha256,
     point_config,
     read_rows,
-    run_point,
     run_sweep,
     sweep_points,
     sweep_results,
@@ -180,7 +179,7 @@ class TestSweep:
             "    print(err)\n"
         )
         assert crsched.__all__ == ["RunResult", "load_spec", "parse_scheduler", "point_config",
-                                   "run_point", "run_sweep", "write_rows"]
+                                   "run_sweep", "write_rows"]
         assert done.stdout == "True\nmodule 'crsched' has no attribute 'nope'\n"
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
@@ -188,7 +187,7 @@ class TestSweep:
         # crsched calls no BLAS routine, so numpy's OpenBLAS starts no
         # worker thread, however many CPUs the process may use: not under
         # the command line, nor in a library process that loads numpy.
-        for imports in ("import crsched.cli", "import crsched; crsched.run_point"):
+        for imports in ("import crsched.cli", "import crsched; crsched.run_sweep"):
             done = fresh_python(
                 "import os\n"
                 f"{imports}\n"
@@ -221,7 +220,7 @@ class TestSweep:
         path = tmp_path / "dead.cfg"
         path.write_text(DEAD)
         spec = load_spec(path)
-        result = run_point(point_config(spec, spec.schedulers[0], 0.2, 1))
+        result = Simulation(point_config(spec, spec.schedulers[0], 0.2, 1)).run_until_converged()
         assert result.note == "infeasible-load"
         assert not result.converged
 
@@ -572,10 +571,10 @@ class TestCli:
         taken = tmp_path / "taken"
         taken.write_text("")
 
-        def no_point(config):
+        def no_point(config, kinds):
             raise AssertionError("a sweep point ran")
 
-        monkeypatch.setattr("crsched.sweep.run_point", no_point)
+        monkeypatch.setattr("crsched.sweep.run_rules", no_point)
         code = cli.main(["run", "--config", str(cfg), "--out", str(taken), "--jobs", "1"])
         assert code == 2
         captured = capsys.readouterr()
