@@ -41,8 +41,10 @@ A user's shape says whether its direct link is a constant one-packet link
 and whether at most one packet arrives in a slot. A unit-link user's scan
 reads no packet count and its departure is its head packet alone, and a
 single-arrival user's admission tests no count.
-run_slot(), observe() and run_lockstep ask _block_left for the slots left
-in the drawn block, which draws the next when none are.
+_Inputs owns a group's inputs: it judges each link constant or drawn once,
+draws each block and holds the shapes and the direct gains. run_slot(),
+observe() and run_lockstep ask _Inputs.left for the slots left in the drawn
+block, which draws the next when none are and refuses a slot before it.
 run_lockstep holds the stopping rule. It runs Simulations that share their
 inputs one block at a time: each block is drawn once, by the first of them
 that finds the last spent, and every one then runs it and applies the rule.
@@ -197,8 +199,8 @@ class SuState(NamedTuple):
     log2(1 + gain) of the direct gains, the whole packets floor(rate) and
     interference gains. The kernel binds it whole, once per call.
 
-    The input lists are one user's entry of an _Inputs, the same objects in
-    every Simulation that shares it.
+    The input lists are one user's entry of _Inputs.users, the same objects
+    in every Simulation that shares them; only _Inputs writes them.
     """
 
     queue: SuQueue
@@ -207,50 +209,6 @@ class SuState(NamedTuple):
     rate: list[float]
     packets: list[int]
     interference: list[float]
-
-
-@dataclass(eq=False)
-class _Inputs:
-    """Every user's input lists, in SuState's order, and the generators of
-    its arrivals, direct and interference gains, each faded direct link's
-    gains in the current block (None for a constant link), which observe()
-    reads, and the block's first slot and length.
-
-    The Simulations of one config under different rules share one, so each
-    block is drawn once for all of them. The rates are kept only if one of
-    them reads them (keep_rates); otherwise those lists stay empty. A link
-    with a constant gain has its lists filled once from the scalar rule and
-    never redrawn; its generator is never drawn from.
-    """
-
-    users: tuple[tuple[list, list, list, list], ...]
-    rngs: tuple[tuple[np.random.Generator, np.random.Generator, np.random.Generator], ...]
-    direct: list[np.ndarray | None]
-    keep_rates: bool
-    start: int = 0
-    length: int = 0
-
-
-def _inputs(config: SimConfig, keep_rates: bool) -> _Inputs:
-    """Fresh inputs for config's users. One substream per (user, role): a
-    user's draws depend only on the seed and its own index. Drawn BLOCK
-    slots at a time, they give the same values in the same order as one
-    draw per slot."""
-    users, rngs = [], []
-    for i, su in enumerate(config.sus):
-        rate, packets, interference = [], [], []
-        # A constant link's lists hold BLOCK slots, at least as many as any block.
-        if isinstance(su.direct, DeterministicGain):
-            gain = float(su.direct.value)
-            if keep_rates:
-                rate[:] = [transmission_rate(gain)] * BLOCK
-            packets[:] = [int(transmission_rate(gain))] * BLOCK
-        if isinstance(su.interference, DeterministicGain):
-            interference[:] = [float(su.interference.value)] * BLOCK
-        users.append(([], rate, packets, interference))
-        rngs.append((substream(config.seed, i, ROLE_ARRIVALS), substream(config.seed, i, ROLE_DIRECT),
-                     substream(config.seed, i, ROLE_INTERFERENCE)))
-    return _Inputs(tuple(users), tuple(rngs), [None] * len(config.sus), keep_rates)
 
 
 class SlotTrace(NamedTuple):
@@ -510,12 +468,6 @@ class _UserShape(NamedTuple):
     unit_link: bool
     single_arrival: bool
 
-    @classmethod
-    def of(cls, su: SuConfig) -> "_UserShape":
-        return cls(isinstance(su.direct, DeterministicGain)
-                   and int(transmission_rate(float(su.direct.value))) == 1,
-                   su.arrivals.a_max == 1)
-
     def __str__(self) -> str:
         return f"{'unit' if self.unit_link else 'listed'}/{'single' if self.single_arrival else 'batched'}"
 
@@ -575,6 +527,84 @@ def _kernel(shapes: tuple[_UserShape, ...], kind: SchedulerKind):
     return namespace["kernel"]
 
 
+class _Inputs:
+    """A group's inputs: the Simulations of one config under different
+    rules share one, so each block is drawn once for all of them.
+
+    Each link is judged constant or drawn once, here. A constant link has
+    no generator (None in rngs); its lists hold BLOCK slots, at least as
+    many as any block, filled once by the scalar rule, and its packet count
+    gives the user's entry of shapes. users holds each user's input lists
+    in SuState's order, and direct each direct link's gain, or its block as
+    drawn; only observe() reads direct. The rates are kept only if a member
+    reads them (keep_rates). The block holds length slots from start.
+
+    One substream per (user, role): a user's draws depend only on the seed
+    and its own index, and drawn BLOCK slots at a time they give the same
+    values in the same order as one draw per slot.
+    """
+
+    def __init__(self, config: SimConfig, keep_rates: bool):
+        self.config, self.keep_rates = config, keep_rates
+        self.start = self.length = 0
+        self.users, self.rngs, self.direct, shapes = [], [], [], []
+        for i, su in enumerate(config.sus):
+            rate, packets, interference = [], [], []
+            gain = count = direct_rng = interference_rng = None
+            if isinstance(su.direct, DeterministicGain):
+                gain = float(su.direct.value)
+                count = int(transmission_rate(gain))
+                if keep_rates:
+                    rate[:] = [transmission_rate(gain)] * BLOCK
+                packets[:] = [count] * BLOCK
+            else:
+                direct_rng = substream(config.seed, i, ROLE_DIRECT)
+            if isinstance(su.interference, DeterministicGain):
+                interference[:] = [float(su.interference.value)] * BLOCK
+            else:
+                interference_rng = substream(config.seed, i, ROLE_INTERFERENCE)
+            self.users.append(([], rate, packets, interference))
+            self.rngs.append((substream(config.seed, i, ROLE_ARRIVALS), direct_rng, interference_rng))
+            self.direct.append(gain)
+            shapes.append(_UserShape(count == 1, su.arrivals.a_max == 1))
+        self.shapes = tuple(shapes)
+
+    def fill(self, slot: int) -> None:
+        """Draw every user's inputs for the slots from ``slot`` on: BLOCK
+        slots, or fewer if the next check or max_slots comes first. Past
+        max_slots, reached only by stepping run_slot() or observe(), the
+        next check ends it."""
+        config = self.config
+        n = config.check_interval - slot % config.check_interval
+        if slot < config.max_slots:
+            n = min(n, config.max_slots - slot)
+        n = min(BLOCK, n)
+        self.start, self.length = slot, n
+        for i, (su, (arrivals, rate, packets, interference), (arrival_rng, direct_rng, interference_rng)) in \
+                enumerate(zip(config.sus, self.users, self.rngs)):
+            arrivals[:] = su.arrivals.counts(arrival_rng.random(n)).tolist()
+            if direct_rng is not None:
+                direct = self.direct[i] = su.direct.sample_block(direct_rng, n)
+                # numpy's float64 add rounds as Python's does in transmission_rate.
+                one_plus = 1.0 + direct
+                if self.keep_rates:
+                    rate[:] = map(math.log2, one_plus.tolist())
+                packets[:] = whole_packets(one_plus)
+            if interference_rng is not None:
+                interference[:] = su.interference.sample_block(interference_rng, n).tolist()
+
+    def left(self, slot: int) -> int:
+        """Slots of the drawn block from ``slot`` on; if none are left, the
+        next block is drawn first. A slot before the block, that of a
+        member stepped behind its group, is refused with a ValueError."""
+        if slot < self.start:
+            raise ValueError(f"slot {slot} lies before the drawn block, which starts at slot {self.start}: "
+                             f"a group from simulations() advances through run_lockstep")
+        if self.start + self.length <= slot:
+            self.fill(slot)
+        return self.start + self.length - slot
+
+
 class Simulation:
     """Mutable run state, with X as x and Y_i as y[i]; drive with
     run_slot() or run_until_converged(), or watch it with observe().
@@ -591,9 +621,9 @@ class Simulation:
     c_y_emp[i], the empirical Y-term of the drift constant, is the largest
     d_i^2 n^2 + (sum W)^2 of user i; no decision reads it.
 
-    Given inputs, as simulations() gives each Simulation of a group, it
-    reads and draws into lists that the whole group shares; such a group is
-    driven by run_lockstep only.
+    Its inputs are its own _Inputs or, from simulations(), one its whole
+    group shares; such a group is driven by run_lockstep, and a member
+    stepped behind the group's drawn block is refused.
     """
 
     def __init__(self, config: SimConfig, inputs: _Inputs | None = None):
@@ -608,17 +638,13 @@ class Simulation:
         self._w1_max = [0] * n
         self.slot = 0
         if inputs is None:
-            inputs = _inputs(config, config.scheduler.reads_rates)
+            inputs = _Inputs(config, config.scheduler.reads_rates)
         self._inputs = inputs
-        self._shapes = tuple(map(_UserShape.of, config.sus))
         # A plain function kept on the instance, called as self._kernel(self,
         # count): a method bound to self would make a reference cycle.
-        self._kernel = _kernel(self._shapes, config.scheduler)
+        self._kernel = _kernel(inputs.shapes, config.scheduler)
         self.sus = tuple(SuState(SuQueue(su.arrivals), su.delay_bound, *lists)
                          for su, lists in zip(config.sus, inputs.users))
-        # Each constant direct link's gain, None for a faded one.
-        self._constant_direct = tuple(float(su.direct.value) if isinstance(su.direct, DeterministicGain)
-                                      else None for su in config.sus)
 
     @property
     def c_y_emp(self) -> tuple[float, ...]:
@@ -630,41 +656,9 @@ class Simulation:
         return tuple(c if w == 0 else max(c, su.delay_bound * su.delay_bound + w * w)
                      for c, w, su in zip(self._c_y_multi, self._w1_max, self.sus))
 
-    def _fill_block(self) -> None:
-        """Draw every user's inputs for the slots from self.slot on, into the
-        lists that every Simulation sharing them reads: BLOCK slots, or fewer
-        if the next check or max_slots comes first. Past max_slots, reached
-        only by stepping run_slot() or observe(), the next check ends it."""
-        config, inputs = self.config, self._inputs
-        n = config.check_interval - self.slot % config.check_interval
-        if self.slot < config.max_slots:
-            n = min(n, config.max_slots - self.slot)
-        n = min(BLOCK, n)
-        inputs.start, inputs.length = self.slot, n
-        for i, (su, state, (arrival_rng, direct_rng, interference_rng)) in enumerate(
-                zip(config.sus, self.sus, inputs.rngs)):
-            state.arrivals[:] = su.arrivals.counts(arrival_rng.random(n)).tolist()
-            if not isinstance(su.direct, DeterministicGain):
-                direct = inputs.direct[i] = su.direct.sample_block(direct_rng, n)
-                # numpy's float64 add rounds as Python's does in transmission_rate.
-                one_plus = 1.0 + direct
-                if inputs.keep_rates:
-                    state.rate[:] = map(math.log2, one_plus.tolist())
-                state.packets[:] = whole_packets(one_plus)
-            if not isinstance(su.interference, DeterministicGain):
-                state.interference[:] = su.interference.sample_block(interference_rng, n).tolist()
-
-    def _block_left(self) -> int:
-        """Slots of the drawn block from self.slot on; if none are left, the
-        next block is drawn first. The only caller of _fill_block."""
-        inputs = self._inputs
-        if inputs.start + inputs.length <= self.slot:
-            self._fill_block()
-        return inputs.start + inputs.length - self.slot
-
     def run_slot(self) -> int | None:
         """Advance one slot; return the scheduled user, None on idle."""
-        self._block_left()
+        self._inputs.left(self.slot)
         return self._kernel(self, 1)
 
     def observe(self, count: int) -> Iterator[SlotTrace]:
@@ -684,20 +678,22 @@ class Simulation:
         the slot's own arrivals (waiting 1 slot), as many as the departure
         count grew by. The slot's inputs are read from zips over the users'
         lists, taken afresh at each block and after an advance elsewhere, so
-        each record's per-user fields are tuples built at their size. A
-        faded link's direct gain is read from its block as drawn, a
-        constant link's from its model.
+        each record's per-user fields are tuples built at their size. The
+        direct gains are _Inputs.direct's: a constant link's gain, or a faded
+        link's block as drawn.
         """
         sus = self.sus
         queues = [su.queue for su in sus]
         fifos = [queue.fifo for queue in queues]
-        constant, drawn = self._constant_direct, self._inputs.direct
+        inputs = self._inputs
+        # When every direct link is constant, one tuple serves every slot.
+        constant = tuple(inputs.direct) if all(isinstance(g, float) for g in inputs.direct) else None
 
         def rows_from(pos: int) -> Iterator[tuple[tuple[int, ...], tuple[float, ...], tuple[float, ...]]]:
             # Each slot's arrivals, direct and interference gains, from pos to
             # the block's end; a memoryview of the drawn gains yields floats.
-            direct = (zip(*(repeat(g) if g is not None else memoryview(drawn[i])[pos:]
-                            for i, g in enumerate(constant))) if None in constant else repeat(constant))
+            direct = (repeat(constant) if constant is not None else
+                      zip(*(repeat(g) if isinstance(g, float) else memoryview(g)[pos:] for g in inputs.direct)))
             return zip(zip(*(islice(su.arrivals, pos, None) for su in sus)), direct,
                        zip(*(islice(su.interference, pos, None) for su in sus)))
 
@@ -710,13 +706,13 @@ class Simulation:
                              tuple(map(len, fifos)), tuple(self.y), self.x, direct, charged)
 
         # The users whose packet counts the kernel reads: all but unit links.
-        listed = [(i, su.packets, su.queue.fifo) for i, (su, shape) in enumerate(zip(sus, self._shapes))
+        listed = [(i, su.packets, su.queue.fifo) for i, (su, shape) in enumerate(zip(sus, inputs.shapes))
                   if not shape.unit_link]
         heads: list[list[int] | None] = [None] * len(sus)
         after = None
         for _ in range(count):
-            self._block_left()
-            slot, pos = self.slot, self.slot - self._inputs.start
+            inputs.left(self.slot)
+            slot, pos = self.slot, self.slot - inputs.start
             if slot != after:
                 departed = [queue.cumulative_departures for queue in queues]
                 waited = [queue.departed_waiting_sum for queue in queues]
@@ -790,7 +786,7 @@ class Simulation:
 def simulations(config: SimConfig, kinds: Sequence[SchedulerKind]) -> list[Simulation]:
     """One Simulation of config per rule in kinds, in that order, all on one
     set of inputs; they keep the raw rates if any of them reads them."""
-    inputs = _inputs(config, any(kind.reads_rates for kind in kinds))
+    inputs = _Inputs(config, any(kind.reads_rates for kind in kinds))
     return [Simulation(replace(config, scheduler=kind), inputs) for kind in kinds]
 
 
@@ -818,7 +814,7 @@ def run_lockstep(sims: Sequence[Simulation]) -> list[RunResult]:
         for k in running:
             sim = sims[k]
             try:
-                sim._kernel(sim, sim._block_left())
+                sim._kernel(sim, sim._inputs.left(sim.slot))
             except InfeasibleLoadError:
                 results[k] = sim._finalize(False, sim.stability_metric(), note="infeasible-load")
                 continue

@@ -138,7 +138,7 @@ class TestChannelBank:
         # Read from the input blocks: observing 10^6 slots one by one is slow.
         slots = []
         while len(slots) < n:
-            sim._fill_block()
+            sim._inputs.fill(sim.slot)
             slots += zip(*(su.interference for su in sim.sus))
         for i, want in enumerate((0.4, 0.2)):
             got = sum(interference[i] for interference in slots[:n]) / n

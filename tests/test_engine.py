@@ -3,7 +3,7 @@ import math
 import traceback
 import tracemalloc
 from dataclasses import replace
-from itertools import repeat
+from itertools import accumulate, repeat
 from pathlib import Path
 
 import numpy as np
@@ -251,18 +251,23 @@ def test_non_idling_rules_share_one_backlog_path_on_unit_links(config, lam):
     # share one total backlog path, departure count and backlog area, where
     # sum_i (departed waiting sum + sum over queued packets of (T - a)) is
     # that area plus the departures. No phi is evaluated here.
+    # The idling rule sends at most one packet a slot too, so its total
+    # backlog never falls below theirs; the gap is the departures it withheld.
     spec = load_spec(shipped_config(config))
     slots = 20_000
     sims = [Simulation(point_config(spec, SchedulerKind(kind), lam, 1))
-            for kind in ("maxweight", "proposed-nonidling")]
+            for kind in ("maxweight", "proposed-nonidling", "proposed")]
     assert all(su.direct == DeterministicGain(1.0) for su in sims[0].config.sus)
-    differing = served_apart = 0
-    for a, b in zip(*(sim.observe(slots) for sim in sims)):
+    differing = served_apart = below = withheld = 0
+    for a, b, idling in zip(*(sim.observe(slots) for sim in sims)):
         differing += sum(a.q) != sum(b.q)
         served_apart += a.su != b.su
-    assert differing == 0
-    # The rules do serve different users, so the identity is not vacuous.
-    assert served_apart > 0
+        below += sum(idling.q) < sum(b.q)
+        withheld += sum(idling.q) > sum(b.q)
+    assert differing == below == 0
+    # The rules do serve different users, and the idling rule does withhold
+    # departures, so neither law is vacuous.
+    assert served_apart > 0 and withheld > 0
 
     def departures_and_area(sim):
         queues = [su.queue for su in sim.sus]
@@ -271,6 +276,34 @@ def test_non_idling_rules_share_one_backlog_path_on_unit_links(config, lam):
 
     assert sims[0].slot == sims[1].slot == slots
     assert departures_and_area(sims[0]) == departures_and_area(sims[1])
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("config", ["table1.cfg", "binding.cfg"])
+def test_work_conserving_backlog_is_monotone_in_load_on_unit_links(config, seed):
+    # On unit links a rule that never idles under backlog keeps the total
+    # backlog on Lindley's recursion Q' = (Q + A - 1)^+, with A the slot's
+    # arrivals over all users. User i's uniforms come from its (seed, i,
+    # arrivals) stream whatever lambda is, and a Bernoulli arrival is
+    # u < lambda, so a higher load only adds arrivals, slot by slot; the
+    # recursion is non-decreasing in Q and A, so the total backlog is
+    # non-decreasing in lambda at every slot (Loynes 1962). The idling rule
+    # is not monotone in lambda, so it is not tested here.
+    spec = load_spec(shipped_config(config))
+    slots, loads = 5000, (0.2, 0.3, 0.36)
+    for kind in ("maxweight", "proposed-nonidling"):
+        paths = []
+        for lam in loads:
+            _, trace = observe_slots(point_config(spec, SchedulerKind(kind), lam, seed), slots)
+            paths.append([sum(t.q) for t in trace])
+            lindley = accumulate((sum(t.arrivals) for t in trace), lambda q, a: max(q + a - 1, 0), initial=0)
+            assert paths[-1] == list(lindley)[1:]
+            # Every packet that arrived has departed or is queued.
+            assert sum(len(t.waiting_times) for t in trace) + paths[-1][-1] == sum(sum(t.arrivals) for t in trace)
+        for lower, higher in zip(paths, paths[1:]):
+            assert sum(q > q_higher for q, q_higher in zip(lower, higher)) == 0
+            # The higher load does hold more packets somewhere: the law is not vacuous.
+            assert lower != higher
 
 
 def test_interference_sum_re_adds_from_trace():
@@ -574,7 +607,7 @@ def test_block_rates_and_packets_follow_the_scalar_rule():
                         seed=8)
         sim = Simulation(cfg)
         for _ in range(3):
-            sim._fill_block()
+            sim._inputs.fill(sim.slot)
             for inputs, drawn in zip(sim.sus, sim._inputs.direct):
                 direct = drawn.tolist()
                 assert len(direct) == len(inputs.packets) == BLOCK
@@ -617,10 +650,10 @@ def test_whole_packets_take_the_scalar_rule_at_powers_of_two():
 
 @pytest.mark.parametrize("observed", [False, True])
 def test_constant_links_take_no_draws(observed):
-    # A constant link's inputs are computed once and its generator is never
-    # drawn from, so the Rayleigh user beside it sees its own stream as before.
-    # Its raw rates are kept in literal mode only, the one reader; observe()
-    # reads its direct gain from the model.
+    # A constant link's inputs are computed once and it has no generator, so
+    # the Rayleigh user beside it sees its own stream as before. Its raw
+    # rates are kept in literal mode only, the one reader; observe() reads
+    # its direct gain as the model gives it.
     slots = 3 * BLOCK
     constant = SuConfig(Bernoulli(0.3), 1.5, DeterministicGain(3.0), DeterministicGain(0.5))
     fading = multi_packet_sus()[1]
@@ -638,12 +671,11 @@ def test_constant_links_take_no_draws(observed):
         sim.run_until_converged()
     assert sim.slot == slots
     inputs = sim.sus[0]
-    for rng, role in zip(sim._inputs.rngs[0][1:], (ROLE_DIRECT, ROLE_INTERFERENCE)):
-        assert rng.bit_generator.state == substream(3, 0, role).bit_generator.state
+    assert sim._inputs.rngs[0][1:] == (None, None)
     assert inputs.rate == []
     assert inputs.packets == [int(transmission_rate(3.0))] * BLOCK == [2] * BLOCK
     assert inputs.interference == [0.5] * BLOCK
-    assert sim._inputs.direct[0] is None
+    assert sim._inputs.direct[0] == 3.0
     drawn = sim._inputs.rngs[1][1].bit_generator.state
     assert drawn != substream(3, 1, ROLE_DIRECT).bit_generator.state
 
@@ -705,7 +737,7 @@ def lockstep_group(case: str) -> tuple[SimConfig, list[SchedulerKind]]:
 
 
 def generator_states(sim: Simulation):
-    return [[rng.bit_generator.state for rng in rngs] for rngs in sim._inputs.rngs]
+    return [[None if rng is None else rng.bit_generator.state for rng in rngs] for rngs in sim._inputs.rngs]
 
 
 @pytest.mark.parametrize("case", ["table1", "abort", "literal", "faded"])
@@ -740,6 +772,27 @@ def test_lockstep_refuses_members_at_different_slots():
     with pytest.raises(ValueError, match=r"^run_lockstep needs Simulations at one slot, got \[0, 1\]$"):
         run_lockstep(group)
     assert [sim.slot for sim in group] == [0, 1]
+
+
+@pytest.mark.parametrize("observed", [False, True])
+def test_group_member_stepped_behind_its_block_is_refused(observed):
+    # One member, stepped alone past the first block, draws the group's
+    # second; the other, still at slot 0, would read that block at negative
+    # positions, which a list wraps round to its end, and silently end with
+    # other backlogs than the same rule run alone.
+    spec = load_spec(shipped_config("table1.cfg"))
+    ahead, behind = simulations(point_config(spec, spec.schedulers[0], 0.3, 1),
+                                [SchedulerKind("maxweight"), SchedulerKind("proposed")])
+    for _ in range(BLOCK + 10):
+        ahead.run_slot()
+    with pytest.raises(ValueError, match=r"^slot 0 lies before the drawn block, which starts at slot 4096: "
+                                         r"a group from simulations\(\) advances through run_lockstep$"):
+        if observed:
+            next(behind.observe(50))
+        else:
+            behind.run_slot()
+    assert (ahead.slot, behind.slot) == (BLOCK + 10, 0)
+    assert queue_state(behind) == queue_state(Simulation(behind.config))
 
 
 def test_lockstep_refuses_members_that_do_not_share_inputs():

@@ -134,7 +134,7 @@ def scripted_sim(arrivals, serves):
                       DeterministicGain(0.4)),),
         i_avg=2.0, scheduler=SchedulerKind(PROPOSED_NONIDLING),
     ))
-    sim._fill_block()
+    sim._inputs.fill(sim.slot)
     inputs = sim.sus[0]
     inputs.arrivals[:len(arrivals)] = arrivals
     inputs.packets[:len(serves)] = serves

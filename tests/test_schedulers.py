@@ -344,7 +344,7 @@ class TestDecideMaxWeight:
         # The link carries log2(1 + 7) = 3 packets, but only the queued
         # packet and the one arriving in this slot can go.
         sim = staged_sim(MAXWEIGHT, Staged(fifo=(0,), direct=7.0), slot=1)
-        sim._fill_block()
+        sim._inputs.fill(sim.slot)
         sim.sus[0].arrivals[0] = 1
         t, = sim.observe(1)
         assert t.su == 0

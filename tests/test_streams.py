@@ -52,7 +52,7 @@ def test_block_arrivals_match_scalar_draws():
     sim = Simulation(cfg)
     blocked, lengths = [], []
     for _ in range(5):
-        sim._fill_block()
+        sim._inputs.fill(sim.slot)
         blocked += sim.sus[0].arrivals
         lengths.append(len(sim.sus[0].arrivals))
         sim.slot += lengths[-1]
