@@ -377,11 +377,12 @@ $wait
                 if v < best_v:
                     $pick"""
 
-# The packets a link carries this slot, as many as the queue holds.
-_COUNT_LISTED = """\
-                n = packets$i[pos]
-                if n > q$i:
-                    n = q$i"""
+# The packets a link carries this slot, as many as the queue holds, counted
+# into $n: n where phi scores the user, best_n where max-weight departs.
+_COUNT = """\
+                $n = packets$i[pos]
+                if $n > q$i:
+                    $n = q$i"""
 
 _WAIT_LISTED = """\
                     if n == 1:
@@ -452,12 +453,6 @@ $pop_one
                     if cand > c_y_multi$i:
                         c_y_multi$i = cand"""
 
-# Max-weight sends as many packets as the link carries and the queue holds.
-_COUNT_WEIGHT = """\
-                best_n = packets$i[pos]
-                if best_n > q$i:
-                    best_n = q$i"""
-
 
 class _UserShape(NamedTuple):
     """What a user's kernel text depends on besides the rule: whether its
@@ -497,7 +492,7 @@ def _kernel(shapes: tuple[_UserShape, ...], kind: SchedulerKind):
         else:
             rate = " * rates$i[pos]" if kind.reads_rates else "" if shape.unit_link else " * n"
             score = Template(_SCORE_PHI).safe_substitute(
-                count="" if shape.unit_link else _COUNT_LISTED,
+                count="" if shape.unit_link else Template(_COUNT).safe_substitute(n="n"),
                 wait=_WAIT_UNIT if shape.unit_link else _WAIT_LISTED,
                 rate=rate, pick=pick)
         user = Template(_USER).safe_substitute(
@@ -506,8 +501,9 @@ def _kernel(shapes: tuple[_UserShape, ...], kind: SchedulerKind):
         if shape.unit_link:
             pop = _POP_ONE
         else:
-            pop = Template(_DEPART_LISTED).safe_substitute(count=_COUNT_WEIGHT if maxweight else "",
-                                                           pop_one=textwrap.indent(_POP_ONE, "    "))
+            pop = Template(_DEPART_LISTED).safe_substitute(
+                count=Template(_COUNT).safe_substitute(n="best_n") if maxweight else "",
+                pop_one=textwrap.indent(_POP_ONE, "    "))
         departure = Template(_DEPART).safe_substitute(test="else" if i == last else "elif best == $i", pop=pop)
         departures.append(Template(departure).substitute(i=i))
     source = Template(_KERNEL).substitute(
@@ -536,16 +532,16 @@ class _Inputs:
     many as any block, filled once by the scalar rule, and its packet count
     gives the user's entry of shapes. users holds each user's input lists
     in SuState's order, and direct each direct link's gain, or its block as
-    drawn; only observe() reads direct. The rates are kept only if a member
-    reads them (keep_rates). The block holds length slots from start.
+    drawn; only observe() reads direct. The rates are kept only if a rule in
+    kinds reads them (keep_rates). The block holds length slots from start.
 
     One substream per (user, role): a user's draws depend only on the seed
     and its own index, and drawn BLOCK slots at a time they give the same
     values in the same order as one draw per slot.
     """
 
-    def __init__(self, config: SimConfig, keep_rates: bool):
-        self.config, self.keep_rates = config, keep_rates
+    def __init__(self, config: SimConfig, kinds: Sequence[SchedulerKind]):
+        self.config, self.keep_rates = config, any(kind.reads_rates for kind in kinds)
         self.start = self.length = 0
         self.users, self.rngs, self.direct, shapes = [], [], [], []
         for i, su in enumerate(config.sus):
@@ -554,7 +550,7 @@ class _Inputs:
             if isinstance(su.direct, DeterministicGain):
                 gain = float(su.direct.value)
                 count = int(transmission_rate(gain))
-                if keep_rates:
+                if self.keep_rates:
                     rate[:] = [transmission_rate(gain)] * BLOCK
                 packets[:] = [count] * BLOCK
             else:
@@ -638,7 +634,7 @@ class Simulation:
         self._w1_max = [0] * n
         self.slot = 0
         if inputs is None:
-            inputs = _Inputs(config, config.scheduler.reads_rates)
+            inputs = _Inputs(config, (config.scheduler,))
         self._inputs = inputs
         # A plain function kept on the instance, called as self._kernel(self,
         # count): a method bound to self would make a reference cycle.
@@ -785,8 +781,8 @@ class Simulation:
 
 def simulations(config: SimConfig, kinds: Sequence[SchedulerKind]) -> list[Simulation]:
     """One Simulation of config per rule in kinds, in that order, all on one
-    set of inputs; they keep the raw rates if any of them reads them."""
-    inputs = _Inputs(config, any(kind.reads_rates for kind in kinds))
+    set of inputs."""
+    inputs = _Inputs(config, kinds)
     return [Simulation(replace(config, scheduler=kind), inputs) for kind in kinds]
 
 

@@ -243,9 +243,6 @@ def _series_mean(values: list[float]) -> float | None:
     return sum(values) / len(values) if values else None
 
 
-def _column_id(scheduler: str) -> str:
-    return scheduler.replace("-", "_")
-
 _PLOT_STUB = '''\
 """Render the emitted figure CSVs as line charts (needs matplotlib)."""
 
@@ -316,7 +313,6 @@ def emit_figures(
     present = {r.scheduler for r in rows}
 
     manifest_figures = {}
-    written = []
     for name, (quantity, wanted) in FIGURES.items():
         scheds = [s for s in wanted if s in present]
         if not scheds:
@@ -324,35 +320,26 @@ def emit_figures(
                 "omitted (no rows for schedulers: " + ", ".join(wanted) + ")"
             )
             continue
-        header = ["lambda"]
-        for s in scheds:
-            cid = _column_id(s)
-            if quantity == "delay":
-                header += [f"{cid}_su{k}_delay" for k in range(1, n_sus + 1)]
-            else:
-                header.append(f"{cid}_interference")
+        # Each column: its scheduler, its header's suffix and its value in a row.
+        if quantity == "delay":
+            values = [(f"su{k + 1}_delay", lambda r, k=k: r.delays[k]) for k in range(n_sus)]
+        else:
+            values = [("interference", lambda r: r.interference_avg)]
+        columns = [(s, suffix, value) for s in scheds for suffix, value in values]
         with open(out / name, "w", newline="") as f:
             w = csv.writer(f, lineterminator="\n")
-            w.writerow(header)
+            w.writerow(["lambda"] + [f"{s.replace('-', '_')}_{suffix}" for s, suffix, _ in columns])
             for lam in lambdas:
                 rec = [repr(lam)]
-                for s in scheds:
-                    cell_rows = by_cell.get((s, lam), [])
-                    if quantity == "delay":
-                        for k in range(n_sus):
-                            vals = [r.delays[k] for r in cell_rows if r.delays[k] is not None]
-                            rec.append(_cell(_series_mean(vals)))
-                    else:
-                        vals = [r.interference_avg for r in cell_rows]
-                        rec.append(_cell(_series_mean(vals)))
+                for s, _, value in columns:
+                    vals = [v for v in map(value, by_cell.get((s, lam), [])) if v is not None]
+                    rec.append(_cell(_series_mean(vals)))
                 w.writerow(rec)
         manifest_figures[name] = "written"
-        written.append(name)
 
     ylabel = {"delay": "average delay (slots)", "interference": "average interference"}
-    stub_figures = [
-        (name, ylabel[FIGURES[name][0]]) for name in FIGURES if name in written
-    ]
+    stub_figures = [(name, ylabel[FIGURES[name][0]]) for name, state in manifest_figures.items()
+                    if state == "written"]
     (out / PLOT_STUB_FILENAME).write_text(_PLOT_STUB.format(figures=repr(stub_figures)))
 
     manifest = {

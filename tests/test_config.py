@@ -4,6 +4,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crsched.channels import DeterministicGain, RayleighGain
 from crsched import cli
@@ -209,6 +210,19 @@ class TestLoadSpecValidation:
             load_spec(write_cfg(tmp_path, patched(key, value)))
         assert exc.value.line == line
         assert exc.value.message == f"[su1] {key}: repeated channel parameter {name!r}"
+
+    @pytest.mark.parametrize("key, value, line, message", [
+        ("direct", "", 11, "empty channel spec"),
+        ("arrivals", "bernoulli cap=1", 10, "bernoulli takes no parameters"),
+        ("arrivals", "poisson", 10, "poisson needs exactly cap=K"),
+        ("arrivals", "poisson 3", 10, "poisson needs exactly cap=K"),
+        ("arrivals", "uniform", 10, "unknown arrival process 'uniform' (expected bernoulli or poisson)"),
+    ])
+    def test_malformed_spec_rejected_at_its_line(self, tmp_path, key, value, line, message):
+        with pytest.raises(ConfigError) as exc:
+            load_spec(write_cfg(tmp_path, patched(key, value)))
+        assert exc.value.line == line
+        assert exc.value.message == f"[su1] {key}: {message}"
 
     def test_nonpositive_rayleigh_mean_carries_line(self, tmp_path):
         path = write_cfg(tmp_path, patched("interference", "rayleigh mean=0"))
@@ -546,8 +560,10 @@ def base_config(**kw) -> SimConfig:
      lambda: SuConfig(Bernoulli(0.0), -1.0, DeterministicGain(1.0), RayleighGain(0.4))),
     ("sweep", "seeds", "1, -1", lambda: base_config(seed=-1)),
     ("sweep", "schedulers", "proposed, edf", lambda: SchedulerKind("edf")),
+    # The file counts the users itself, under SimConfig's message.
+    ("system", "n_sus", "0", lambda: base_config(sus=())),
 ], ids=["i_avg", "epsilon", "check_interval", "max_slots", "buffer_cap", "phi_mode", "d", "seeds",
-        "schedulers"])
+        "schedulers", "n_sus"])
 def test_range_rule_reported_from_its_constructor(tmp_path, section, key, bad, build):
     """Each range rule lives in its constructor; the file and the command
     line report the constructor's own message at the key."""
@@ -590,3 +606,106 @@ class TestEpsilonRule:
         with pytest.raises(ValueError, match="epsilon must be nonnegative"):
             SimConfig(sus=two_user_sus(0.1), i_avg=1.0, scheduler=SchedulerKind("proposed"),
                       epsilon=-0.5)
+
+
+# Generated config values: numbers of every spelling, huge integers,
+# non-finite values, channel and arrival specs, comma lists with empty items,
+# a leading byte order mark or NUL, and short text with no line break in it.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+NUMBERS = st.one_of(
+    st.integers(-3, 12).map(str),
+    st.sampled_from(["0", "0.1", "0.25", "1.5", "-0.5", ".5", "1e1", "1_0", "0x10", "1e-2", "2.0", "-0"]),
+    st.sampled_from([10**30, -10**40, 2**63, 10**400]).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "NaN", "1e999", "-1e999"]),
+)
+NAMES = st.sampled_from(["proposed", "proposed-nonidling", "maxweight", "PROPOSED_nonidling", "edf",
+                         "actual", "literal", "bernoulli", "poisson", "deterministic", "rayleigh"])
+SPECS = st.builds(
+    lambda kind, params: " ".join([kind, *params]),
+    st.sampled_from(["deterministic", "rayleigh", "poisson", "bernoulli", "nakagami", ""]),
+    st.lists(NUMBERS | st.builds("{}={}".format, st.sampled_from(["value", "mean", "cap", "m", ""]), NUMBERS),
+             max_size=3))
+TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters=LINE_BREAKS), max_size=8)
+ITEMS = st.one_of(NUMBERS, NAMES, SPECS, TEXT)
+VALUES = st.one_of(
+    ITEMS,
+    st.builds(lambda items, sep: sep.join(items), st.lists(ITEMS | st.just(""), min_size=1, max_size=4),
+              st.sampled_from([",", ", "])),
+    st.builds("{}{}".format, st.sampled_from(["\ufeff", "\x00"]), ITEMS),
+)
+# Where a generated value goes: mostly a key the file reads, in its section;
+# at times a known or junk key in a known or junk section.
+READ_KEYS = [
+    *(("system", key) for key in ("n_sus", "i_avg", "epsilon", "max_slots", "check_interval", "phi_mode",
+                                  "buffer_cap")),
+    *((f"su{k}", key) for k in (1, 2) for key in ("d", "arrivals", "direct", "interference")),
+    *(("sweep", key) for key in ("lambda_min", "lambda_max", "lambda_step", "schedulers", "seeds", "output_dir")),
+]
+PLACES = st.integers(0, 3).flatmap(lambda r: st.sampled_from(READ_KEYS) if r else st.tuples(
+    st.sampled_from(["system", "su1", "su3", "sweep", "SU1", ""]) | st.text("abxy_1 ]", max_size=4),
+    st.sampled_from(["n_sus", "d", "lambda_max", "seeds"]) | st.text("abxy_1", min_size=1, max_size=4)))
+
+
+@st.composite
+def config_bytes(draw) -> bytes:
+    """BASE with a few values set, mostly at keys the file reads; at times
+    a junk line put in; its lines ended by LF, CRLF or CR, after an optional
+    byte order mark; and at times a byte that is not UTF-8 put in."""
+    text = BASE
+    for _ in range(draw(st.integers(1, 3))):
+        section, key = draw(PLACES)
+        if f"[{section}]" not in text.splitlines():
+            text += f"[{section}]\n"
+        text = set_key(text, section, key, draw(VALUES))
+    lines = text.splitlines()
+    if draw(st.integers(0, 4)) == 2:
+        lines.insert(draw(st.integers(0, len(lines))), draw(TEXT))
+    data = (draw(st.sampled_from(["", "\ufeff"])) + draw(st.sampled_from(["\n", "\r\n", "\r"])).join(lines)).encode()
+    if draw(st.integers(0, 9)) == 5:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) + data[at:]
+    return data
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=config_bytes())
+def test_any_config_text_loads_or_fails_naming_the_file_and_line(tmp_path_factory, data):
+    """load_spec returns a spec or raises ConfigError, and no other type; the
+    error names the file, and the line where it has one."""
+    path = tmp_path_factory.getbasetemp() / "generated.cfg"
+    path.write_bytes(data)
+    try:
+        load_spec(path)
+    except ConfigError as err:
+        assert err.override is None
+        if err.line is None:
+            assert str(err).startswith(f"{path}: ")
+        else:
+            assert str(err).startswith(f"{path}:{err.line}: ")
+            assert 1 <= err.line <= len(data.decode("utf-8-sig").splitlines())
+
+
+BASE_GRID = {("sweep", "lambda_min"): "0.1", ("sweep", "lambda_max"): "0.3", ("sweep", "lambda_step"): "0.1"}
+
+
+@settings(max_examples=80, deadline=None)
+@given(key=st.sampled_from(sorted(CLI_OVERRIDES)), value=VALUES)
+def test_any_flag_value_behaves_as_the_same_value_in_the_file(tmp_path_factory, key, value):
+    """A value the file refuses is refused at its flag with the same message;
+    a value the file accepts gives the same spec. The three grid flags go
+    together, so the other two are given BASE's values."""
+    folder = tmp_path_factory.getbasetemp()
+    base, edited = write_cfg(folder, BASE, name="flag-base.cfg"), write_cfg(folder, set_key(BASE, *key, value))
+    given_keys = {**BASE_GRID, key: value} if key in BASE_GRID else {key: value}
+    args = cli._build_parser().parse_args(
+        ["run", "--config", str(base)] + [f"{CLI_OVERRIDES[k]}={v}" for k, v in given_keys.items()])
+    try:
+        by_file = load_spec(edited)
+    except ConfigError as err:
+        flag = next(CLI_OVERRIDES[k] for k in given_keys if err.message.startswith("[{}] {}: ".format(*k)))
+        with pytest.raises(ValueError) as exc:
+            cli._load_spec(args)
+        assert str(exc.value) == f"{flag}: {err.message}"
+    else:
+        by_flag, _ = cli._load_spec(args)
+        assert without_source(by_flag) == without_source(by_file)

@@ -306,6 +306,29 @@ def test_work_conserving_backlog_is_monotone_in_load_on_unit_links(config, seed)
             assert lower != higher
 
 
+@pytest.mark.parametrize("lam", [0.1, 0.3, 0.36])
+def test_work_conserving_pooled_delay_matches_its_closed_form_on_unit_links(lam):
+    # table1.cfg's two users have constant unit links and Bernoulli(lam)
+    # arrivals, so under max-weight the total backlog follows Lindley's
+    # recursion with Binomial(2, lam) arrivals, and the pooled mean delay,
+    # W = departure - arrival + 1, is 1 + lam / (2 (1 - 2 lam)) (Bruneel &
+    # Kim). Each seed gives one pooled mean over 20,000 slots; the 99 %
+    # Student-t interval over 20 seeds (19 degrees of freedom) must hold the
+    # closed form. The seeds are fixed, so the test is deterministic.
+    spec = load_spec(shipped_config("table1.cfg"))
+    means = []
+    for seed in range(1, 21):
+        config = replace(point_config(spec, SchedulerKind("maxweight"), lam, seed), epsilon=0.0, max_slots=20_000)
+        assert all(su.direct == DeterministicGain(1.0) for su in config.sus)
+        sim = Simulation(config)
+        sim.run_until_converged()
+        queues = [su.queue for su in sim.sus]
+        means.append(sum(q.departed_waiting_sum for q in queues) / sum(q.cumulative_departures for q in queues))
+    mean = sum(means) / len(means)
+    half_width = 2.861 * math.sqrt(sum((m - mean) ** 2 for m in means) / (len(means) - 1) / len(means))
+    assert abs(mean - (1 + lam / (2 * (1 - 2 * lam)))) <= half_width
+
+
 def test_interference_sum_re_adds_from_trace():
     cfg = two_user_config(0.3, "maxweight", seed=4,
                           max_slots=3_000, check_interval=3_000,

@@ -1,18 +1,24 @@
-"""Byte identity of sweep outputs across changes to the simulator.
+"""Byte identity of sweep outputs and of the slot kernels' text across
+changes to the simulator.
 
-Each pinned digest is the sha256 of the rows.csv that ``crsched run``
+Each pinned rows digest is the sha256 of the rows.csv that ``crsched run``
 writes for a config at ``--max-slots 10000``, so every point runs at most
 10,000 slots. The two shipped configs stop at their first convergence
 check; the inline fading config covers truncated-Poisson arrivals, faded
 direct links (a rate that varies per slot and carries several packets) and
 the literal phi mode. Any change to a simulated number, float evaluation
-order included, moves a digest. Update a digest only for a change that is
-meant to alter results, and say why where the change is recorded.
+order included, moves a digest. Update a rows digest only for a change
+that is meant to alter results, and say why where the change is recorded.
 """
+
+import hashlib
+import linecache
+from itertools import product
 
 import pytest
 
 from crsched import cli
+from crsched.engine import PHI_ACTUAL, PHI_LITERAL, SCHEDULER_NAMES, SchedulerKind, _kernel, _UserShape
 from crsched.sweep import ROWS_FILENAME, file_sha256
 
 from conftest import shipped_config
@@ -72,3 +78,32 @@ def test_rows_csv_matches_pinned_digest(name, tmp_path):
     ])
     assert code == 0
     assert file_sha256(out / ROWS_FILENAME) == ROWS_SHA256[name]
+
+
+# sha256 of the concatenated text of every kernel in KERNEL_SHAPES order.
+KERNEL_TEXT_SHA256 = "36c89cca8ad338b334b468a752693e41e702cc84914eb5406463bc4c1a6e2a9c"
+
+# Every (user shapes, rule, phi mode) of one and two users: 20 shape tuples
+# under 6 kinds, 120 kernels.
+KERNEL_SHAPES = [
+    (shapes, SchedulerKind(name, mode))
+    for users in (1, 2)
+    for shapes in product([_UserShape(unit, single) for unit in (True, False) for single in (True, False)],
+                          repeat=users)
+    for name in SCHEDULER_NAMES
+    for mode in (PHI_ACTUAL, PHI_LITERAL)
+]
+
+
+def test_kernel_text_matches_pinned_digest():
+    """Every generated kernel's source, as linecache holds it, hashes to the
+    pinned digest, so a refactor of the template or of the kernel builder
+    that claims to leave the slot loop alone is checked to. Update the
+    digest only for a change that is meant to alter kernel text, and say
+    why in CHANGES.md."""
+    digest = hashlib.sha256()
+    for shapes, kind in KERNEL_SHAPES:
+        kernel = _kernel(shapes, kind)
+        digest.update("".join(linecache.getlines(kernel.__code__.co_filename)).encode())
+    assert len(KERNEL_SHAPES) == 120
+    assert digest.hexdigest() == KERNEL_TEXT_SHA256

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import crsched
 from crsched import cli
@@ -21,6 +22,7 @@ from crsched.sweep import (
     file_sha256,
     point_config,
     read_rows,
+    rows_header,
     run_sweep,
     sweep_points,
     sweep_results,
@@ -329,6 +331,49 @@ class TestRowsCsv:
         assert not (tmp_path / "figs").exists()
 
 
+# A rows.csv record: a valid one with up to three cells replaced or cut.
+CELLS = st.one_of(
+    st.sampled_from([*SCHEDULER_NAMES, "edf", "true", "false", "", "0.1", "nan", "inf", "-1", "1e999", "10",
+                     "1.5", "x", "infeasible-load", '"', '""', "a,b", "\r", "\n", "\x00", "\ufeff0.1"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=5),
+)
+
+
+@st.composite
+def rows_bytes(draw) -> bytes:
+    """At times bytes of any kind; else the header for 0 to 3 users (at
+    times cut or junk) and one to four records, each a valid row with cells
+    replaced or cut, with at times a byte that is not UTF-8 put in."""
+    if draw(st.integers(0, 9)) == 5:
+        return draw(st.binary(max_size=40))
+    n_sus = draw(st.integers(0, 3))
+    header = rows_header(n_sus)
+    records = [draw(st.sampled_from([header[:-1], ["lambda"]])) if draw(st.integers(0, 4)) == 2 else header]
+    for _ in range(draw(st.integers(1, 4))):
+        record = ["maxweight", "0.1", "1", "true", "10", "0.5", "0.25", *["1.5"] * n_sus, ""]
+        for _ in range(draw(st.integers(0, 3))):
+            record[draw(st.integers(0, len(record) - 1))] = draw(CELLS)
+        records.append(record[:draw(st.integers(0, len(record) + 1))] if draw(st.booleans()) else record)
+    data = draw(st.sampled_from(["\n", "\r\n"])).join(",".join(record) for record in records).encode()
+    if draw(st.integers(0, 9)) == 5:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=rows_bytes())
+def test_any_rows_file_reads_or_fails_naming_the_file(tmp_path_factory, data):
+    """read_rows returns rows or raises a ValueError that starts with the
+    file's name and a colon, and no other type."""
+    path = tmp_path_factory.getbasetemp() / "generated-rows.csv"
+    path.write_bytes(data)
+    try:
+        assert read_rows(path)
+    except ValueError as err:
+        assert str(err).startswith(f"{path}:")
+
+
 @pytest.fixture(scope="module")
 def emitted(tiny_rows, tmp_path_factory):
     out = tmp_path_factory.mktemp("figs")
@@ -400,6 +445,12 @@ class TestEmitFigures:
         for name in ("fig2.csv", "fig3.csv", "fig4.csv",
                      MANIFEST_FILENAME, PLOT_STUB_FILENAME):
             assert (out / name).read_bytes() == (again / name).read_bytes()
+
+    def test_no_rows_to_plot(self, tmp_path):
+        with pytest.raises(ValueError) as exc:
+            emit_figures([], tmp_path / "figs")
+        assert str(exc.value) == "no rows to plot"
+        assert not (tmp_path / "figs").exists()
 
     def test_figure_list_is_stable(self):
         assert list(FIGURES) == ["fig1.csv", "fig2.csv", "fig3.csv", "fig4.csv"]
