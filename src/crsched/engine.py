@@ -41,6 +41,18 @@ A user's shape says whether its direct link is a constant one-packet link
 and whether at most one packet arrives in a slot. A unit-link user's scan
 reads no packet count and its departure is its head packet alone, and a
 single-arrival user's admission tests no count.
+The slot loop's arithmetic is kept to one type per operation, as CPython
+3.11 specializes a binary operation or a comparison only for two floats or
+two ints. So the FIFOs hold arrival slots as floats, the loop's slot and
+slot1 are floats, and so are every wait W, waiting sum and excess W - d;
+a unit-link user's backlog is a float too, tested against a float copy of
+buffer_cap. A listed link's backlog and packet count n stay ints, as islice
+and range take n. Every integer below 2^53 is exact as a float, and CPython
+converts an int operand to exactly that float before it adds, subtracts or
+multiplies, so each result is the same as with ints while slots and a
+call's waiting sums stay below 2^53 (about 9e15). The state a Simulation
+hands out stays int: the slot, the queue counters (a call's waiting sum is
+written back as an int), RunResult and SlotTrace.
 _Inputs owns a group's inputs: it judges each link constant or drawn once,
 draws each block and holds the shapes and the direct gains. run_slot(),
 observe() and run_lockstep ask _Inputs.left for the slots left in the drawn
@@ -69,7 +81,7 @@ import math
 import textwrap
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import islice, repeat, takewhile
+from itertools import count, islice, repeat, takewhile
 from string import Template
 from typing import Iterator, NamedTuple, Sequence
 
@@ -275,12 +287,16 @@ def kernel(self, count):
     # allocation by scanning the function's line table from its start.
     x, slot, pos = self.x, self.slot, self.slot - self._inputs.start
     end = slot + count
-    # Arrivals are tagged with the slot, waits run to slot1 = slot + 1.
-    slots = zip(range(pos, pos + count), range(slot, end), range(slot + 1, end + 1))
+    # Arrivals are tagged with the slot, waits run to slot1 = slot + 1. Both
+    # are floats, exact below 2^53, so that each wait, its excess over d and
+    # phi's delay terms are float operations, which CPython specializes.
+    slots = zip(range(pos, pos + count), count_from(float(slot)), count_from(float(slot + 1)))
     y = self.y
     c_y_multi, w1_max = self._c_y_multi, self._w1_max
     i_avg = self.config.i_avg
+    # A unit-link backlog is a float, and is tested against the float copy.
     buffer_cap = self.config.buffer_cap
+    float_cap = float(buffer_cap)
     sus = self.sus
 $bind
     inf = math.inf
@@ -300,22 +316,22 @@ $depart
             x = x if x > 0.0 else 0.0
         slot = end
     finally:
-        self.x, self.slot = x, slot
+        self.x, self.slot = x, int(slot)
         self.interference_sum = interference_sum
 $write
     return best
 """
 
 # User $i's state, bound to locals once per call: its SuState, its FIFO,
-# its Y, its c_y_emp parts, and its backlog, counted here and kept by the
-# kernel from then on. Its departures and their waiting-time sum in this
-# call start at 0.
+# its Y, its c_y_emp parts, and its backlog, counted here ($backlog, a float
+# on a unit link) and kept by the kernel from then on. Its departures and
+# their waiting-time sum (a float) in this call start at 0.
 _BIND = """\
     queue$i, d$i, arrivals$i, rates$i, packets$i, interference$i = sus[$i]
     fifo$i = queue$i.fifo
     y$i, w1_max$i, c_y_multi$i = y[$i], w1_max[$i], c_y_multi[$i]
-    q$i = len(fifo$i)
-    departures$i = waited$i = 0"""
+    q$i = $backlog
+    departures$i, waited$i = 0, 0.0"""
 
 # User $i's state changes only when it departs, so only then is it written
 # back, on every way out: a slot whose backlog outgrew its cap has changed
@@ -324,14 +340,15 @@ _WRITE = """\
         if departures$i:
             y[$i], w1_max[$i], c_y_multi[$i] = y$i, w1_max$i, c_y_multi$i
             queue$i.cumulative_departures += departures$i
-            queue$i.departed_waiting_sum += waited$i"""
+            queue$i.departed_waiting_sum += int(waited$i)"""
 
 # User $i's turn in a slot: its arrivals join the tail, and may depart in
-# this slot; then, if it is backlogged, the rule scores it.
+# this slot; then, if it is backlogged, the rule scores it. $cap is the cap
+# of the backlog's type.
 _USER = """\
 $admit
-                if q$i > buffer_cap:
-                    raise InfeasibleLoadError(f"backlog exceeded safety cap {buffer_cap} at slot {slot}")
+                if q$i > $cap:
+                    raise InfeasibleLoadError(f"backlog exceeded safety cap {buffer_cap} at slot {int(slot)}")
             if q$i:
 $score"""
 
@@ -349,7 +366,7 @@ _ADMIT_BATCHED = """\
 _ADMIT_SINGLE = """\
             if arrivals$i[pos]:
                 fifo$i.append(slot)
-                q$i += 1"""
+                q$i += $one"""
 
 # Max-weight serves the largest Q/g.
 _SCORE_WEIGHT = """\
@@ -366,7 +383,7 @@ _SCORE_WEIGHT = """\
 _SCORE_PHI = """\
 $count
                 if y$i:
-                    # The departing packets' waiting-time sum, an exact integer.
+                    # The departing packets' waiting-time sum, a float of an exact integer.
 $wait
                     v = (x * interference$i[pos] + y$i * w_sum
                          - (y$i * d$i + q$i)$rate)
@@ -390,7 +407,7 @@ _WAIT_LISTED = """\
                     elif n:
                         w_sum = n * slot1 - sum(islice(fifo$i, n))
                     else:
-                        w_sum = 0"""
+                        w_sum = 0.0"""
 
 _WAIT_UNIT = """\
                     w_sum = slot1 - fifo$i[0]"""
@@ -415,7 +432,7 @@ $pop
 # which c_y_emp derives its candidate when read.
 _POP_ONE = """\
                 w = slot1 - fifo$i.popleft()
-                q$i -= 1
+                q$i -= $one
                 departures$i += 1
                 waited$i += w
                 y_new = y$i + (w - d$i)
@@ -438,8 +455,7 @@ $count
 $pop_one
                 elif best_n:
                     pop = fifo$i.popleft
-                    w_sum = 0
-                    excess = 0.0
+                    w_sum = excess = 0.0
                     for _ in range(best_n):
                         w = slot1 - pop()
                         w_sum += w
@@ -482,8 +498,13 @@ def _kernel(shapes: tuple[_UserShape, ...], kind: SchedulerKind):
     queued and changes nothing else."""
     maxweight = kind.kind == MAXWEIGHT
     last = len(shapes) - 1
-    users, departures = [], []
+    binds, users, departures = [], [], []
     for i, shape in enumerate(shapes):
+        # A unit link's backlog is a float, a listed link's an int: the
+        # packet count n it caps is an int, as islice and range take it.
+        typed = (dict(backlog=f"float(len(fifo{i}))", one="1.0", cap="float_cap") if shape.unit_link else
+                 dict(backlog=f"len(fifo{i})", one="1", cap="buffer_cap"))
+        binds.append(Template(_BIND).substitute(i=i, **typed))
         # A better candidate records what its departure needs beyond its
         # index: the packet count phi scored a listed link with.
         pick = "best, best_v = $i, v" if maxweight or shape.unit_link else "best, best_v, best_n = $i, v, n"
@@ -497,7 +518,7 @@ def _kernel(shapes: tuple[_UserShape, ...], kind: SchedulerKind):
                 rate=rate, pick=pick)
         user = Template(_USER).safe_substitute(
             admit=_ADMIT_SINGLE if shape.single_arrival else _ADMIT_BATCHED, score=score)
-        users.append(Template(user).substitute(i=i))
+        users.append(Template(user).substitute(i=i, **typed))
         if shape.unit_link:
             pop = _POP_ONE
         else:
@@ -505,19 +526,20 @@ def _kernel(shapes: tuple[_UserShape, ...], kind: SchedulerKind):
                 count=Template(_COUNT).safe_substitute(n="best_n") if maxweight else "",
                 pop_one=textwrap.indent(_POP_ONE, "    "))
         departure = Template(_DEPART).safe_substitute(test="else" if i == last else "elif best == $i", pop=pop)
-        departures.append(Template(departure).substitute(i=i))
+        departures.append(Template(departure).substitute(i=i, **typed))
     source = Template(_KERNEL).substitute(
-        bind="\n".join(Template(_BIND).substitute(i=i) for i in range(len(shapes))),
+        bind="\n".join(binds),
         start="-inf" if maxweight else "inf",
         scan="\n".join(users),
         idle=_IDLE if kind.idling else "",
         depart="\n".join(departures),
         write="\n".join(Template(_WRITE).substitute(i=i) for i in range(len(shapes))),
     )
-    count = len(shapes)
-    filename = (f"<crsched kernel: {kind.kind}/{kind.phi_mode}, {count} user{'s' if count > 1 else ''}: "
+    n = len(shapes)
+    filename = (f"<crsched kernel: {kind.kind}/{kind.phi_mode}, {n} user{'s' if n > 1 else ''}: "
                 f"{', '.join(map(str, shapes))}>")
-    namespace = {"math": math, "repeat": repeat, "islice": islice, "InfeasibleLoadError": InfeasibleLoadError}
+    namespace = {"math": math, "repeat": repeat, "islice": islice, "count_from": count,
+                 "InfeasibleLoadError": InfeasibleLoadError}
     exec(compile(source, filename, "exec"), namespace)
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     return namespace["kernel"]
@@ -631,7 +653,7 @@ class Simulation:
         # c_y_emp's two parts: the largest multi-packet candidate, and the
         # longest single-packet wait (0 until one departs).
         self._c_y_multi = [0.0] * n
-        self._w1_max = [0] * n
+        self._w1_max = [0.0] * n
         self.slot = 0
         if inputs is None:
             inputs = _Inputs(config, (config.scheduler,))
@@ -728,7 +750,7 @@ class Simulation:
                 waits = (queue.departed_waiting_sum - waited[best],)
             else:
                 head = heads[best] or ()
-                waits = tuple(slot + 1 - a for a in head[:n]) + (1,) * (n - len(head))
+                waits = tuple(slot + 1 - int(a) for a in head[:n]) + (1,) * (n - len(head))
             departed[best], waited[best] = queue.cumulative_departures, queue.departed_waiting_sum
             yield record(slot, best, waits)
 
@@ -756,11 +778,13 @@ class Simulation:
         c_total = c_x + sum(c_q) + sum(c_y_emp)
         t = self.slot
         # L after the last completed slot. An aborted slot has changed only
-        # the FIFOs, by appending its arrivals, each tagged with slot t.
+        # the FIFOs, by appending its arrivals, each tagged with slot t as a
+        # float; float(t).__eq__ matches them, where int.__eq__ would return
+        # NotImplemented, which is true.
         level = 0.5 * self.x * self.x
         for y, su in zip(self.y, self.sus):
             fifo = su.queue.fifo
-            q = len(fifo) - sum(1 for _ in takewhile(t.__eq__, reversed(fifo)))
+            q = len(fifo) - sum(1 for _ in takewhile(float(t).__eq__, reversed(fifo)))
             level += 0.5 * (y * y + q * q)
         return DriftSummary(
             c_x, tuple(c_q), c_y_emp, c_total, level / t,

@@ -117,18 +117,19 @@ ArrivalProcess = Bernoulli | TruncatedPoisson
 class SuQueue:
     """One user's FIFO buffer plus cumulative arrival/departure stats.
 
-    The FIFO holds each queued packet's arrival slot, oldest first. The
-    slot loop (engine.Simulation) appends arriving packets to its tail,
-    pops departing packets off its head and adds them to the departure
-    counters. A packet leaves the FIFO only by departing, so the arrivals
-    so far are the departures plus the backlog.
+    The FIFO holds each queued packet's arrival slot, oldest first, as a
+    float, exact for every slot below 2^53. The slot loop
+    (engine.Simulation) appends arriving packets to its tail, pops
+    departing packets off its head and adds them to the departure
+    counters, which stay ints. A packet leaves the FIFO only by departing,
+    so the arrivals so far are the departures plus the backlog.
     """
 
     __slots__ = ("arrivals", "fifo", "cumulative_departures", "departed_waiting_sum")
 
     def __init__(self, arrivals: ArrivalProcess):
         self.arrivals = arrivals
-        self.fifo: deque[int] = deque()
+        self.fifo: deque[float] = deque()
         self.cumulative_departures = 0
         self.departed_waiting_sum = 0
 
@@ -144,7 +145,7 @@ class SuQueue:
         """Queue the packets arriving at ``slot``, counted by the arrival
         process from one ``source.random()``; return their number."""
         n = int(self.arrivals.counts(np.array(source.random())))
-        self.fifo.extend(repeat(slot, n))
+        self.fifo.extend(repeat(float(slot), n))
         return n
 
     def average_delay(self) -> float | None:

@@ -216,7 +216,17 @@ def read_rows(path) -> list[SweepRow]:
         raise ValueError(f"{path}:{line}: not UTF-8 text: {err.reason}, "
                          f"byte {data[err.start]:#04x} at offset {err.start}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
+
+    def records():
+        # The csv module's own errors, such as a field over its size limit,
+        # are reported at their line too.
+        try:
+            yield from reader
+        except csv.Error as err:
+            raise ValueError(f"{path}:{reader.line_num}: {err}") from None
+
+    lines = records()
+    header = next(lines, None)
     if header is None:
         raise ValueError(f"{path}:1: empty file, expected the rows header")
     n_sus = sum(1 for h in header if h.endswith("_delay"))
@@ -224,7 +234,7 @@ def read_rows(path) -> list[SweepRow]:
         raise ValueError(f"{path}:1: unrecognized rows schema: {header}")
     rows = []
     first_line: dict[tuple[str, float, int], int] = {}
-    for rec in reader:
+    for rec in lines:
         try:
             row = _parse_row(rec, n_sus)
             first = first_line.setdefault((row.scheduler, row.lam, row.seed), reader.line_num)

@@ -1,5 +1,7 @@
+import dis
 import linecache
 import math
+import sys
 import traceback
 import tracemalloc
 from dataclasses import replace
@@ -26,6 +28,7 @@ from crsched.engine import (
     stability_metric,
     transmission_rate,
     whole_packets,
+    _kernel,
 )
 from crsched.queueing import Bernoulli, InfeasibleLoadError, SettingError, TruncatedPoisson
 from crsched.streams import ROLE_DIRECT, ROLE_INTERFERENCE, substream
@@ -430,11 +433,11 @@ def test_abort_traceback_shows_the_kernel_source():
     # The kernel is compiled from generated text; linecache holds that text,
     # so a traceback shows the line that raised.
     sim = run_slots(dead_channel_config(5), 5)
-    with pytest.raises(InfeasibleLoadError) as exc:
+    with pytest.raises(InfeasibleLoadError, match="^backlog exceeded safety cap 5 at slot 5$") as exc:
         sim.run_slot()
     text = "".join(traceback.format_exception(exc.value))
     assert 'File "<crsched kernel: proposed/actual, 1 user: listed/single>", line ' in text
-    assert 'raise InfeasibleLoadError(f"backlog exceeded safety cap {buffer_cap} at slot {slot}")' in text
+    assert 'raise InfeasibleLoadError(f"backlog exceeded safety cap {buffer_cap} at slot {int(slot)}")' in text
 
 
 @pytest.mark.parametrize("kind", SCHEDULER_NAMES)
@@ -477,6 +480,74 @@ def test_kernel_benchmark_reads_each_users_counters_after_a_run(kind):
     assert all(type(n) is int for n in arrivals + departures)
     assert [a - d for a, d in zip(arrivals, departures)] == list(result.terminal_q)
     assert result.slots == cfg.max_slots and min(departures) > 0
+
+
+KERNEL_HORIZON_POINT = (shipped_config("table1.cfg"), 0.36)
+FADING_SEEDS_CFG = str(Path(__file__).resolve().parent.parent / "bench" / "fading-seeds.cfg")
+
+
+def point(path: str, lam: float, kind: str, **kw) -> SimConfig:
+    """The point of config file ``path`` at lam under rule ``kind``, seed 1,
+    in the file's phi mode, with ``kw`` replaced."""
+    spec = load_spec(path)
+    sched = replace(parse_scheduler(kind), phi_mode=spec.schedulers[0].phi_mode)
+    return replace(point_config(spec, sched, lam, 1), **kw)
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="reads CPython 3.11's specialized instructions")
+@pytest.mark.parametrize("kind", ["proposed-nonidling", "maxweight"])
+def test_slot_loop_arithmetic_is_specialized(kind):
+    # CPython 3.11 specializes a binary operation or a comparison only for
+    # two floats or two ints; one that mixes them stays generic, and slower.
+    # After 20,000 slots of the kernel benchmark's point every one in the
+    # slot loop must have specialized, except true division, which 3.11
+    # never does. (proposed is left out: at this point one branch of its
+    # scan never runs, so it is never specialized.) The kernel is compiled
+    # afresh, so that no other test's run has specialized it differently.
+    sim = Simulation(point(*KERNEL_HORIZON_POINT, kind, epsilon=0.0, max_slots=20_000))
+    sim._kernel = _kernel.__wrapped__(sim._inputs.shapes, sim.config.scheduler)
+    assert sim.run_until_converged().slots == 20_000
+    lines = kernel_source(sim).splitlines()
+    first = next(k for k, line in enumerate(lines, 1) if line.startswith("        for pos, slot, slot1 in "))
+    last = lines.index("        slot = end") + 1
+    generic = [(ins.argrepr, lines[ins.positions.lineno - 1].strip())
+               for ins in dis.get_instructions(sim._kernel, adaptive=True)
+               if ins.opname in ("BINARY_OP", "BINARY_OP_ADAPTIVE", "COMPARE_OP", "COMPARE_OP_ADAPTIVE")
+               and first < ins.positions.lineno < last and ins.argrepr != "/"]
+    assert generic == []
+
+
+@pytest.mark.parametrize("path", [KERNEL_HORIZON_POINT[0], FADING_SEEDS_CFG], ids=["table1", "fading-seeds"])
+def test_counts_stay_ints_and_far_slots_stay_exact(path):
+    # The kernel tags arrivals with the slot as a float and keeps a unit
+    # link's backlog as one, exact below 2^53; what it hands out stays int.
+    def assert_ints(sim, result):
+        assert type(sim.slot) is int
+        for su in sim.sus:
+            assert type(su.queue.cumulative_departures) is type(su.queue.departed_waiting_sum) is int
+        if result is not None:
+            assert type(result.slots) is int and all(type(q) is int for q in result.terminal_q)
+
+    for kind in SCHEDULER_NAMES:
+        sim = Simulation(point(path, 0.35, kind, epsilon=0.0, max_slots=2 * load_spec(path).base.check_interval))
+        assert_ints(sim, sim.run_until_converged())
+        sim = Simulation(point(path, 1.0, kind, buffer_cap=100))
+        result = sim.run_until_converged()
+        assert result.note == "infeasible-load"
+        assert_ints(sim, result)
+        sim = Simulation(point(path, 0.35, kind))
+        trace = list(sim.observe(3000))
+        assert_ints(sim, None)
+        assert all(type(t.slot) is int and all(type(w) is int for w in t.waiting_times) for t in trace)
+        assert any(t.waiting_times for t in trace)
+        # Stepped from slot 2^40, the same draws give the same waits and Y.
+        far = Simulation(sim.config)
+        far.slot = 2**40
+        near = Simulation(sim.config)
+        far_trace, near_trace = list(far.observe(3000)), list(near.observe(3000))
+        assert [(t.waiting_times, t.y, t.x) for t in far_trace] == [(t.waiting_times, t.y, t.x) for t in near_trace]
+        assert far.slot == 2**40 + 3000
+        assert [su.queue.departed_waiting_sum for su in far.sus] == [su.queue.departed_waiting_sum for su in near.sus]
 
 
 def queue_state(sim: Simulation):

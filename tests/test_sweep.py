@@ -256,6 +256,12 @@ MALFORMED_ROWS = {
         lambda records: records + [records[1]],
         "14: scheduler maxweight, lambda 0.0, seed 1 repeats line 2",
     ),
+    # The csv module refuses a field over 131,072 characters.
+    "oversized-header-field": (
+        lambda records: [records[0][:-1] + ["x" * 200_000]] + records[1:],
+        "1: field larger than field limit (131072)",
+    ),
+    "oversized-delay-cell": (_set_cell(7, "1" * 200_000), "2: field larger than field limit (131072)"),
 }
 
 
