@@ -41,6 +41,19 @@ A user's shape says whether its direct link is a constant one-packet link
 and whether at most one packet arrives in a slot. A unit-link user's scan
 reads no packet count and its departure is its head packet alone, and a
 single-arrival user's admission tests no count.
+The slot loop is driven by position alone. It runs over a slice of
+_POSITIONS, the ints 0 .. BLOCK - 1 made once per process, so pos, the
+slot's index into the block's input lists, is an int no slot allocates.
+The slot and slot1 = slot + 1 are floats: slot1 starts as float(self.slot),
+and each slot takes slot = slot1, then slot1 = slot + 1.0, one float add.
+Each is an integer below 2^53 plus 1.0, so every one is exact.
+Each rule starts a slot from a value a picked user's score must beat, and
+finds the slot idle when that value still stands: max-weight starts at
+-inf, the non-idling index policy at inf. The idling index policy starts at
+5e-324, the least positive float. No float lies between 0.0 and 5e-324, so
+phi < 5e-324 exactly when phi <= 0.0: a user is picked exactly when it
+scores phi <= 0, and the slot idles when its best value is still positive.
+The last slot's user is returned, or None if it idled.
 The slot loop's arithmetic is kept to one type per operation, as CPython
 3.11 specializes a binary operation or a comparison only for two floats or
 two ints. So the FIFOs hold arrival slots as floats, the loop's slot and
@@ -81,7 +94,7 @@ import math
 import textwrap
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import count, islice, repeat, takewhile
+from itertools import islice, repeat, takewhile
 from string import Template
 from typing import Iterator, NamedTuple, Sequence
 
@@ -101,6 +114,7 @@ MAXWEIGHT = "maxweight"
 SCHEDULER_NAMES = (PROPOSED, PROPOSED_NONIDLING, MAXWEIGHT)
 
 BLOCK = 4096  # slots of inputs drawn at a time
+_POSITIONS = tuple(range(BLOCK))  # a kernel call's positions in the block, sliced
 
 
 @dataclass(frozen=True)
@@ -283,14 +297,16 @@ def stability_metric(x: float, ys: Sequence[float], slots: int) -> float:
 # branches on the rule.
 _KERNEL = """\
 def kernel(self, count):
-    # The slot iterator comes first: tracemalloc finds the line of each
+    # The call's allocations come first, and a slot's one float, its slot1,
+    # is made on the loop's first lines: tracemalloc finds the line of each
     # allocation by scanning the function's line table from its start.
-    x, slot, pos = self.x, self.slot, self.slot - self._inputs.start
-    end = slot + count
-    # Arrivals are tagged with the slot, waits run to slot1 = slot + 1. Both
-    # are floats, exact below 2^53, so that each wait, its excess over d and
-    # phi's delay terms are float operations, which CPython specializes.
-    slots = zip(range(pos, pos + count), count_from(float(slot)), count_from(float(slot + 1)))
+    # A slot's position comes from a slice of _POSITIONS, so no slot makes an
+    # int. Arrivals are tagged with the slot, waits run to slot1 = slot + 1.
+    # Both are floats, exact below 2^53, so that each wait, its excess over d
+    # and phi's delay terms are float operations, which CPython specializes.
+    x, slot1, pos = self.x, float(self.slot), self.slot - self._inputs.start
+    positions = _POSITIONS[pos:pos + count]
+    end = self.slot + count
     y = self.y
     c_y_multi, w1_max = self._c_y_multi, self._w1_max
     i_avg = self.config.i_avg
@@ -301,19 +317,21 @@ def kernel(self, count):
 $bind
     inf = math.inf
     interference_sum = self.interference_sum
-    best = None
     try:
-        for pos, slot, slot1 in slots:
-            # Ties keep the lowest index: only a strictly better value replaces it.
-            best = None
+        for pos in positions:
+            slot = slot1
+            slot1 = slot + 1.0
+            # Ties keep the lowest index: only a strictly better value replaces
+            # it. best is read only when best_v shows a pick in this slot.
             best_v = $start
 $scan
-$idle
-            if best is None:
+            if $idle:
                 # An idle slot charges no gain; x + 0.0 == x, as X >= 0 is never -0.0.
                 x -= i_avg
 $depart
             x = x if x > 0.0 else 0.0
+        if $idle:
+            best = None
         slot = end
     finally:
         self.x, self.slot = x, int(slot)
@@ -412,10 +430,14 @@ _WAIT_LISTED = """\
 _WAIT_UNIT = """\
                     w_sum = slot1 - fifo$i[0]"""
 
-# The idling index policy idles when even the smallest phi is positive.
-_IDLE = """\
-            if best_v > 0.0:
-                best = None"""
+# Each rule's start value, which a user's score must beat to be picked, and
+# the test that finds it still standing, so that the slot idles. The idling
+# rule's 5e-324 is the least positive float (see the module docstring).
+_START_IDLE = {
+    PROPOSED: ("5e-324", "best_v > 0.0"),
+    PROPOSED_NONIDLING: ("inf", "best_v == inf"),
+    MAXWEIGHT: ("-inf", "best_v == -inf"),
+}
 
 # User $i's departure, after the idle test: $test is "elif best == $i" or,
 # for the last user, "else". Its gain is charged whether or not a packet
@@ -497,6 +519,7 @@ def _kernel(shapes: tuple[_UserShape, ...], kind: SchedulerKind):
     outgrows its cap: the aborted slot then leaves its arrivals so far
     queued and changes nothing else."""
     maxweight = kind.kind == MAXWEIGHT
+    start, idle = _START_IDLE[kind.kind]
     last = len(shapes) - 1
     binds, users, departures = [], [], []
     for i, shape in enumerate(shapes):
@@ -529,16 +552,16 @@ def _kernel(shapes: tuple[_UserShape, ...], kind: SchedulerKind):
         departures.append(Template(departure).substitute(i=i, **typed))
     source = Template(_KERNEL).substitute(
         bind="\n".join(binds),
-        start="-inf" if maxweight else "inf",
+        start=start,
         scan="\n".join(users),
-        idle=_IDLE if kind.idling else "",
+        idle=idle,
         depart="\n".join(departures),
         write="\n".join(Template(_WRITE).substitute(i=i) for i in range(len(shapes))),
     )
     n = len(shapes)
     filename = (f"<crsched kernel: {kind.kind}/{kind.phi_mode}, {n} user{'s' if n > 1 else ''}: "
                 f"{', '.join(map(str, shapes))}>")
-    namespace = {"math": math, "repeat": repeat, "islice": islice, "count_from": count,
+    namespace = {"math": math, "repeat": repeat, "islice": islice, "_POSITIONS": _POSITIONS,
                  "InfeasibleLoadError": InfeasibleLoadError}
     exec(compile(source, filename, "exec"), namespace)
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)

@@ -405,7 +405,7 @@ def test_one_kernel_per_user_count_and_rule():
 
 def slot_loop(source: str) -> str:
     """The text of a kernel's slot loop: from its for line to finally:."""
-    return source[source.index("        for pos, slot, slot1 in "):source.index("    finally:")]
+    return source[source.index("        for pos in positions:\n"):source.index("    finally:")]
 
 
 def test_unit_link_kernels_read_no_packet_counts():
@@ -426,7 +426,7 @@ def test_unit_link_kernels_read_no_packet_counts():
         assert "packets0[pos]" in listed
         assert "a == 1" in listed and "best_n" in listed
         for source in (unit, listed):
-            assert not any(text in slot_loop(source) for text in ("len(", "served"))
+            assert not any(text in slot_loop(source) for text in ("len(", "served", "zip(", "count_from"))
 
 
 def test_abort_traceback_shows_the_kernel_source():
@@ -495,21 +495,29 @@ def point(path: str, lam: float, kind: str, **kw) -> SimConfig:
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="reads CPython 3.11's specialized instructions")
-@pytest.mark.parametrize("kind", ["proposed-nonidling", "maxweight"])
-def test_slot_loop_arithmetic_is_specialized(kind):
+@pytest.mark.parametrize("kind, lam, d2", [("proposed-nonidling", 0.36, None), ("maxweight", 0.36, None),
+                                           ("proposed", 0.3, 1.5)],
+                         ids=["proposed-nonidling", "maxweight", "proposed-d2-1.5"])
+def test_slot_loop_arithmetic_is_specialized(kind, lam, d2):
     # CPython 3.11 specializes a binary operation or a comparison only for
     # two floats or two ints; one that mixes them stays generic, and slower.
     # After 20,000 slots of the kernel benchmark's point every one in the
     # slot loop must have specialized, except true division, which 3.11
-    # never does. (proposed is left out: at this point one branch of its
-    # scan never runs, so it is never specialized.) The kernel is compiled
-    # afresh, so that no other test's run has specialized it differently.
-    sim = Simulation(point(*KERNEL_HORIZON_POINT, kind, epsilon=0.0, max_slots=20_000))
+    # never does. proposed is run where su2's delay bound is su1's 1.5, as
+    # at the kernel benchmark's point su2's Y stays 0, so its Y > 0 branch
+    # never runs and is never specialized. The kernel is compiled afresh,
+    # so that no other test's run has specialized it differently.
+    cfg = point(KERNEL_HORIZON_POINT[0], lam, kind, epsilon=0.0, max_slots=20_000)
+    if d2 is not None:
+        cfg = replace(cfg, sus=(cfg.sus[0], replace(cfg.sus[1], delay_bound=d2)))
+    sim = Simulation(cfg)
     sim._kernel = _kernel.__wrapped__(sim._inputs.shapes, sim.config.scheduler)
     assert sim.run_until_converged().slots == 20_000
-    lines = kernel_source(sim).splitlines()
-    first = next(k for k, line in enumerate(lines, 1) if line.startswith("        for pos, slot, slot1 in "))
-    last = lines.index("        slot = end") + 1
+    source = kernel_source(sim)
+    lines, loop = source.splitlines(), slot_loop(source)
+    # The for line and the finally: line, which bound the loop's lines.
+    first = source.count("\n", 0, source.index(loop)) + 1
+    last = first + loop.count("\n")
     generic = [(ins.argrepr, lines[ins.positions.lineno - 1].strip())
                for ins in dis.get_instructions(sim._kernel, adaptive=True)
                if ins.opname in ("BINARY_OP", "BINARY_OP_ADAPTIVE", "COMPARE_OP", "COMPARE_OP_ADAPTIVE")

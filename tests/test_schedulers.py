@@ -224,6 +224,17 @@ class TestDecideProposed:
         assert t.q == (1,)
         assert t.gain == 0.3
 
+    def test_least_positive_phi_idles_and_zero_phi_schedules(self):
+        # No whole packet fits (n = 0), so phi = X g. At X = 5e-324, the
+        # least positive float, and g = 1 the one user's phi is 5e-324: the
+        # idling rule idles, the non-idling rule serves it. A second user
+        # with g = 0 scores phi = 0.0, which the idling rule serves.
+        user = Staged(fifo=(0,), direct=0.5, interference=1.0)
+        assert staged_sim(PROPOSED, user, x=5e-324, slot=1).run_slot() is None
+        assert staged_sim(PROPOSED_NONIDLING, user, x=5e-324, slot=1).run_slot() == 0
+        free = Staged(fifo=(0,), direct=0.5, interference=0.0)
+        assert staged_sim(PROPOSED, user, free, x=5e-324, slot=1).run_slot() == 1
+
     def test_tie_breaks_to_lowest_index(self):
         user = Staged(fifo=(0,), d=2.0)
         assert staged_sim(PROPOSED, user, user).run_slot() == 0
