@@ -466,7 +466,7 @@ _POP_ONE = """\
 # packets, counted by the rule when it scored the user or, for max-weight,
 # here.
 _DEPART_LISTED = """\
-$count
+$best_count
                 # Pop the head packets in FIFO order: each adds its waiting
                 # time W to the waiting sum and its excess W - d to Y. A
                 # single packet skips the loop and keeps its user's longest
@@ -505,6 +505,14 @@ class _UserShape(NamedTuple):
         return f"{'unit' if self.unit_link else 'listed'}/{'single' if self.single_arrival else 'batched'}"
 
 
+def _expand(text: str, parts: dict[str, str]) -> str:
+    """text with each $name replaced by its fragment in parts, and again in
+    what that brings in, until nothing is left to replace."""
+    while (filled := Template(text).safe_substitute(parts)) != text:
+        text = filled
+    return text
+
+
 @lru_cache(maxsize=32)
 def _kernel(shapes: tuple[_UserShape, ...], kind: SchedulerKind):
     """The kernel for users of the given shapes, in order, under ``kind``,
@@ -520,44 +528,29 @@ def _kernel(shapes: tuple[_UserShape, ...], kind: SchedulerKind):
     queued and changes nothing else."""
     maxweight = kind.kind == MAXWEIGHT
     start, idle = _START_IDLE[kind.kind]
-    last = len(shapes) - 1
-    binds, users, departures = [], [], []
+    users = []
     for i, shape in enumerate(shapes):
-        # A unit link's backlog is a float, a listed link's an int: the
-        # packet count n it caps is an int, as islice and range take it.
-        typed = (dict(backlog=f"float(len(fifo{i}))", one="1.0", cap="float_cap") if shape.unit_link else
-                 dict(backlog=f"len(fifo{i})", one="1", cap="buffer_cap"))
-        binds.append(Template(_BIND).substitute(i=i, **typed))
-        # A better candidate records what its departure needs beyond its
-        # index: the packet count phi scored a listed link with.
-        pick = "best, best_v = $i, v" if maxweight or shape.unit_link else "best, best_v, best_n = $i, v, n"
-        if maxweight:
-            score = Template(_SCORE_WEIGHT).safe_substitute(pick=pick)
-        else:
-            rate = " * rates$i[pos]" if kind.reads_rates else "" if shape.unit_link else " * n"
-            score = Template(_SCORE_PHI).safe_substitute(
-                count="" if shape.unit_link else Template(_COUNT).safe_substitute(n="n"),
-                wait=_WAIT_UNIT if shape.unit_link else _WAIT_LISTED,
-                rate=rate, pick=pick)
-        user = Template(_USER).safe_substitute(
-            admit=_ADMIT_SINGLE if shape.single_arrival else _ADMIT_BATCHED, score=score)
-        users.append(Template(user).substitute(i=i, **typed))
-        if shape.unit_link:
-            pop = _POP_ONE
-        else:
-            pop = Template(_DEPART_LISTED).safe_substitute(
-                count=Template(_COUNT).safe_substitute(n="best_n") if maxweight else "",
-                pop_one=textwrap.indent(_POP_ONE, "    "))
-        departure = Template(_DEPART).safe_substitute(test="else" if i == last else "elif best == $i", pop=pop)
-        departures.append(Template(departure).substitute(i=i, **typed))
-    source = Template(_KERNEL).substitute(
-        bind="\n".join(binds),
-        start=start,
-        scan="\n".join(users),
-        idle=idle,
-        depart="\n".join(departures),
-        write="\n".join(Template(_WRITE).substitute(i=i) for i in range(len(shapes))),
-    )
+        unit = shape.unit_link
+        # User i's fragments. A unit link's backlog is a float, a listed
+        # link's an int: the packet count n it caps is an int, as islice and
+        # range take it. A better candidate records what its departure needs
+        # beyond its index: the packet count phi scored a listed link with.
+        parts = dict(
+            i=str(i), backlog="float(len(fifo$i))" if unit else "len(fifo$i)",
+            one="1.0" if unit else "1", cap="float_cap" if unit else "buffer_cap",
+            admit=_ADMIT_SINGLE if shape.single_arrival else _ADMIT_BATCHED,
+            score=_SCORE_WEIGHT if maxweight else _SCORE_PHI,
+            pick="best, best_v = $i, v" if maxweight or unit else "best, best_v, best_n = $i, v, n",
+            count="" if unit else _COUNT, n="best_n" if maxweight else "n",
+            wait=_WAIT_UNIT if unit else _WAIT_LISTED,
+            rate=" * rates$i[pos]" if kind.reads_rates else "" if unit else " * n",
+            test="else" if i == len(shapes) - 1 else "elif best == $i",
+            pop=_POP_ONE if unit else _DEPART_LISTED,
+            best_count=_COUNT if maxweight else "",
+            pop_one=textwrap.indent(_POP_ONE, "    "))
+        users.append([_expand(text, parts) for text in (_BIND, _USER, _DEPART, _WRITE)])
+    bind, scan, depart, write = map("\n".join, zip(*users))
+    source = Template(_KERNEL).substitute(bind=bind, start=start, scan=scan, idle=idle, depart=depart, write=write)
     n = len(shapes)
     filename = (f"<crsched kernel: {kind.kind}/{kind.phi_mode}, {n} user{'s' if n > 1 else ''}: "
                 f"{', '.join(map(str, shapes))}>")
