@@ -25,11 +25,11 @@ A slot goes:
 
 run_slot(), observe() and run_lockstep call the only kernel, as
 self._kernel(self, count); it holds no trace code and runs within the
-drawn block. The kernel is generated from one template,
-_KERNEL, once per (rule, user shapes) in a process: the scan and the
-departure are written out once per user, and the rule's scoring, its start
-value and the idling test are chosen when the text is built, so a slot
-neither loops over the users nor tests the rule.
+drawn block. It is generated from one template, _KERNEL, once per (rule,
+user shapes) in a process: the scan and the departure are written out once
+per user, from that user's one table of fragments, and the rule's scoring
+and start value are chosen when the text is built, so a slot neither loops
+over the users nor tests the rule.
 Each user's state lives in the kernel's locals for a call: its SuState,
 bound whole, its Y_i, its c_y_emp parts and its backlog, a count taken
 from the FIFO once per call and kept by admission and departure from then
@@ -48,11 +48,12 @@ The slot and slot1 = slot + 1 are floats: slot1 starts as float(self.slot),
 and each slot takes slot = slot1, then slot1 = slot + 1.0, one float add.
 Each is an integer below 2^53 plus 1.0, so every one is exact.
 Each rule starts a slot from a value a picked user's score must beat, and
-finds the slot idle when that value still stands: max-weight starts at
--inf, the non-idling index policy at inf. The idling index policy starts at
-5e-324, the least positive float. No float lies between 0.0 and 5e-324, so
-phi < 5e-324 exactly when phi <= 0.0: a user is picked exactly when it
-scores phi <= 0, and the slot idles when its best value is still positive.
+the slot idles when that value still stands. The non-idling index policy
+starts at inf, max-weight at 0.0: gains are finite, so a backlogged user
+weighs inf (g <= 0) or Q/g >= 1/DBL_MAX, about 5.6e-309 (g > 0), and beats
+0.0 as it would -inf. The idling index policy starts at 5e-324, the least
+positive float. No float lies between 0.0 and 5e-324, so phi < 5e-324
+exactly when phi <= 0.0: a user is picked exactly when it scores phi <= 0.
 The last slot's user is returned, or None if it idled.
 The slot loop's arithmetic is kept to one type per operation, as CPython
 3.11 specializes a binary operation or a comparison only for two floats or
@@ -130,10 +131,6 @@ class SchedulerKind:
                                        f"expected one of {', '.join(SCHEDULER_NAMES)}")
         if self.phi_mode not in (PHI_ACTUAL, PHI_LITERAL):
             raise SettingError("phi_mode", f"unknown phi mode {self.phi_mode!r}; expected actual or literal")
-
-    @property
-    def idling(self) -> bool:
-        return self.kind == PROPOSED
 
     @property
     def reads_rates(self) -> bool:
@@ -325,12 +322,12 @@ $bind
             # it. best is read only when best_v shows a pick in this slot.
             best_v = $start
 $scan
-            if $idle:
+            if best_v == $start:
                 # An idle slot charges no gain; x + 0.0 == x, as X >= 0 is never -0.0.
                 x -= i_avg
 $depart
             x = x if x > 0.0 else 0.0
-        if $idle:
+        if best_v == $start:
             best = None
         slot = end
     finally:
@@ -430,14 +427,10 @@ _WAIT_LISTED = """\
 _WAIT_UNIT = """\
                     w_sum = slot1 - fifo$i[0]"""
 
-# Each rule's start value, which a user's score must beat to be picked, and
-# the test that finds it still standing, so that the slot idles. The idling
-# rule's 5e-324 is the least positive float (see the module docstring).
-_START_IDLE = {
-    PROPOSED: ("5e-324", "best_v > 0.0"),
-    PROPOSED_NONIDLING: ("inf", "best_v == inf"),
-    MAXWEIGHT: ("-inf", "best_v == -inf"),
-}
+# Each rule's start value, which a user's score must beat to be picked; a
+# slot idles when it still stands, so this alone says whether a rule idles
+# (the module docstring says why 5e-324 and 0.0 are exact).
+_START = {PROPOSED: "5e-324", PROPOSED_NONIDLING: "inf", MAXWEIGHT: "0.0"}
 
 # User $i's departure, after the idle test: $test is "elif best == $i" or,
 # for the last user, "else". Its gain is charged whether or not a packet
@@ -516,8 +509,7 @@ def _expand(text: str, parts: dict[str, str]) -> str:
 @lru_cache(maxsize=32)
 def _kernel(shapes: tuple[_UserShape, ...], kind: SchedulerKind):
     """The kernel for users of the given shapes, in order, under ``kind``,
-    compiled from _KERNEL. A unit-link user's departure is its head packet
-    alone, and no packet count is kept for it.
+    compiled from _KERNEL, each user's text filled from its own fragments.
     Its source is entered into linecache under a name that tells the
     shapes apart, so that a traceback shows its lines.
 
@@ -527,7 +519,6 @@ def _kernel(shapes: tuple[_UserShape, ...], kind: SchedulerKind):
     outgrows its cap: the aborted slot then leaves its arrivals so far
     queued and changes nothing else."""
     maxweight = kind.kind == MAXWEIGHT
-    start, idle = _START_IDLE[kind.kind]
     users = []
     for i, shape in enumerate(shapes):
         unit = shape.unit_link
@@ -550,7 +541,8 @@ def _kernel(shapes: tuple[_UserShape, ...], kind: SchedulerKind):
             pop_one=textwrap.indent(_POP_ONE, "    "))
         users.append([_expand(text, parts) for text in (_BIND, _USER, _DEPART, _WRITE)])
     bind, scan, depart, write = map("\n".join, zip(*users))
-    source = Template(_KERNEL).substitute(bind=bind, start=start, scan=scan, idle=idle, depart=depart, write=write)
+    source = Template(_KERNEL).substitute(bind=bind, start=_START[kind.kind], scan=scan, depart=depart,
+                                          write=write)
     n = len(shapes)
     filename = (f"<crsched kernel: {kind.kind}/{kind.phi_mode}, {n} user{'s' if n > 1 else ''}: "
                 f"{', '.join(map(str, shapes))}>")

@@ -35,6 +35,7 @@ from crsched.streams import ROLE_DIRECT, ROLE_INTERFERENCE, substream
 from crsched.sweep import point_config
 
 from conftest import shipped_config, two_user_config, two_user_sus
+from test_golden import KERNEL_SHAPES
 from oracles import (
     first_decision_mismatch,
     lyapunov_drift_sum,
@@ -408,6 +409,15 @@ def slot_loop(source: str) -> str:
     return source[source.index("        for pos in positions:\n"):source.index("    finally:")]
 
 
+def slot_loop_lines(kernel) -> range:
+    """The numbers of a kernel's lines strictly between its slot loop's for
+    line and its finally: line."""
+    source = "".join(linecache.getlines(kernel.__code__.co_filename))
+    loop = slot_loop(source)
+    first = source.count("\n", 0, source.index(loop)) + 1
+    return range(first + 1, first + loop.count("\n"))
+
+
 def test_unit_link_kernels_read_no_packet_counts():
     # table1.cfg gives every user a one-packet constant link and Bernoulli
     # arrivals, so its kernels read no packet counts, test no arrival count
@@ -513,16 +523,24 @@ def test_slot_loop_arithmetic_is_specialized(kind, lam, d2):
     sim = Simulation(cfg)
     sim._kernel = _kernel.__wrapped__(sim._inputs.shapes, sim.config.scheduler)
     assert sim.run_until_converged().slots == 20_000
-    source = kernel_source(sim)
-    lines, loop = source.splitlines(), slot_loop(source)
-    # The for line and the finally: line, which bound the loop's lines.
-    first = source.count("\n", 0, source.index(loop)) + 1
-    last = first + loop.count("\n")
+    lines, loop = kernel_source(sim).splitlines(), slot_loop_lines(sim._kernel)
     generic = [(ins.argrepr, lines[ins.positions.lineno - 1].strip())
                for ins in dis.get_instructions(sim._kernel, adaptive=True)
                if ins.opname in ("BINARY_OP", "BINARY_OP_ADAPTIVE", "COMPARE_OP", "COMPARE_OP_ADAPTIVE")
-               and first < ins.positions.lineno < last and ins.argrepr != "/"]
+               and ins.positions.lineno in loop and ins.argrepr != "/"]
     assert generic == []
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="reads the source positions of CPython 3.11's instructions")
+def test_slot_loop_negates_nothing():
+    # A slot allocates nothing it throws away. A start value or idle test
+    # written as -inf would make a float by UNARY_NEGATIVE in every slot;
+    # max-weight starts at 0.0 instead, which every backlogged user beats.
+    for shapes, kind in KERNEL_SHAPES:
+        kernel, loop = _kernel(shapes, kind), slot_loop_lines(_kernel(shapes, kind))
+        negations = [ins.positions.lineno for ins in dis.get_instructions(kernel)
+                     if ins.opname == "UNARY_NEGATIVE" and ins.positions.lineno in loop]
+        assert negations == [], f"{kind}, {', '.join(map(str, shapes))}"
 
 
 @pytest.mark.parametrize("path", [KERNEL_HORIZON_POINT[0], FADING_SEEDS_CFG], ids=["table1", "fading-seeds"])

@@ -81,7 +81,7 @@ def test_rows_csv_matches_pinned_digest(name, tmp_path):
 
 
 # sha256 of the concatenated text of every kernel in KERNEL_SHAPES order.
-KERNEL_TEXT_SHA256 = "d8e65b391ebfcdc3cd58d00c32c1645f827cebca070723a83fcd6fab077fc05c"
+KERNEL_TEXT_SHA256 = "29833b4bdd2afaa032bc8c2d3d3c7a3e46e19bcbc2a8ebf46141fa202ee0cd11"
 
 # Every (user shapes, rule, phi mode) of one and two users: 20 shape tuples
 # under 6 kinds, 120 kernels.

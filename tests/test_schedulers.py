@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -63,9 +64,12 @@ def weight_choice(loads):
 
 class TestSchedulerKind:
     def test_known_kinds(self):
-        assert SchedulerKind(PROPOSED).idling
-        assert not SchedulerKind(PROPOSED_NONIDLING).idling
-        assert not SchedulerKind(MAXWEIGHT).idling
+        # A kind defaults to actual phi, and only phi in literal mode reads
+        # the raw rates. Whether a rule idles is its kernel's start value
+        # alone, pinned by the staged boundary tests of each rule below.
+        for name in (PROPOSED, PROPOSED_NONIDLING, MAXWEIGHT):
+            assert SchedulerKind(name).phi_mode == PHI_ACTUAL and not SchedulerKind(name).reads_rates
+            assert SchedulerKind(name, PHI_LITERAL).reads_rates == (name != MAXWEIGHT)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown scheduler"):
@@ -234,6 +238,16 @@ class TestDecideProposed:
         assert staged_sim(PROPOSED_NONIDLING, user, x=5e-324, slot=1).run_slot() == 0
         free = Staged(fifo=(0,), direct=0.5, interference=0.0)
         assert staged_sim(PROPOSED, user, free, x=5e-324, slot=1).run_slot() == 1
+
+    def test_maxweight_serves_a_subnormal_weight_and_prefers_an_infinite_one(self):
+        # Max-weight starts a slot at 0.0. A user with Q = 1 and g = 1.7e308
+        # weighs Q/g, about 5.9e-309, a subnormal, yet above 0.0: it is
+        # served. A second user with g = 0 weighs inf and beats it.
+        heavy = Staged(fifo=(0,), interference=1.7e308)
+        assert 0.0 < 1.0 / 1.7e308 < sys.float_info.min
+        assert staged_sim(MAXWEIGHT, heavy, slot=1).run_slot() == 0
+        free = Staged(fifo=(0,), interference=0.0)
+        assert staged_sim(MAXWEIGHT, heavy, free, slot=1).run_slot() == 1
 
     def test_tie_breaks_to_lowest_index(self):
         user = Staged(fifo=(0,), d=2.0)
