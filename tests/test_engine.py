@@ -35,13 +35,13 @@ from crsched.streams import ROLE_DIRECT, ROLE_INTERFERENCE, substream
 from crsched.sweep import point_config
 
 from conftest import shipped_config, two_user_config, two_user_sus
-from test_golden import KERNEL_SHAPES
 from oracles import (
     first_decision_mismatch,
     lyapunov_drift_sum,
     random_small_sim_config,
     resim_trajectories,
 )
+from test_golden import KERNEL_SHAPES
 
 
 def single_user_config(**kw) -> SimConfig:
@@ -537,7 +537,8 @@ def test_slot_loop_negates_nothing():
     # written as -inf would make a float by UNARY_NEGATIVE in every slot;
     # max-weight starts at 0.0 instead, which every backlogged user beats.
     for shapes, kind in KERNEL_SHAPES:
-        kernel, loop = _kernel(shapes, kind), slot_loop_lines(_kernel(shapes, kind))
+        kernel = _kernel(shapes, kind)
+        loop = slot_loop_lines(kernel)
         negations = [ins.positions.lineno for ins in dis.get_instructions(kernel)
                      if ins.opname == "UNARY_NEGATIVE" and ins.positions.lineno in loop]
         assert negations == [], f"{kind}, {', '.join(map(str, shapes))}"

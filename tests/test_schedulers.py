@@ -239,16 +239,6 @@ class TestDecideProposed:
         free = Staged(fifo=(0,), direct=0.5, interference=0.0)
         assert staged_sim(PROPOSED, user, free, x=5e-324, slot=1).run_slot() == 1
 
-    def test_maxweight_serves_a_subnormal_weight_and_prefers_an_infinite_one(self):
-        # Max-weight starts a slot at 0.0. A user with Q = 1 and g = 1.7e308
-        # weighs Q/g, about 5.9e-309, a subnormal, yet above 0.0: it is
-        # served. A second user with g = 0 weighs inf and beats it.
-        heavy = Staged(fifo=(0,), interference=1.7e308)
-        assert 0.0 < 1.0 / 1.7e308 < sys.float_info.min
-        assert staged_sim(MAXWEIGHT, heavy, slot=1).run_slot() == 0
-        free = Staged(fifo=(0,), interference=0.0)
-        assert staged_sim(MAXWEIGHT, heavy, free, slot=1).run_slot() == 1
-
     def test_tie_breaks_to_lowest_index(self):
         user = Staged(fifo=(0,), d=2.0)
         assert staged_sim(PROPOSED, user, user).run_slot() == 0
@@ -360,6 +350,14 @@ class TestDecideMaxWeight:
         assert t.su == 0
         assert t.waiting_times == ()
         assert t.gain == 5.0
+
+    def test_subnormal_weight_is_served_and_infinite_weight_beats_it(self):
+        # Max-weight starts a slot at 0.0. One packet over g = 1.7e308
+        # weighs Q/g, about 5.9e-309, a subnormal, yet above 0.0: it is
+        # served. A second user with g = 0 weighs inf and beats it.
+        assert 0.0 < 1.0 / 1.7e308 < sys.float_info.min
+        assert weight_choice([(1, 1.7e308)]) == 0
+        assert weight_choice([(1, 1.7e308), (1, 0.0)]) == 1
 
     def test_interference_free_tie_takes_lowest_index(self):
         # Both weights are infinite, whatever the backlogs.
