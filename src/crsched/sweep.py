@@ -19,6 +19,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import pickle
+import signal
 from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
@@ -87,9 +89,11 @@ def sweep_results(
 
     Each task is one (lambda, seed) with every rule. Tasks run in
     descending lambda, then ascending seed: the heaviest loads run longest,
-    so a pool that starts them last ends on them. ``progress`` sees each
-    cell as its task finishes, in that order, the rules of a task in
-    scheduler order, whatever ``jobs`` is."""
+    so each process ends on its lightest. ``progress`` sees each cell as
+    its task finishes, in that order, the rules of a task in scheduler
+    order, whatever ``jobs`` is. Workers are forked from this process, so a
+    caller that runs threads of its own should pass jobs=1; where the
+    platform has no ``os.fork`` the sweep runs serially."""
     if jobs is None:
         # os.cpu_count() counts every CPU of the host, also those this
         # process may not run on; it stands in where affinity is unknown.
@@ -114,13 +118,87 @@ def sweep_results(
                     progress(point, result, len(points))
         return [(point, done[point]) for point in points]
 
-    if jobs == 1 or len(configs) <= 1:
+    if jobs == 1 or len(configs) <= 1 or not hasattr(os, "fork"):
         return collect(map(run_rules, configs, repeat(kinds)))
-    # Imported here: the pool's modules cost a serial run start-up time and memory.
-    from concurrent.futures import ProcessPoolExecutor
+    task_results = _forked(configs, kinds, min(jobs, len(configs)))
+    try:
+        return collect(task_results)
+    finally:
+        # Also where collect stops early, as on an interrupt in progress.
+        task_results.close()
 
-    with ProcessPoolExecutor(max_workers=min(jobs, len(configs))) as pool:
-        return collect(pool.map(run_rules, configs, repeat(kinds)))
+
+def _forked(configs: list[SimConfig], kinds: list[SchedulerKind], workers: int):
+    """run_rules of each config, in order, from this process and
+    ``workers`` - 1 forked ones: config k runs in worker k mod ``workers``,
+    this process being worker 0.
+
+    This process builds its first group before it forks, which imports
+    numpy.random and compiles every rule's kernel once for all workers.
+    Each worker pickles one (ok, results or exception and its traceback)
+    pair per config into its own pipe and ends with os._exit, so it never
+    returns into the caller. A worker's exception is raised at its
+    config's turn, caused by a RuntimeError that holds its traceback. Closing
+    the generator, however it stops, kills and reaps every worker."""
+    first = simulations(configs[0], kinds)
+    pipes = []
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                try:
+                    os.close(read_fd)
+                    _work(configs[w::workers], kinds, write_fd)
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            pipes.append((pid, os.fdopen(read_fd, "rb")))
+        for k, config in enumerate(configs):
+            if k % workers == 0:
+                yield run_lockstep(first) if k == 0 else run_rules(config, kinds)
+                continue
+            pid, pipe = pipes[k % workers - 1]
+            try:
+                ok, value = pickle.load(pipe)
+            except EOFError:
+                raise RuntimeError(f"sweep worker {pid} ended before returning task {k}") from None
+            if not ok:
+                err, text = value
+                raise err from RuntimeError(f"in sweep worker {pid}:\n{text}")
+            yield value
+    finally:
+        for pid, pipe in pipes:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            os.waitpid(pid, 0)
+            pipe.close()
+
+
+def _work(configs: list[SimConfig], kinds: list[SchedulerKind], fd: int) -> None:
+    """A forked worker's share: run_rules of each config, each outcome
+    pickled into fd as it ends; the first exception ends the share."""
+    with os.fdopen(fd, "wb") as out:
+        for config in configs:
+            try:
+                outcome = (True, run_rules(config, kinds))
+            except BaseException as err:  # sent to the invoking process, which raises it
+                import traceback  # only a failing worker needs it
+
+                outcome = (False, (err, traceback.format_exc()))
+            # Pickled whole before any byte is written: an outcome that does
+            # not pickle ends the share with nothing half sent.
+            out.write(pickle.dumps(outcome))
+            out.flush()
+            if not outcome[0]:
+                return
 
 
 def rows_from_results(results) -> list[SweepRow]:

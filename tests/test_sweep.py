@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import crsched
-from crsched import cli
+from crsched import cli, sweep
 from crsched.config import ConfigError, load_spec
 from crsched.engine import SCHEDULER_NAMES, Simulation
 from crsched.sweep import (
@@ -68,8 +69,25 @@ DEAD = TINY.replace(
 ).replace("schedulers = proposed, maxweight", "schedulers = proposed")
 
 
-def no_pool(*args, **kwargs):
-    raise AssertionError("a process pool was built")
+def no_fork():
+    raise AssertionError("a sweep worker was forked")
+
+
+def count_forks(monkeypatch, limit: int | None = None) -> list[int]:
+    """Patch os.fork to record each forked pid in the returned list; past
+    ``limit`` forks it fails as it does under a process limit."""
+    real_fork, forks = os.fork, []
+
+    def fork():
+        if len(forks) == limit:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
 
 
 def fresh_python(script: str, *args: str, **env: str) -> subprocess.CompletedProcess:
@@ -135,33 +153,110 @@ class TestSweep:
 
     def test_default_jobs_is_the_cpu_count(self, tiny_spec, monkeypatch):
         # Allowed one CPU of a larger host, the default runs serially: a
-        # process pool would fail.
+        # fork would fail.
         monkeypatch.setattr("crsched.sweep.os.sched_getaffinity", lambda pid: {3})
         monkeypatch.setattr("crsched.sweep.os.cpu_count", lambda: 8)
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         assert sweep_results(tiny_spec) == sweep_results(tiny_spec, jobs=1)
 
     def test_default_jobs_without_affinity_is_the_host_cpu_count(self, tiny_spec, monkeypatch):
         monkeypatch.delattr("crsched.sweep.os.sched_getaffinity")
         monkeypatch.setattr("crsched.sweep.os.cpu_count", lambda: 1)
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(os, "fork", no_fork)
         assert sweep_results(tiny_spec) == sweep_results(tiny_spec, jobs=1)
 
     def test_serial_sweep_loads_no_process_pool(self, tmp_path):
-        # A fresh interpreter: this one may have loaded the pool already.
+        # A fresh interpreter: this one has loaded multiprocessing already.
+        # A serial sweep forks nothing, and no sweep loads a pool's modules.
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY)
         script = (
-            "import sys\n"
+            "import os, sys\n"
             "import crsched.cli\n"
             "from crsched.config import load_spec\n"
             "from crsched.sweep import sweep_results\n"
-            "sweep_results(load_spec(sys.argv[1]), jobs=1)\n"
+            "forks = []\n"
+            "os.register_at_fork(before=lambda: forks.append(1))\n"
+            "spec = load_spec(sys.argv[1])\n"
+            "sweep_results(spec, jobs=1)\n"
+            "print(len(forks))\n"
+            "sweep_results(spec, jobs=2)\n"
+            "print(len(forks))\n"
             "print(sorted(m for m in sys.modules\n"
             "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n"
         )
         done = fresh_python(script, str(cfg))
-        assert done.stdout == "[]\n"
+        assert done.stdout == "0\n1\n[]\n"
+
+    @pytest.mark.parametrize("lam, seed, before", [(0.1, 2, 3), (0.1, 1, 2)], ids=["worker", "invoking"])
+    def test_a_failing_task_raises_and_leaves_no_process(self, tiny_spec, monkeypatch, lam, seed, before):
+        # At jobs=2, task k runs in process k mod 2: (0.1, 1) is task 2,
+        # the invoking process's, and (0.1, 2) is task 3, the worker's,
+        # which inherits the patch when it is forked. The tasks before the
+        # failing one are reported, two rules each.
+        real = sweep.run_rules
+
+        def run_rules(config, kinds):
+            if (config.sus[0].arrivals.rate, config.seed) == (lam, seed):
+                raise ZeroDivisionError(f"task at lambda {lam}, seed {seed}")
+            return real(config, kinds)
+
+        monkeypatch.setattr(sweep, "run_rules", run_rules)
+        seen = []
+        with pytest.raises(ZeroDivisionError, match=f"^task at lambda {lam}, seed {seed}$"):
+            sweep_results(tiny_spec, jobs=2, progress=lambda point, result, total: seen.append(point))
+        assert len(seen) == 2 * before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_an_interrupted_sweep_kills_its_workers(self, tiny_spec, monkeypatch):
+        # The invoking process stops at its first task's report while both
+        # workers still sleep in theirs: it kills them rather than wait.
+        invoking, real = os.getpid(), sweep.run_rules
+
+        def run_rules(config, kinds):
+            if os.getpid() != invoking:
+                time.sleep(60)
+            return real(config, kinds)
+
+        def progress(point, result, total):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(sweep, "run_rules", run_rules)
+        start = time.monotonic()
+        # Kept: its traceback holds the sweep's frames, so the workers must
+        # be gone before the generator that forked them is collected.
+        with pytest.raises(KeyboardInterrupt) as interrupted:
+            sweep_results(tiny_spec, jobs=3, progress=progress)
+        assert time.monotonic() - start < 30
+        assert interrupted.traceback
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_jobs_above_the_task_count_fork_one_worker_per_task_but_one(self, tiny_spec, monkeypatch):
+        forks = count_forks(monkeypatch)
+        # Six (lambda, seed) tasks: five workers, and the invoking process.
+        assert sweep_results(tiny_spec, jobs=10) == sweep_results(tiny_spec, jobs=1)
+        assert len(forks) == 5
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+    def test_a_failed_fork_raises_and_leaves_no_process_or_pipe(self, tiny_spec, monkeypatch):
+        # The second fork of three fails: the first worker is reaped and
+        # every pipe end is closed.
+        forks = count_forks(monkeypatch, limit=1)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            sweep_results(tiny_spec, jobs=3)
+        assert len(forks) == 1
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_platform_without_fork_runs_serially(self, tiny_spec, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert sweep_results(tiny_spec, jobs=2) == sweep_results(tiny_spec, jobs=1)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_package_root_loads_no_numpy(self):
         done = fresh_python(
@@ -559,16 +654,16 @@ class TestCli:
         ]
 
     def test_progress_lines_do_not_depend_on_jobs(self, tmp_path, capsys):
-        # Tasks report in the order they were submitted, so a pool prints
-        # what a serial run prints, line for line.
+        # Tasks report in their fixed order, whichever process ran them, so
+        # a parallel sweep prints what a serial run prints, line for line.
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text(TINY)
         out = {}
-        for jobs in ("1", "2"):
+        for jobs in ("1", "2", "3"):
             code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), "--jobs", jobs])
             assert code == 0
             out[jobs] = capsys.readouterr().out
-        assert out["1"] == out["2"]
+        assert out["1"] == out["2"] == out["3"]
         assert len(out["1"].splitlines()) == 13
 
     def test_overrides_shrink_the_sweep(self, tmp_path):
