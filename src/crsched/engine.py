@@ -23,13 +23,24 @@ A slot goes:
 5. the interference accumulator X absorbs the slot's gain (0 on idle) - I_avg
 6. metrics are accumulated
 
-run_slot(), observe() and run_lockstep call the only kernel, as
-self._kernel(self, count); it holds no trace code and runs within the
-drawn block. It is generated from one template, _KERNEL, once per (rule,
-user shapes) in a process: the scan and the departure are written out once
-per user, from that user's one table of fragments, and the rule's scoring
-and start value are chosen when the text is built, so a slot neither loops
-over the users nor tests the rule.
+run_slot() and observe() call the full kernel, as self._kernel(self,
+count); it holds no trace code and runs within the drawn block. It is
+generated from one template, _KERNEL, once per (rule, user shapes) in a
+process: the scan and the departure are written out once per user, from
+that user's one table of fragments, and the rule's scoring and start value
+are chosen when the text is built, so a slot neither loops over the users
+nor tests the rule.
+run_lockstep calls the full kernel too, except under the idling rule in
+actual mode, where it may call a sealed variant from the same template.
+Before each call it seals every unit-link user whose margin (margins()),
+a lower bound on its phi with X g >= 0 dropped, stays positive after all
+of the block's arrivals. Such a user's turn is its admission and cap test
+alone: it is not scored and has no departure. While it waits, its head and
+Y stay, its wait only grows and its backlog stays within the bound, so its
+phi stays positive in every slot of the call. The rule serves only at
+phi <= 0 and would not have served it, so the run is the same slot for
+slot. The margin is the kernel's own float operations at the least wait
+and the greatest backlog, and rounding is monotone, so the bound is exact.
 Each user's state lives in the kernel's locals for a call: its SuState,
 bound whole, its Y_i, its c_y_emp parts and its backlog, a count taken
 from the FIFO once per call and kept by admission and departure from then
@@ -357,13 +368,16 @@ _WRITE = """\
             queue$i.cumulative_departures += departures$i
             queue$i.departed_waiting_sum += int(waited$i)"""
 
-# User $i's turn in a slot: its arrivals join the tail, and may depart in
-# this slot; then, if it is backlogged, the rule scores it. $cap is the cap
-# of the backlog's type.
-_USER = """\
+# User $i's arrivals join the tail, and may depart in this slot; $cap is
+# the cap of the backlog's type. This is the whole turn of a sealed user.
+_ADMIT = """\
 $admit
                 if q$i > $cap:
-                    raise InfeasibleLoadError(f"backlog exceeded safety cap {buffer_cap} at slot {int(slot)}")
+                    raise InfeasibleLoadError(f"backlog exceeded safety cap {buffer_cap} at slot {int(slot)}")"""
+
+# User $i's turn in a slot: its admission, then, if it is backlogged, the
+# rule scores it.
+_USER = _ADMIT + """
             if q$i:
 $score"""
 
@@ -507,11 +521,17 @@ def _expand(text: str, parts: dict[str, str]) -> str:
 
 
 @lru_cache(maxsize=32)
-def _kernel(shapes: tuple[_UserShape, ...], kind: SchedulerKind):
+def _kernel(shapes: tuple[_UserShape, ...], kind: SchedulerKind, sealed: tuple[int, ...] = ()):
     """The kernel for users of the given shapes, in order, under ``kind``,
     compiled from _KERNEL, each user's text filled from its own fragments.
     Its source is entered into linecache under a name that tells the
-    shapes apart, so that a traceback shows its lines.
+    shapes and the seal apart, so that a traceback shows its lines.
+
+    A user in ``sealed`` is only admitted and tested against the cap: it is
+    never scored, and it has no departure. Only a user the rule cannot
+    pick in any slot of the call may be sealed; run_lockstep seals a user
+    of the idling rule on a unit link in actual mode when margins() shows
+    that.
 
     kernel(sim, count) runs ``count`` >= 1 slots of sim, all in the drawn
     block, and returns the last one's scheduled user. The run state lives
@@ -519,7 +539,8 @@ def _kernel(shapes: tuple[_UserShape, ...], kind: SchedulerKind):
     outgrows its cap: the aborted slot then leaves its arrivals so far
     queued and changes nothing else."""
     maxweight = kind.kind == MAXWEIGHT
-    users = []
+    last = max((i for i in range(len(shapes)) if i not in sealed), default=None)
+    binds, scans, departs, writes = [], [], [], []
     for i, shape in enumerate(shapes):
         unit = shape.unit_link
         # User i's fragments. A unit link's backlog is a float, a listed
@@ -535,17 +556,20 @@ def _kernel(shapes: tuple[_UserShape, ...], kind: SchedulerKind):
             count="" if unit else _COUNT, n="best_n" if maxweight else "n",
             wait=_WAIT_UNIT if unit else _WAIT_LISTED,
             rate=" * rates$i[pos]" if kind.reads_rates else "" if unit else " * n",
-            test="else" if i == len(shapes) - 1 else "elif best == $i",
+            test="else" if i == last else "elif best == $i",
             pop=_POP_ONE if unit else _DEPART_LISTED,
             best_count=_COUNT if maxweight else "",
             pop_one=textwrap.indent(_POP_ONE, "    "))
-        users.append([_expand(text, parts) for text in (_BIND, _USER, _DEPART, _WRITE)])
-    bind, scan, depart, write = map("\n".join, zip(*users))
-    source = Template(_KERNEL).substitute(bind=bind, start=_START[kind.kind], scan=scan, depart=depart,
-                                          write=write)
+        binds.append(_expand(_BIND, parts))
+        scans.append(_expand(_ADMIT if i in sealed else _USER, parts))
+        if i not in sealed:
+            departs.append(_expand(_DEPART, parts))
+        writes.append(_expand(_WRITE, parts))
+    source = Template(_KERNEL).substitute(bind="\n".join(binds), start=_START[kind.kind], scan="\n".join(scans),
+                                          depart="\n".join(departs), write="\n".join(writes))
     n = len(shapes)
     filename = (f"<crsched kernel: {kind.kind}/{kind.phi_mode}, {n} user{'s' if n > 1 else ''}: "
-                f"{', '.join(map(str, shapes))}>")
+                f"{', '.join(map(str, shapes))}{'; sealed ' + ', '.join(map(str, sealed)) if sealed else ''}>")
     namespace = {"math": math, "repeat": repeat, "islice": islice, "_POSITIONS": _POSITIONS,
                  "InfeasibleLoadError": InfeasibleLoadError}
     exec(compile(source, filename, "exec"), namespace)
@@ -563,7 +587,9 @@ class _Inputs:
     gives the user's entry of shapes. users holds each user's input lists
     in SuState's order, and direct each direct link's gain, or its block as
     drawn; only observe() reads direct. The rates are kept only if a rule in
-    kinds reads them (keep_rates). The block holds length slots from start.
+    kinds reads them (keep_rates). The block holds length slots from start,
+    and arrived each user's arrivals in all of them, which bounds what
+    arrives from any of its slots on.
 
     One substream per (user, role): a user's draws depend only on the seed
     and its own index, and drawn BLOCK slots at a time they give the same
@@ -573,6 +599,7 @@ class _Inputs:
     def __init__(self, config: SimConfig, kinds: Sequence[SchedulerKind]):
         self.config, self.keep_rates = config, any(kind.reads_rates for kind in kinds)
         self.start = self.length = 0
+        self.arrived = [0] * len(config.sus)
         self.users, self.rngs, self.direct, shapes = [], [], [], []
         for i, su in enumerate(config.sus):
             rate, packets, interference = [], [], []
@@ -608,7 +635,9 @@ class _Inputs:
         self.start, self.length = slot, n
         for i, (su, (arrivals, rate, packets, interference), (arrival_rng, direct_rng, interference_rng)) in \
                 enumerate(zip(config.sus, self.users, self.rngs)):
-            arrivals[:] = su.arrivals.counts(arrival_rng.random(n)).tolist()
+            counts = su.arrivals.counts(arrival_rng.random(n))
+            arrivals[:] = counts.tolist()
+            self.arrived[i] = int(counts.sum())
             if direct_rng is not None:
                 direct = self.direct[i] = su.direct.sample_block(direct_rng, n)
                 # numpy's float64 add rounds as Python's does in transmission_rate.
@@ -811,6 +840,27 @@ class Simulation:
         )
 
 
+def margins(sim: Simulation, arrivals: Sequence[int]) -> dict[int, float]:
+    """Each unit-link user i with a queued packet, mapped to its margin
+
+        M_i = Y_i (T + 1 - a) - (Y_i d_i + (Q_i + A_i)),
+
+    at sim's slot T, with a the arrival slot of its head packet and A_i =
+    arrivals[i], in the kernel's own float operations.
+
+    Under the idling rule in actual mode, while user i is not served its
+    head and Y_i stay, and in a slot t >= T whose arrivals from T on number
+    at most A_i the kernel scores it phi_i = X g_i + Y_i W - (Y_i d_i + Q)
+    with W >= T + 1 - a and Q <= Q_i + A_i. A rounded product or sum never
+    falls as an operand grows, and X g_i >= 0, so M_i > 0, which holds
+    exactly when fl(Y_i (T + 1 - a)) > fl(fl(Y_i d_i) + (Q_i + A_i)),
+    keeps phi_i > 0: the rule cannot serve user i in any such slot."""
+    slot1 = sim.slot + 1.0
+    return {i: y * (slot1 - su.queue.fifo[0]) - (y * su.delay_bound + (len(su.queue.fifo) + a))
+            for i, (y, su, shape, a) in enumerate(zip(sim.y, sim.sus, sim._inputs.shapes, arrivals))
+            if shape.unit_link and su.queue.fifo}
+
+
 def simulations(config: SimConfig, kinds: Sequence[SchedulerKind]) -> list[Simulation]:
     """One Simulation of config per rule in kinds, in that order, all on one
     set of inputs."""
@@ -830,19 +880,32 @@ def run_lockstep(sims: Sequence[Simulation]) -> list[RunResult]:
     stops at max_slots too, and a backlog that outgrows its cap ends it as
     an unconverged result noted infeasible-load. A block never passes a
     check or max_slots, so every run stops where it would alone.
+
+    Before each call, a run of the idling rule in actual mode seals each
+    unit-link user whose margin over the block's arrivals is positive
+    (see margins): the call runs a kernel that does not score it, and as
+    the rule could not have served it, the run is the same.
     """
-    if any(sim._inputs is not sims[0]._inputs for sim in sims):
+    inputs = sims[0]._inputs
+    if any(sim._inputs is not inputs for sim in sims):
         raise ValueError("run_lockstep needs Simulations that share their inputs, as simulations() builds")
     if any(sim.slot != sims[0].slot for sim in sims):
         raise ValueError(f"run_lockstep needs Simulations at one slot, got {[sim.slot for sim in sims]}")
     config = sims[0].config
+    sealing = [sim.config.scheduler == SchedulerKind(PROPOSED, PHI_ACTUAL) for sim in sims]
     results: list[RunResult | None] = [None] * len(sims)
     running = [k for k, sim in enumerate(sims) if sim.slot < config.max_slots]
     while running:
         for k in running:
             sim = sims[k]
+            count = inputs.left(sim.slot)
+            kernel = sim._kernel
+            if sealing[k]:
+                sealed = tuple(i for i, margin in margins(sim, inputs.arrived).items() if margin > 0.0)
+                if sealed:
+                    kernel = _kernel(inputs.shapes, sim.config.scheduler, sealed)
             try:
-                sim._kernel(sim, sim._inputs.left(sim.slot))
+                kernel(sim, count)
             except InfeasibleLoadError:
                 results[k] = sim._finalize(False, sim.stability_metric(), note="infeasible-load")
                 continue

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from crsched import cli
-from crsched.channels import RayleighGain
+from crsched.channels import DeterministicGain, RayleighGain
 from crsched.config import load_spec
-from crsched.engine import SchedulerKind, Simulation, run_lockstep, simulations
+from crsched.engine import SchedulerKind, SimConfig, Simulation, SuConfig, margins, run_lockstep, simulations
 from crsched.queueing import Bernoulli, TruncatedPoisson
 from crsched.sweep import (
     MANIFEST_FILENAME,
@@ -283,6 +283,62 @@ def test_starvation_sets_in_after_the_first_check(table1_spec):
 
     assert withheld(10_000) == 0
     assert withheld(15_000) >= 20  # 122 as measured
+
+
+def starvation(sim: Simulation, i: int) -> str:
+    """Whether user i of an idling-rule run on unit links is starved in
+    sim's end state, by its margin over the most packets a slot can bring
+    (engine.margins): "certified" if that margin is positive and Y_i >=
+    a_max, as then each later slot adds Y_i - A >= 0 to it and the rule
+    never serves the user again; "bounded" if it is positive and Y_i <
+    a_max, where only the ruin bound keeps it from 0 (README, Known
+    limitation); "no" otherwise."""
+    a_max = [su.arrivals.a_max for su in sim.config.sus]
+    if margins(sim, a_max).get(i, 0.0) <= 0.0:
+        return "no"
+    return "certified" if sim.y[i] >= a_max[i] else "bounded"
+
+
+def test_a_certified_starvation_lasts(table1_spec):
+    # Stepped only by run_slot() and observe(), which run the full kernel:
+    # from the slot where SU-1's starvation is first certified, it is not
+    # served in 20,000 more slots, and its margin stays positive.
+    cfg = replace(point_config(table1_spec, table1_spec.schedulers[0], 0.14, 1), epsilon=0.0)
+    sim = Simulation(cfg)
+    while starvation(sim, 0) != "certified" and sim.slot < 20_000:
+        sim.run_slot()
+    assert 14_000 < sim.slot < 14_500  # 14,010 as measured
+    for record in sim.observe(20_000):
+        assert record.su != 0
+        assert margins(sim, [1, 1])[0] > 0.0
+
+
+def test_a_certified_margin_of_2_to_the_minus_40_lasts():
+    # The law holds however small the margin. One arrival every slot and
+    # Y = a_max = 1 keep it at 2^-40 (d = 1 - 2^-40, no interference), and
+    # phi with it: above 0 in every slot, so the user is never served.
+    sim = Simulation(SimConfig(
+        sus=(SuConfig(Bernoulli(1.0), 1.0 - 2.0**-40, DeterministicGain(1.0), DeterministicGain(0.0)),),
+        i_avg=1.0, scheduler=SchedulerKind("proposed"), epsilon=0.0))
+    sim.slot, sim.y[0] = 10, 1.0
+    sim.sus[0].queue.fifo.append(8.0)
+    assert margins(sim, [1]) == {0: 2.0**-40} and starvation(sim, 0) == "certified"
+    for record in sim.observe(2000):
+        assert record.su is None
+        assert margins(sim, [1]) == {0: 2.0**-40}
+
+
+def test_shipped_idling_rows_end_certified_or_bounded(table1_spec):
+    # table1's seed-1 proposed rows that end with SU-1 starved: Y_1 is 1,
+    # 1.5 or 2 where it is certified and 0.5 where it is only bounded.
+    ends = {}
+    for lam in table1_spec.lambda_grid:
+        sim = Simulation(point_config(table1_spec, table1_spec.schedulers[0], lam, 1))
+        sim.run_until_converged()
+        ends.setdefault(starvation(sim, 0), []).append(lam)
+    assert ends["certified"] == [0.18, 0.2, 0.22, 0.24, 0.26, 0.28, 0.38, 0.4]
+    assert ends["bounded"] == [0.3, 0.32, 0.34, 0.36]
+    assert len(ends["no"]) == 8
 
 
 def test_criterion_8_cli_and_library_sweeps_are_byte_identical(cli_out, lib_out):

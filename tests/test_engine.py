@@ -4,6 +4,7 @@ import math
 import sys
 import traceback
 import tracemalloc
+from collections import Counter, defaultdict
 from dataclasses import replace
 from itertools import accumulate, repeat
 from pathlib import Path
@@ -11,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crsched import engine
 from crsched.channels import DeterministicGain, RayleighGain
 from crsched.config import load_spec, parse_scheduler
 from crsched.engine import (
@@ -20,9 +22,11 @@ from crsched.engine import (
     SCHEDULER_NAMES,
     SchedulerKind,
     Simulation,
+    RunResult,
     SimConfig,
     SlotTrace,
     SuConfig,
+    margins,
     run_lockstep,
     simulations,
     stability_metric,
@@ -34,14 +38,14 @@ from crsched.queueing import Bernoulli, InfeasibleLoadError, SettingError, Trunc
 from crsched.streams import ROLE_DIRECT, ROLE_INTERFERENCE, substream
 from crsched.sweep import point_config
 
-from conftest import shipped_config, two_user_config, two_user_sus
+from conftest import Staged, shipped_config, staged_sim, two_user_config, two_user_sus
 from oracles import (
     first_decision_mismatch,
     lyapunov_drift_sum,
     random_small_sim_config,
     resim_trajectories,
 )
-from test_golden import KERNEL_SHAPES
+from test_golden import KERNEL_SHAPES, SEALED_KERNELS
 
 
 def single_user_config(**kw) -> SimConfig:
@@ -505,30 +509,40 @@ def point(path: str, lam: float, kind: str, **kw) -> SimConfig:
 
 
 @pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="reads CPython 3.11's specialized instructions")
-@pytest.mark.parametrize("kind, lam, d2", [("proposed-nonidling", 0.36, None), ("maxweight", 0.36, None),
-                                           ("proposed", 0.3, 1.5)],
+@pytest.mark.parametrize("kind, d2", [("proposed-nonidling", None), ("maxweight", None), ("proposed", 1.5)],
                          ids=["proposed-nonidling", "maxweight", "proposed-d2-1.5"])
-def test_slot_loop_arithmetic_is_specialized(kind, lam, d2):
+def test_slot_loop_arithmetic_is_specialized(kind, d2, monkeypatch):
     # CPython 3.11 specializes a binary operation or a comparison only for
     # two floats or two ints; one that mixes them stays generic, and slower.
     # After 20,000 slots of the kernel benchmark's point every one in the
     # slot loop must have specialized, except true division, which 3.11
     # never does. proposed is run where su2's delay bound is su1's 1.5, as
     # at the kernel benchmark's point su2's Y stays 0, so its Y > 0 branch
-    # never runs and is never specialized. The kernel is compiled afresh,
-    # so that no other test's run has specialized it differently.
-    cfg = point(KERNEL_HORIZON_POINT[0], lam, kind, epsilon=0.0, max_slots=20_000)
+    # never runs and is never specialized. There su2 starves, so most of
+    # proposed's slots run with it sealed, and that kernel is checked too.
+    # Each kernel is compiled afresh, so that no other test's run has
+    # specialized it differently.
+    cfg = point(*KERNEL_HORIZON_POINT, kind, epsilon=0.0, max_slots=20_000)
     if d2 is not None:
         cfg = replace(cfg, sus=(cfg.sus[0], replace(cfg.sus[1], delay_bound=d2)))
-    sim = Simulation(cfg)
-    sim._kernel = _kernel.__wrapped__(sim._inputs.shapes, sim.config.scheduler)
-    assert sim.run_until_converged().slots == 20_000
-    lines, loop = kernel_source(sim).splitlines(), slot_loop_lines(sim._kernel)
-    generic = [(ins.argrepr, lines[ins.positions.lineno - 1].strip())
-               for ins in dis.get_instructions(sim._kernel, adaptive=True)
-               if ins.opname in ("BINARY_OP", "BINARY_OP_ADAPTIVE", "COMPARE_OP", "COMPARE_OP_ADAPTIVE")
-               and ins.positions.lineno in loop and ins.argrepr != "/"]
-    assert generic == []
+    fresh = {}
+
+    def compile_afresh(shapes, kind, sealed=()):
+        if sealed not in fresh:
+            fresh[sealed] = _kernel.__wrapped__(shapes, kind, sealed)
+        return fresh[sealed]
+
+    monkeypatch.setattr(engine, "_kernel", compile_afresh)
+    assert Simulation(cfg).run_until_converged().slots == 20_000
+    assert sorted(fresh) == ([(), (1,)] if kind == "proposed" else [()])
+    for kernel in fresh.values():
+        lines = linecache.getlines(kernel.__code__.co_filename)
+        loop = slot_loop_lines(kernel)
+        generic = [(ins.argrepr, lines[ins.positions.lineno - 1].strip())
+                   for ins in dis.get_instructions(kernel, adaptive=True)
+                   if ins.opname in ("BINARY_OP", "BINARY_OP_ADAPTIVE", "COMPARE_OP", "COMPARE_OP_ADAPTIVE")
+                   and ins.positions.lineno in loop and ins.argrepr != "/"]
+        assert generic == [], kernel.__code__.co_filename
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="reads the source positions of CPython 3.11's instructions")
@@ -536,12 +550,12 @@ def test_slot_loop_negates_nothing():
     # A slot allocates nothing it throws away. A start value or idle test
     # written as -inf would make a float by UNARY_NEGATIVE in every slot;
     # max-weight starts at 0.0 instead, which every backlogged user beats.
-    for shapes, kind in KERNEL_SHAPES:
-        kernel = _kernel(shapes, kind)
+    for args in [*KERNEL_SHAPES, *SEALED_KERNELS]:
+        kernel = _kernel(*args)
         loop = slot_loop_lines(kernel)
         negations = [ins.positions.lineno for ins in dis.get_instructions(kernel)
                      if ins.opname == "UNARY_NEGATIVE" and ins.positions.lineno in loop]
-        assert negations == [], f"{kind}, {', '.join(map(str, shapes))}"
+        assert negations == [], kernel.__code__.co_filename
 
 
 @pytest.mark.parametrize("path", [KERNEL_HORIZON_POINT[0], FADING_SEEDS_CFG], ids=["table1", "fading-seeds"])
@@ -883,6 +897,112 @@ def test_lockstep_group_matches_each_rule_alone(case):
     if case == "abort":
         assert [result.note for result in results] == ["infeasible-load", "", ""]
         assert BLOCK < results[0].slots < 2 * BLOCK
+
+
+@pytest.fixture
+def seals(monkeypatch):
+    """Slots run under each seal, () for none, and the kernels handed out
+    for it, counted through engine._kernel, which builds each Simulation's
+    kernel and which run_lockstep asks for each sealed one."""
+    slots, kernels = Counter(), defaultdict(set)
+    build = engine._kernel
+
+    def counting(shapes, kind, sealed=()):
+        kernel = build(shapes, kind, sealed)
+        kernels[sealed].add(kernel)
+
+        def run(sim, count):
+            slots[sealed] += count
+            return kernel(sim, count)
+
+        return run
+
+    monkeypatch.setattr(engine, "_kernel", counting)
+    return slots, kernels
+
+
+def stepped_run(config: SimConfig) -> tuple[Simulation, RunResult]:
+    """config run by run_slot(), which runs the full kernel one slot at a
+    time, to the stopping rule or max_slots, and its result."""
+    sim = Simulation(config)
+    while sim.slot < config.max_slots:
+        sim.run_slot()
+        if sim.slot % config.check_interval == 0 and sim.stability_metric() < config.epsilon:
+            return sim, sim._finalize(True, sim.stability_metric())
+    return sim, sim._finalize(False, sim.stability_metric())
+
+
+@pytest.mark.parametrize("path, lam, kw", [(*KERNEL_HORIZON_POINT, dict(epsilon=0.0, max_slots=30_000)),
+                                           (shipped_config("binding.cfg"), 0.2, {})],
+                         ids=["kernel-horizon", "binding"])
+def test_sealed_runs_match_stepping(path, lam, kw, seals):
+    # SU-1 starves under the idling rule at both points, so
+    # run_until_converged() runs most slots with SU-1 sealed; run_slot()
+    # always runs the full kernel. Both reach the same result and end state.
+    slots, _ = seals
+    cfg = point(path, lam, "proposed", **kw)
+    sealed = Simulation(cfg)
+    result = sealed.run_until_converged()
+    assert slots[(0,)] > result.slots // 2 and slots[()] + slots[(0,)] == result.slots
+    stepped, expected = stepped_run(cfg)
+    assert result == expected
+    assert (sealed.slot, sealed.x, sealed.y) == (stepped.slot, stepped.x, stepped.y)
+    assert accumulators(sealed) == accumulators(stepped)
+    assert queue_state(sealed) == queue_state(stepped)
+
+
+def test_a_block_whose_arrivals_close_the_margin_is_not_sealed():
+    # Y = 0.5 and one arrival in 0.9 of slots: at the block's start the
+    # margin over no arrivals is positive, but the block's arrivals bring
+    # phi to 0 within it. The seal counts them and is refused, so
+    # run_until_converged() serves the user in the slot stepping does.
+    def staged(max_slots: int) -> Simulation:
+        sim = Simulation(SimConfig(
+            sus=(SuConfig(Bernoulli(0.9), 1.5, DeterministicGain(1.0), DeterministicGain(0.4)),),
+            i_avg=2.0, scheduler=SchedulerKind("proposed"), epsilon=0.0, max_slots=max_slots,
+            check_interval=max_slots))
+        sim.slot, sim.y[0] = 100, 0.5
+        sim.sus[0].queue.fifo.append(91.0)
+        return sim
+
+    served = next(record.slot for record in staged(10_000).observe(BLOCK) if record.su == 0)
+    sealed, stepped = staged(served + 1), staged(served + 1)
+    sealed._inputs.left(sealed.slot)
+    assert margins(sealed, [0]) == {0: 3.25}
+    assert margins(sealed, sealed._inputs.arrived)[0] <= 0.0
+    sealed.run_until_converged()
+    for _ in range(served + 1 - stepped.slot):
+        stepped.run_slot()
+    # One departure, of the head, in slot ``served``.
+    assert sealed.sus[0].queue.cumulative_departures == 1
+    assert sealed.sus[0].queue.departed_waiting_sum == served + 1 - 91
+    assert (sealed.slot, sealed.x, sealed.y) == (stepped.slot, stepped.x, stepped.y)
+    assert accumulators(sealed) == accumulators(stepped)
+    assert queue_state(sealed) == queue_state(stepped)
+
+
+def test_a_zero_margin_is_not_sealed():
+    # Y (T + 1 - a) equals Y d + Q and nothing arrives, so phi is 0 in slot
+    # T and the idling rule serves the user there: only a positive margin
+    # seals.
+    stepped, sealed = (staged_sim("proposed", Staged(fifo=(9,), y=1.0, d=1.0, interference=0.0), slot=10)
+                       for _ in range(2))
+    assert margins(sealed, [0]) == {0: 0.0}
+    assert stepped.run_slot() == 0
+    result = sealed.run_until_converged()
+    assert result.terminal_q == (0,)
+    assert sealed.sus[0].queue.departed_waiting_sum == stepped.sus[0].queue.departed_waiting_sum == 2
+
+
+def test_most_kernel_horizon_idling_slots_run_sealed(seals):
+    # The benchmark's kernel-horizon point starves SU-1 early; the seal's
+    # gain there needs most slots sealed, and each sealed kernel compiled
+    # once, not per block.
+    slots, kernels = seals
+    Simulation(point(*KERNEL_HORIZON_POINT, "proposed", epsilon=0.0, max_slots=100_000)).run_until_converged()
+    sealed = [seal for seal in slots if seal]
+    assert sum(slots[seal] for seal in sealed) >= 80_000  # 87,712 as measured
+    assert all(len(kernels[seal]) == 1 for seal in sealed)
 
 
 def test_lockstep_refuses_members_at_different_slots():

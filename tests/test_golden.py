@@ -13,7 +13,7 @@ that is meant to alter results, and say why where the change is recorded.
 
 import hashlib
 import linecache
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -95,15 +95,42 @@ KERNEL_SHAPES = [
 ]
 
 
+# sha256 of the concatenated text of every kernel in SEALED_KERNELS order.
+SEALED_KERNEL_TEXT_SHA256 = "5698007a33217d8b6c3a244531ffcc779e7dbef9b564a9672a3aa74089028e40"
+
+# The idling rule's kernels of KERNEL_SHAPES in actual mode, with each
+# nonempty set of their unit-link users sealed: 22 kernels.
+SEALED_KERNELS = [
+    (shapes, kind, sealed)
+    for shapes, kind in KERNEL_SHAPES if kind == SchedulerKind("proposed", PHI_ACTUAL)
+    for units in [[i for i, shape in enumerate(shapes) if shape.unit_link]]
+    for size in range(1, len(units) + 1)
+    for sealed in combinations(units, size)
+]
+
+
+def kernel_text_digest(kernels) -> str:
+    """sha256 of the concatenated source of the kernels, as linecache holds
+    it, each built from a tuple of _kernel's arguments."""
+    digest = hashlib.sha256()
+    for args in kernels:
+        kernel = _kernel(*args)
+        digest.update("".join(linecache.getlines(kernel.__code__.co_filename)).encode())
+    return digest.hexdigest()
+
+
 def test_kernel_text_matches_pinned_digest():
     """Every generated kernel's source, as linecache holds it, hashes to the
     pinned digest, so a refactor of the template or of the kernel builder
     that claims to leave the slot loop alone is checked to. Update the
     digest only for a change that is meant to alter kernel text, and say
     why in CHANGES.md."""
-    digest = hashlib.sha256()
-    for shapes, kind in KERNEL_SHAPES:
-        kernel = _kernel(shapes, kind)
-        digest.update("".join(linecache.getlines(kernel.__code__.co_filename)).encode())
     assert len(KERNEL_SHAPES) == 120
-    assert digest.hexdigest() == KERNEL_TEXT_SHA256
+    assert kernel_text_digest(KERNEL_SHAPES) == KERNEL_TEXT_SHA256
+
+
+def test_sealed_kernel_text_matches_pinned_digest():
+    """The same pin over the sealed variants, whose text shares the
+    template's and drops a sealed user's scoring and departure."""
+    assert len(SEALED_KERNELS) == 22
+    assert kernel_text_digest(SEALED_KERNELS) == SEALED_KERNEL_TEXT_SHA256
