@@ -22,7 +22,6 @@ import os
 import pickle
 import signal
 from dataclasses import replace
-from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -107,31 +106,26 @@ def sweep_results(
     kinds = sorted(spec.schedulers, key=lambda sched: sched.kind)
     tasks = [(lam, seed) for lam in sorted(spec.lambda_grid, reverse=True) for seed in sorted(spec.seeds)]
     configs = [point_config(spec, kinds[0], lam, seed) for lam, seed in tasks]
-
-    def collect(task_results):
-        done = {}
+    task_results = _forked(configs, kinds, min(jobs, len(configs)) if hasattr(os, "fork") else 1)
+    done = {}
+    try:
         for (lam, seed), results in zip(tasks, task_results):
             for sched, result in zip(kinds, results):
                 point = (sched.kind, lam, seed)
                 done[point] = result
                 if progress is not None:
                     progress(point, result, len(points))
-        return [(point, done[point]) for point in points]
-
-    if jobs == 1 or len(configs) <= 1 or not hasattr(os, "fork"):
-        return collect(map(run_rules, configs, repeat(kinds)))
-    task_results = _forked(configs, kinds, min(jobs, len(configs)))
-    try:
-        return collect(task_results)
     finally:
-        # Also where collect stops early, as on an interrupt in progress.
+        # Also where the loop stops early, as on an interrupt in progress.
         task_results.close()
+    return [(point, done[point]) for point in points]
 
 
 def _forked(configs: list[SimConfig], kinds: list[SchedulerKind], workers: int):
     """run_rules of each config, in order, from this process and
     ``workers`` - 1 forked ones: config k runs in worker k mod ``workers``,
-    this process being worker 0.
+    this process being worker 0. One worker forks nothing: this process
+    runs every config.
 
     This process builds its first group before it forks, which imports
     numpy.random and compiles every rule's kernel once for all workers.
