@@ -154,8 +154,13 @@ def _forked(configs: list[SimConfig], kinds: list[SchedulerKind], workers: int):
             os.close(write_fd)
             pipes.append((pid, os.fdopen(read_fd, "rb")))
         for k, config in enumerate(configs):
+            if k == 0:
+                # Dropped once run, so that its state does not outlive its task.
+                results, first = run_lockstep(first), None
+                yield results
+                continue
             if k % workers == 0:
-                yield run_lockstep(first) if k == 0 else run_rules(config, kinds)
+                yield run_rules(config, kinds)
                 continue
             pid, pipe = pipes[k % workers - 1]
             try:
