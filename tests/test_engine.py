@@ -20,9 +20,9 @@ from crsched.engine import (
     PHI_ACTUAL,
     PHI_LITERAL,
     SCHEDULER_NAMES,
+    RunResult,
     SchedulerKind,
     Simulation,
-    RunResult,
     SimConfig,
     SlotTrace,
     SuConfig,
